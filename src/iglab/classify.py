@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completeness import PathMetric, hopf_rinow_report, lengths_for
+from .completeness import _ball_scan, hopf_rinow_report
 from .errors import InputError
-from .graphs import GraphFamily, LineFamily, RayFamily
+from .graphs import GraphFamily, combinatorial_neighborhood
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
 from .series import SeriesVerdict, plateau, series_verdict
@@ -142,16 +142,11 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
     """
     if lam <= 0:
         raise InputError("lambda must be positive")
-    if isinstance(fam, RayFamily):
-        return {"plus": _ray_lambda_solve(fam.w_fn, fam.mu_fn, lam, window)}
-    if isinstance(fam, LineFamily):
-        return {
-            "minus": _ray_lambda_solve(fam.neg["w_fn"], fam.neg["mu_fn"],
-                                       lam, window),
-            "plus": _ray_lambda_solve(fam.pos["w_fn"], fam.pos["mu_fn"],
-                                      lam, window),
-        }
-    raise InputError(f"{fam.describe()}: lambda recursion needs a ray or line")
+    if not fam.ends():
+        raise InputError(
+            f"{fam.describe()}: lambda recursion needs a ray or line")
+    return {end.label: _ray_lambda_solve(end.w_fn, end.mu_fn, lam, window)
+            for end in fam.ends()}
 
 
 # -- harmonic witness --------------------------------------------------------
@@ -175,18 +170,20 @@ class WitnessReport:
                 "passed": self.passed, "basis": self.basis}
 
 
-def harmonic_witness_check(fam: LineFamily, window: int = 200) -> WitnessReport:
+def harmonic_witness_check(fam: GraphFamily,
+                           window: int = 200) -> WitnessReport:
     """Check h(x) = x on a line family: harmonic, square-summable, with
     window energies growing like 2N (constant weights).
 
     Raises InputError when sum x^2 sqrt(mu) diverges (the witness is then
     not known to be square-summable and proves nothing).
     """
-    if not isinstance(fam, LineFamily):
+    if len(fam.ends()) != 2:
         raise InputError("the coordinate witness lives on a line family")
+    minus, plus = fam.ends()
     xs = np.arange(window, dtype=float)
-    mu_pos = np.asarray(fam.pos["mu_fn"](xs), dtype=float)
-    mu_neg = np.asarray(fam.neg["mu_fn"](xs[1:]), dtype=float)
+    mu_pos = np.asarray(plus.mu_fn(xs), dtype=float)
+    mu_neg = np.asarray(minus.mu_fn(xs[1:]), dtype=float)
     pre_terms = np.concatenate([xs ** 2 * np.sqrt(mu_pos),
                                 xs[1:] ** 2 * np.sqrt(mu_neg)])
     pre = series_verdict(pre_terms)
@@ -247,26 +244,11 @@ def deg_ball_boundedness(fam: GraphFamily, sigma="canonical",
     rows that keep growing (balls swallowing the whole window) witness the
     failure of the bounded-degree hypothesis at that radius.
     """
-    from .graphs import combinatorial_neighborhood
-    cap = fam.max_window(n_max)
     windows = []
-    w = 8
-    while w < cap:
-        windows.append(w)
-        w *= 2
-    windows.append(cap)
-    windows = sorted(set(windows))
-    radii = None
     max_deg: dict = {}
     sizes: dict = {}
-    for win in windows:
-        g = fam.truncate(win)
-        metric = PathMetric(lengths_for(g, sigma, fam))
-        x0 = fam.model_to_id(0, win) if hasattr(fam, "model_to_id") else 0
-        d = metric.distances_from(x0)
-        if radii is None:
-            ecc = float(np.max(d[np.isfinite(d)]))
-            radii = [ecc * j / 4.0 for j in (1, 2, 3, 4)]
+    for win, g, d, radii in _ball_scan(fam, sigma, n_max, 4):
+        windows.append(win)
         for r in radii:
             ball = tuple(int(v) for v in np.flatnonzero(d <= r))
             hood = combinatorial_neighborhood(g, ball)
@@ -341,7 +323,7 @@ class ClassificationReport:
 def _mu_total_finite(fam) -> bool | None:
     tot = 0.0
     for end in fam.ends():
-        t = end.mu_total()
+        t = end.total_measure()
         if t is None:
             return None
         if math.isinf(t):
@@ -373,11 +355,11 @@ def classify(fam: GraphFamily, sigma="canonical",
         notes.append("no linear ends: capacity diagnostics skipped")
 
     lam_sols = {}
-    if isinstance(fam, (RayFamily, LineFamily)):
+    if fam.ends():
         lam_sols = lambda_solve(fam, 1.0, window=bud.lambda_window)
 
     witness = None
-    if isinstance(fam, LineFamily):
+    if len(fam.ends()) == 2:
         try:
             witness = harmonic_witness_check(fam, window=bud.lambda_window)
         except InputError as exc:
@@ -405,9 +387,9 @@ def classify(fam: GraphFamily, sigma="canonical",
         esa = Verdict("yes",
                       "complete with degree bounded on ball neighborhoods; "
                       "compactly supported functions are a core")
-    elif isinstance(fam, RayFamily) and lam_sols:
-        sol = lam_sols["plus"]
-        end = fam.ends()[0]
+    elif len(lam_sols) == 1:
+        (sol,) = lam_sols.values()
+        (end,) = fam.ends()
         if sol.increasing and end.mu_is_infinite():
             esa = Verdict(
                 "yes (evidence)",

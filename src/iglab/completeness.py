@@ -177,16 +177,13 @@ class HopfRinowReport:
                 "verdict": self.verdict, "notes": self.notes}
 
 
-def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
-                      n_max: int = 256, origin_model: int = 0
-                      ) -> HopfRinowReport:
-    """Ball-stabilization evidence for the completeness dichotomy.
+def _ball_scan(fam: GraphFamily, sigma, n_max: int, parts: int):
+    """Distances from the origin over doubling windows 8, 16, ... up to
+    the family's usable cap at n_max.
 
-    Evidence, not proof: ball sizes |B_r(x0)| are tracked over doubling
-    windows and compared, and each linear end contributes its certified
-    total length (finite length => Cauchy boundary point => incomplete).
-    For families that are not locally finite the dichotomy does not apply
-    and the verdict says so.
+    Yields (window, graph, distances, radii) per window. The radii are
+    the fractions j/parts (j = 1..parts) of the origin's eccentricity in
+    the first window, and stay fixed across windows.
     """
     cap = fam.max_window(n_max)
     windows = []
@@ -195,19 +192,31 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
         windows.append(w)
         w *= 2
     windows.append(cap)
-    windows = sorted(set(windows))
-
     radii = None
-    sizes = {}
-    for win in windows:
+    for win in sorted(set(windows)):
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, sigma, fam))
-        x0 = fam.model_to_id(origin_model, win) if hasattr(fam, "model_to_id") \
-            else 0
-        d = metric.distances_from(x0)
+        d = metric.distances_from(fam.model_to_id(0, win))
         if radii is None:
             ecc = float(np.max(d[np.isfinite(d)]))
-            radii = [ecc * j / 8.0 for j in range(1, 9)]
+            radii = [ecc * j / parts for j in range(1, parts + 1)]
+        yield win, g, d, radii
+
+
+def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
+                      n_max: int = 256) -> HopfRinowReport:
+    """Ball-stabilization evidence for the completeness dichotomy.
+
+    Evidence, not proof: ball sizes |B_r(x0)| are tracked over doubling
+    windows and compared, and each linear end contributes its certified
+    total length (finite length => Cauchy boundary point => incomplete).
+    For families that are not locally finite the dichotomy does not apply
+    and the verdict says so.
+    """
+    windows = []
+    sizes = {}
+    for win, _, d, radii in _ball_scan(fam, sigma, n_max, 8):
+        windows.append(win)
         for r in radii:
             sizes.setdefault(r, []).append(int(np.sum(d <= r)))
 

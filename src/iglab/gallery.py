@@ -39,11 +39,11 @@ from . import __version__
 from .classify import Budget, classify, resolve_budget
 from .completeness import PathMetric, lengths_for
 from .errors import InputError, NumericalError, UnsupportedFamilyError
-from .graphs import GraphFamily, LineFamily, RayFamily, WeightedGraph
+from .graphs import End, GraphFamily, LineFamily, RayFamily, WeightedGraph
 from .metrics import sigma0
 from .potential import codim_polarity_test, minkowski_samples
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- concrete families -------------------------------------------------------
@@ -70,9 +70,8 @@ def _build_ex51(params):
             np.minimum(np.sqrt(mu_of(a) / 2.0), np.sqrt(mu_of(a + 1.0) / 2.0)),
             1.0)
 
-    side = dict(w_fn=_ones, mu_fn=mu_of, sigma_fn=sig,
-                sigma_ratio=2.0 ** -0.5, mu_ratio=0.5)
-    return LineFamily("ex5.1", dict(side), dict(side), params={"p": p})
+    side = End(_ones, mu_of, sig, sigma_ratio=2.0 ** -0.5, mu_ratio=0.5)
+    return LineFamily("ex5.1", side, side, params={"p": p})
 
 
 def _build_ex52(params):
@@ -109,21 +108,21 @@ def _build_ex53a(params):
 def _build_ex53(params):
     _no_params("ex5.3", params)
     inv_sqrt6 = 6.0 ** -0.5
-    pos = dict(
+    plus = End(
         w_fn=lambda x: 2.0 ** np.asarray(x, dtype=float),
         mu_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
         sigma_fn=lambda x: inv_sqrt6 * 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: inv_sqrt6 * 2.0 ** (1 - k),
         mu_tail_fn=lambda k: 2.0 ** (1 - k),
         mu_total=2.0, res_upper=1.0)
-    neg = dict(
+    minus = End(
         w_fn=lambda k: (np.asarray(k, dtype=float) + 1.0) ** 4,
         mu_fn=_ones,
         sigma_fn=lambda k: ((np.asarray(k, dtype=float) + 1.0) ** 4
                             + (np.asarray(k, dtype=float) + 2.0) ** 4) ** -0.5,
         sigma_rem_fn=lambda d: 2.0 ** -0.5 / max(d, 1),
         mu_total=math.inf)
-    return LineFamily("ex5.3", pos, neg)
+    return LineFamily("ex5.3", minus, plus)
 
 
 def _build_ex54(params):
@@ -612,7 +611,6 @@ class RunRecord:
     params: dict
     sigma: str
     budget: str
-    seed: int | None
     started: str
     finished: str
     classification: dict | None
@@ -696,7 +694,7 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
         record = RunRecord(
             schema_version=SCHEMA_VERSION, tool=f"iglab {__version__}",
             label=label, family=name, params=params, sigma="canonical",
-            budget=bud.name, seed=None, started=started, finished=_now(),
+            budget=bud.name, started=started, finished=_now(),
             classification=rep_dict,
             checks=[c.to_dict() for c in checks], error=error)
         records.append(record)

@@ -4,17 +4,20 @@ A weighted graph here is a finite symmetric edge-weight structure w >= 0
 with zero diagonal together with a strictly positive vertex measure mu.
 The weighted degree is Deg(x) = (1/mu(x)) * sum_y w(x,y).
 
-Infinite one-sided rays and two-sided lines are represented by rule
-families (weight/measure/length as functions of the vertex index) that
-realize themselves on finite windows via truncate(). Truncations carry
-the frontier (vertices that lost edge mass to the cut) and the dropped
-mass per frontier vertex, which downstream modules use for leak bounds.
+An infinite ray or line is a root vertex plus one or two End records.
+An End holds the rules of one linear end (weight, measure and canonical
+edge length as functions of the outward index) and its certified tail
+data. The family realizes itself on finite windows via truncate().
+Truncations carry the frontier (vertices that lost edge mass to the cut)
+and the dropped mass per frontier vertex, which downstream modules use
+for leak bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,19 +104,6 @@ class WeightedGraph:
 
     def total_measure(self) -> float:
         return math.fsum(self.mu)
-
-    def to_csr(self):
-        import scipy.sparse as sp
-        rows, cols, vals = [], [], []
-        for x, y, w in self.edges():
-            rows += [x, y]
-            cols += [y, x]
-            vals += [w, w]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-
-    def core_vertices(self):
-        """Vertices not on the frontier."""
-        return [x for x in range(self.n) if x not in self.frontier]
 
     def is_connected(self) -> bool:
         seen = {0}
@@ -243,16 +233,20 @@ def load_family_config(path):
 
 # -- rule families ---------------------------------------------------------
 
+def _valid(values):
+    v = np.asarray(values, dtype=float)
+    return np.isfinite(v) & (v > 0.0)
+
+
 def _validate_window(name, w, mu):
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        bad = int(np.argmin(np.isfinite(w) & (w > 0.0)))
+    ok_w, ok_mu = _valid(w), _valid(mu)
+    if not ok_w.all():
+        bad = int(np.argmin(ok_w))
         raise FamilyDefinitionError(
-            f"{name}: weight rule invalid at edge index {bad} "
-            f"(value {w[bad] if bad < len(w) else '?'})")
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-        bad = int(np.argmin(np.isfinite(mu) & (mu > 0.0)))
+            f"{name}: weight rule invalid at edge index {bad} (value {w[bad]})")
+    if not ok_mu.all():
         raise FamilyDefinitionError(
-            f"{name}: measure rule invalid at vertex {bad}")
+            f"{name}: measure rule invalid at vertex {int(np.argmin(ok_mu))}")
 
 
 class GraphFamily:
@@ -278,48 +272,56 @@ class GraphFamily:
         """Largest usable window <= cap (float-range probing)."""
         return cap
 
+    def root_id(self, window: int) -> int:
+        """Id of the model origin inside truncate(window)."""
+        return 0
+
+    def model_to_id(self, x: int, window: int) -> int:
+        """Id of the vertex with model coordinate x inside truncate(window)."""
+        return int(x) + self.root_id(window)
+
     def describe(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({ps})" if ps else self.name
 
 
+@dataclass(eq=False)
 class End:
-    """One linear end of a ray or line family.
+    """One linear end of a family: its rules, indexed outward from the root.
 
-    Exposes the tail data of its side: edge weights w(k) for the k-th edge
-    outward, measure mu(k), canonical edge length sigma(k), and certified
-    tail sums of sigma and mu. Index k counts outward from the origin, so
-    for the left end of a line, k corresponds to model vertex -k.
+    w_fn(k) is the weight of the k-th edge outward (vertex k to k+1),
+    mu_fn(k) the measure of the k-th vertex and sigma_fn(k) the canonical
+    length of the k-th edge, all vectorized over numpy arrays; vertex 0 is
+    the root. The optional tail data certify sum_{j >= k} sigma(j) and
+    sum_{j >= k} mu(j), each by a closed form, a geometric ratio or a
+    remainder bound. mu_total is the declared total measure (inf for an
+    infinite end) and res_upper a certified upper bound on the tail
+    resistance sum_{k>=1} 1/w(k), or None when unknown or infinite.
+    label names the end in reports ('plus', or 'minus' for the left end
+    of a line). Ends compare by identity.
     """
 
-    def __init__(self, family, label, w_fn, mu_fn, sigma_fn,
-                 sigma_tail_fn=None, sigma_ratio=None, sigma_rem_fn=None,
-                 mu_tail_fn=None, mu_ratio=None, mu_rem_fn=None,
-                 mu_total=None, res_upper=None):
-        self.family = family
-        self.label = label
-        self.w_fn = w_fn
-        self.mu_fn = mu_fn
-        self.sigma_fn = sigma_fn
-        self._sigma_tail_fn = sigma_tail_fn
-        self._sigma_ratio = sigma_ratio
-        self._sigma_rem_fn = sigma_rem_fn
-        self._mu_tail_fn = mu_tail_fn
-        self._mu_ratio = mu_ratio
-        self._mu_rem_fn = mu_rem_fn
-        self._mu_total = mu_total
-        # certified upper bound on the tail resistance sum_{k>=1} 1/w(k),
-        # or None when unknown or infinite
-        self.res_upper = res_upper
+    w_fn: Callable
+    mu_fn: Callable
+    sigma_fn: Callable
+    sigma_tail_fn: Callable | None = None
+    sigma_ratio: float | None = None
+    sigma_rem_fn: Callable | None = None
+    mu_tail_fn: Callable | None = None
+    mu_ratio: float | None = None
+    mu_rem_fn: Callable | None = None
+    mu_total: float | None = None
+    res_upper: float | None = None
+    label: str = "plus"
 
     def sigma_tail(self, k: int) -> TailSum:
         """sum_{j >= k} sigma(j): remaining length beyond vertex k."""
-        if self._sigma_tail_fn is not None:
-            return TailSum(float(self._sigma_tail_fn(k)))
-        if self._sigma_ratio is not None:
-            return geometric_tail(self.sigma_fn, k, self._sigma_ratio)
-        if self._sigma_rem_fn is not None:
-            return bounded_tail(self.sigma_fn, k, self._sigma_rem_fn)
+        if self.sigma_tail_fn is not None:
+            return TailSum(float(self.sigma_tail_fn(k)))
+        if self.sigma_ratio is not None:
+            return geometric_tail(self.sigma_fn, k, self.sigma_ratio)
+        if self.sigma_rem_fn is not None:
+            return bounded_tail(self.sigma_fn, k, self.sigma_rem_fn)
         raise InputError(
             f"end {self.label}: no tail data for the edge lengths")
 
@@ -327,20 +329,21 @@ class End:
         """sum_{j >= k} mu(j); raises if the measure tail is infinite."""
         if self.mu_is_infinite():
             raise InputError(f"end {self.label}: measure tail is infinite")
-        if self._mu_tail_fn is not None:
-            return TailSum(float(self._mu_tail_fn(k)))
-        if self._mu_ratio is not None:
-            return geometric_tail(self.mu_fn, k, self._mu_ratio)
-        if self._mu_rem_fn is not None:
-            return bounded_tail(self.mu_fn, k, self._mu_rem_fn)
+        if self.mu_tail_fn is not None:
+            return TailSum(float(self.mu_tail_fn(k)))
+        if self.mu_ratio is not None:
+            return geometric_tail(self.mu_fn, k, self.mu_ratio)
+        if self.mu_rem_fn is not None:
+            return bounded_tail(self.mu_fn, k, self.mu_rem_fn)
         raise InputError(f"end {self.label}: no tail data for the measure")
 
     def mu_is_infinite(self) -> bool:
-        return self._mu_total is not None and math.isinf(self._mu_total)
+        return self.mu_total is not None and math.isinf(self.mu_total)
 
-    def mu_total(self):
-        if self._mu_total is not None:
-            return self._mu_total
+    def total_measure(self):
+        """The declared total measure, else the certified tail sum from 0."""
+        if self.mu_total is not None:
+            return self.mu_total
         return self.mu_tail(0).value
 
     def has_boundary_point(self) -> bool:
@@ -351,30 +354,26 @@ class End:
             return False
 
 
-def _probe_max_window(name, w_fn, mu_fn, cap, slack=0):
-    """Largest window N <= cap whose truncation only evaluates valid floats.
-
-    A ray window N reads w(0..N-1) (the last entry is the leak weight) and
-    mu(0..N-1); a line half additionally reads w(N) and mu(N) (slack=1).
-    """
-    hi = int(cap)
-    bad = hi + 1
+def _probe_depth(ends, hi: int) -> int:
+    """Largest depth d <= hi at which every end's w and mu are finite and
+    positive on 0..d, and its sigma on 0..d-1 (the realized edges)."""
     lo, chunk = 0, 1 << 12
     while lo <= hi:               # scan in growing chunks, not one arange(cap)
         xs = np.arange(lo, min(lo + chunk, hi + 1), dtype=float)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            w = np.asarray(w_fn(xs), dtype=float)
-            mu = np.asarray(mu_fn(xs), dtype=float)
-        ok = np.isfinite(mu) & (mu > 0.0) & np.isfinite(w) & (w > 0.0)
-        if not ok.all():
-            bad = lo + int(np.argmin(ok))
-            break
+        cuts = []
+        with np.errstate(all="ignore"):
+            for end in ends:
+                ok = _valid(end.w_fn(xs)) & _valid(end.mu_fn(xs))
+                ok_sigma = _valid(end.sigma_fn(xs))
+                if not ok.all():
+                    cuts.append(lo + int(np.argmin(ok)) - 1)
+                if not ok_sigma.all():
+                    cuts.append(lo + int(np.argmin(ok_sigma)))
+        if cuts:
+            return min(cuts)
         lo += chunk
         chunk = min(chunk * 4, 1 << 22)
-    n = min(bad - slack, hi)
-    if n < 2:
-        raise FamilyDefinitionError(f"{name}: rules invalid near the origin")
-    return n
+    return hi
 
 
 def default_sigma0_rule(w_fn, mu_fn):
@@ -395,160 +394,146 @@ def default_sigma0_rule(w_fn, mu_fn):
     return sigma
 
 
-class RayFamily(GraphFamily):
-    """One-sided ray on 0,1,2,... with nearest-neighbor weights.
+class LinearFamily(GraphFamily):
+    """A root vertex with one or two linear ends: a ray or a line.
 
-    w_fn(x) is the weight of edge (x, x+1), mu_fn(x) the measure, both
-    vectorized over numpy arrays. sigma_fn(x) is the canonical edge length
-    of (x, x+1); by default the closed-form sigma_0 of the infinite ray.
+    The last end in ends() runs from the root toward increasing ids. A
+    second end, listed first, runs toward decreasing ids, so model
+    coordinate x >= 0 is vertex x of the last end and x < 0 is vertex -x
+    of the first; the root takes its measure from the last end. A
+    realization of depth d holds vertices 0..d of every end, and each
+    end's outermost vertex leaks the weight of edge d, the first one cut.
+
+    Subclasses fix the window convention: the window minus the depth
+    (_depth_offset) and the root's id (root_id). They also define
+    truncate() and canonical_lengths() in their own bodies, as one-line
+    delegations, because per-class instrumentation (perfbench/tracing.py)
+    looks these methods up in each class's namespace.
     """
 
-    def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
-                 sigma_kind="sigma0", sigma_tail_fn=None, sigma_ratio=None,
-                 sigma_rem_fn=None, mu_tail_fn=None, mu_ratio=None,
-                 mu_rem_fn=None, mu_total=None, res_upper=None,
+    _depth_offset = 0
+
+    def __init__(self, name, ends, params=None, sigma_kind="sigma0",
                  window_cap=1 << 24):
         self.name = name
         self.params = dict(params or {})
-        self.w_fn = w_fn
-        self.mu_fn = mu_fn
         self.sigma_kind = sigma_kind
-        self.sigma_fn = sigma_fn or default_sigma0_rule(w_fn, mu_fn)
+        self._ends = tuple(ends)
         self._window_cap = window_cap
-        self._end = End(self, "plus", w_fn, mu_fn, self.sigma_fn,
-                        sigma_tail_fn=sigma_tail_fn, sigma_ratio=sigma_ratio,
-                        sigma_rem_fn=sigma_rem_fn, mu_tail_fn=mu_tail_fn,
-                        mu_ratio=mu_ratio, mu_rem_fn=mu_rem_fn,
-                        mu_total=mu_total, res_upper=res_upper)
-
-    def ends(self):
-        return (self._end,)
-
-    def truncate(self, window: int) -> WeightedGraph:
-        n = int(window)
-        if n < 2:
-            raise InputError("window must be at least 2")
-        xs = np.arange(n, dtype=float)
-        w = np.asarray(self.w_fn(xs[:-1]), dtype=float)
-        mu = np.asarray(self.mu_fn(xs), dtype=float)
-        _validate_window(self.name, w, mu)
-        cut = float(self.w_fn(np.float64(n - 1)))
-        edges = [(x, x + 1, w[x]) for x in range(n - 1)]
-        return WeightedGraph(n, edges, mu, leak={n - 1: cut},
-                             labels={x: x for x in range(n)})
-
-    def canonical_lengths(self, g: WeightedGraph):
-        from .metrics import EdgeLengths
-        lengths = {}
-        for x, y, _ in g.edges():
-            lengths[(x, y)] = float(self.sigma_fn(np.float64(min(x, y))))
-        return EdgeLengths(g, lengths, kind=self.sigma_kind)
-
-    def max_window(self, cap: int) -> int:
-        return _probe_max_window(self.name, self.w_fn, self.mu_fn,
-                                 min(cap, self._window_cap))
-
-    def model_to_id(self, x: int, window: int) -> int:
-        return int(x)
-
-    def tail_ids(self, start: int, window: int):
-        """Ids of the tail set {x >= start} inside truncate(window)."""
-        return tuple(range(int(start), int(window)))
-
-
-class LineFamily(GraphFamily):
-    """Two-sided line on ..., -1, 0, 1, ... glued from two ray rules.
-
-    pos_* rules describe the right half (pos_w_fn(x) = w(x, x+1), x >= 0);
-    neg_* the left half in outward coordinates (neg_w_fn(k) = w(-k-1, -k),
-    neg_mu_fn(k) = mu(-k) for k >= 1). mu(0) is taken from pos_mu_fn.
-    truncate(N) realizes the window [-N, N] with id(x) = x + N.
-    """
-
-    def __init__(self, name, pos, neg, params=None):
-        self.name = name
-        self.params = dict(params or {})
-        self.pos = pos  # dicts of rules, same keys as RayFamily kwargs
-        self.neg = neg
-        self._ends = (
-            End(self, "minus", neg["w_fn"], neg["mu_fn"], neg["sigma_fn"],
-                sigma_tail_fn=neg.get("sigma_tail_fn"),
-                sigma_ratio=neg.get("sigma_ratio"),
-                sigma_rem_fn=neg.get("sigma_rem_fn"),
-                mu_tail_fn=neg.get("mu_tail_fn"),
-                mu_ratio=neg.get("mu_ratio"),
-                mu_rem_fn=neg.get("mu_rem_fn"),
-                mu_total=neg.get("mu_total"),
-                res_upper=neg.get("res_upper")),
-            End(self, "plus", pos["w_fn"], pos["mu_fn"], pos["sigma_fn"],
-                sigma_tail_fn=pos.get("sigma_tail_fn"),
-                sigma_ratio=pos.get("sigma_ratio"),
-                sigma_rem_fn=pos.get("sigma_rem_fn"),
-                mu_tail_fn=pos.get("mu_tail_fn"),
-                mu_ratio=pos.get("mu_ratio"),
-                mu_rem_fn=pos.get("mu_rem_fn"),
-                mu_total=pos.get("mu_total"),
-                res_upper=pos.get("res_upper")),
-        )
-        self.sigma_kind = pos.get("sigma_kind", "sigma0")
 
     def ends(self):
         return self._ends
 
-    def truncate(self, window: int) -> WeightedGraph:
-        n = int(window)
-        if n < 1:
-            raise InputError("window must be at least 1")
-        ks = np.arange(n, dtype=float)
-        w_pos = np.asarray(self.pos["w_fn"](ks), dtype=float)      # (k, k+1)
-        w_neg = np.asarray(self.neg["w_fn"](ks), dtype=float)      # (-k-1, -k)
-        mu_pos = np.asarray(self.pos["mu_fn"](np.arange(n + 1.0)), dtype=float)
-        mu_neg = np.asarray(self.neg["mu_fn"](np.arange(1.0, n + 1.0)),
-                            dtype=float)
-        _validate_window(self.name, w_pos, mu_pos)
-        _validate_window(self.name, w_neg, mu_neg if n else [1.0])
-        size = 2 * n + 1
-        mu = np.empty(size)
-        labels = {}
-        for x in range(-n, n + 1):
-            i = x + n
-            labels[i] = x
-            mu[i] = mu_pos[x] if x >= 0 else mu_neg[-x - 1]
-        edges = []
-        for k in range(n):
-            edges.append((k + n, k + 1 + n, w_pos[k]))          # (k, k+1)
-            edges.append((-k - 1 + n, -k + n, w_neg[k]))        # (-k-1, -k)
-        leak = {0: float(self.neg["w_fn"](np.float64(n))),
-                2 * n: float(self.pos["w_fn"](np.float64(n)))}
-        return WeightedGraph(size, edges, mu, leak=leak, labels=labels)
+    def _depth(self, window: int) -> int:
+        return int(window) - self._depth_offset
 
-    def canonical_lengths(self, g: WeightedGraph):
+    def _sign(self, end: End) -> int:
+        """+1 if the end runs toward increasing ids, -1 if toward decreasing."""
+        if end is self._ends[-1]:
+            return +1
+        if end is self._ends[0]:
+            return -1
+        raise InputError(f"end {end.label!r} is not an end of {self.name}")
+
+    def _realize(self, window: int) -> WeightedGraph:
+        depth = self._depth(window)
+        if depth < 1:
+            raise InputError(
+                f"window must be at least {1 + self._depth_offset}")
+        root = self.root_id(window)
+        ks = np.arange(depth + 1.0)
+        mu = np.empty(root + depth + 1)
+        leak = {}
+        sides = []                       # (direction in ids, edge weights)
+        for end in self._ends:
+            sign = self._sign(end)
+            w = np.asarray(end.w_fn(ks[:-1]), dtype=float)
+            m = np.asarray(end.mu_fn(ks if sign > 0 else ks[1:]), dtype=float)
+            _validate_window(self.name, w, m)
+            if sign > 0:
+                mu[root:] = m
+            else:
+                mu[:root] = m[::-1]
+            leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
+            sides.insert(0, (sign, w))
+        edges = [(root + sign * k, root + sign * (k + 1), w[k])
+                 for k in range(depth) for sign, w in sides]
+        return WeightedGraph(root + depth + 1, edges, mu, leak=leak,
+                             labels={i: i - root for i in range(mu.size)})
+
+    def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
-        n = (g.n - 1) // 2
+        first, last = self._ends[0], self._ends[-1]
         lengths = {}
         for x, y, _ in g.edges():
-            lo = min(x, y) - n    # model coordinate of the lower endpoint
-            if lo >= 0:
-                s = self.pos["sigma_fn"](np.float64(lo))
-            else:
-                s = self.neg["sigma_fn"](np.float64(-lo - 1))
-            lengths[(min(x, y), max(x, y))] = float(s)
+            k = g.labels[x]              # model coordinate of the lower end
+            s = last.sigma_fn(np.float64(k)) if k >= 0 else \
+                first.sigma_fn(np.float64(-k - 1))
+            lengths[(x, y)] = float(s)
         return EdgeLengths(g, lengths, kind=self.sigma_kind)
 
     def max_window(self, cap: int) -> int:
-        cap = min(int(cap), 1 << 24)
-        a = _probe_max_window(self.name, self.pos["w_fn"], self.pos["mu_fn"],
-                              cap, slack=1)
-        b = _probe_max_window(self.name, self.neg["w_fn"], self.neg["mu_fn"],
-                              cap, slack=1)
-        return min(a, b)
+        """Largest window <= cap whose realization and canonical lengths
+        read only finite, positive rule values."""
+        hi = self._depth(min(int(cap), self._window_cap))
+        window = _probe_depth(self._ends, hi) + self._depth_offset
+        if window < 2:
+            raise FamilyDefinitionError(
+                f"{self.name}: rules invalid near the origin")
+        return window
 
-    def model_to_id(self, x: int, window: int) -> int:
-        return int(x) + int(window)
+    def tail_ids(self, end: End, start: int, window: int):
+        """Ids of the end's vertices k >= start inside truncate(window)."""
+        depth, root = self._depth(window), self.root_id(window)
+        if self._sign(end) > 0:
+            return tuple(range(root + int(start), root + depth + 1))
+        return tuple(range(root - depth, root - int(start) + 1))
 
-    def tail_ids(self, start: int, window: int, side: int = +1):
-        """Ids of {x >= start} (side=+1) or {x <= -start} (side=-1)."""
-        n = int(window)
-        if side > 0:
-            return tuple(range(int(start) + n, 2 * n + 1))
-        return tuple(range(0, n - int(start) + 1))
+
+class RayFamily(LinearFamily):
+    """One-sided ray on 0, 1, 2, ... with nearest-neighbor weights.
+
+    w_fn(x) is the weight of edge (x, x+1), mu_fn(x) the measure, both
+    vectorized over numpy arrays. sigma_fn(x) is the canonical edge length
+    of (x, x+1); by default the closed-form sigma_0 of the infinite ray.
+    The remaining keywords are the End's tail data. Window N realizes
+    depth N-1: vertices 0..N-1 with the root at id 0.
+    """
+
+    _depth_offset = 1
+
+    def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
+                 sigma_kind="sigma0", window_cap=1 << 24, **tail):
+        end = End(w_fn, mu_fn, sigma_fn or default_sigma0_rule(w_fn, mu_fn),
+                  **tail)
+        super().__init__(name, (end,), params, sigma_kind, window_cap)
+
+    def truncate(self, window: int) -> WeightedGraph:
+        return self._realize(window)
+
+    def canonical_lengths(self, g: WeightedGraph):
+        return self._canonical_lengths(g)
+
+
+class LineFamily(LinearFamily):
+    """Two-sided line ..., -1, 0, 1, ... glued at the root from two ends.
+
+    Both ends are given in outward coordinates: plus.w_fn(k) = w(k, k+1)
+    and minus.w_fn(k) = w(-k-1, -k) for k >= 0, minus.mu_fn(k) = mu(-k)
+    for k >= 1; mu(0) comes from plus.mu_fn. The family holds copies
+    labeled 'minus' and 'plus'. Window N realizes depth N: the window
+    [-N, N] with id(x) = x + N.
+    """
+
+    def __init__(self, name, minus: End, plus: End, params=None):
+        super().__init__(name, (replace(minus, label="minus"),
+                                replace(plus, label="plus")), params)
+
+    def root_id(self, window: int) -> int:
+        return int(window)
+
+    def truncate(self, window: int) -> WeightedGraph:
+        return self._realize(window)
+
+    def canonical_lengths(self, g: WeightedGraph):
+        return self._canonical_lengths(g)

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 from .completeness import BoundaryModel, boundary_model
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq, qnorm
-from .graphs import GraphFamily, LineFamily, WeightedGraph, vertex_set
+from .graphs import GraphFamily, WeightedGraph, vertex_set
 from .series import last_quartile, loglog_slope
 
 RESIDUAL_TOL = 1e-9
@@ -152,9 +152,6 @@ class CapacitySequence:
     cummin_upper: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def tail_starts(self):
-        return [e.tail_start for e in self.entries]
-
     def solver_caps(self):
         return [(e.tail_start, e.solver_cap) for e in self.entries
                 if e.solver_cap is not None]
@@ -183,7 +180,6 @@ class CapacityReport:
     boundary_regime: str
     polarity: str                    # polar | non-polar | inconclusive
     thresholds: dict = field(default_factory=dict)
-    equilibria: list = field(default_factory=list)
 
     def to_dict(self):
         return {"family": self.family,
@@ -217,17 +213,9 @@ def _ramp_upper(end, N: int) -> float:
     return math.sqrt(total)
 
 
-def _tail_ids_for(fam, end, start: int, window: int):
-    if isinstance(fam, LineFamily):
-        side = +1 if end.label == "plus" else -1
-        return fam.tail_ids(start, window, side=side)
-    return fam.tail_ids(start, window)
-
-
 def boundary_capacity(fam: GraphFamily, sigma="canonical",
                       solver_tail_max: int = 256, outer_cap: int = 4096,
-                      analytic_tail_max: int = 1 << 22,
-                      keep_potentials: bool = False) -> CapacityReport:
+                      analytic_tail_max: int = 1 << 22) -> CapacityReport:
     """Tail-capacity sequences for every end, with regime verdicts.
 
     Per end: solver values Cap_M(tail_N) on outer windows M >= 4N (M
@@ -252,7 +240,6 @@ def boundary_capacity(fam: GraphFamily, sigma="canonical",
     if not ends:
         raise InputError(f"{fam.describe()}: no ends, no boundary capacity")
     sequences = []
-    kept = []
     for end in ends:
         if end.mu_is_infinite():
             sequences.append(CapacitySequence(
@@ -279,10 +266,7 @@ def boundary_capacity(fam: GraphFamily, sigma="canonical",
             prev = None
             while True:
                 g = fam.truncate(m)
-                ids = _tail_ids_for(fam, end, n_tail, m)
-                r = equilibrium(g, ids)
-                if keep_potentials:
-                    kept.append((end.label, n_tail, m, r))
+                r = equilibrium(g, fam.tail_ids(end, n_tail, m))
                 entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
                 entry.outer_window, entry.residual = m, r.residual
                 stable = prev is not None and \
@@ -370,15 +354,12 @@ def boundary_capacity(fam: GraphFamily, sigma="canonical",
         boundary, polarity = "zero", "polar"
     else:
         boundary, polarity = "inconclusive", "inconclusive"
-    report = CapacityReport(
+    return CapacityReport(
         fam.describe(), sequences, boundary, polarity,
         thresholds={"polar_threshold": POLAR_THRESHOLD,
                     "polar_slope": POLAR_SLOPE,
                     "plateau_change": PLATEAU_CHANGE,
                     "positive_floor": POSITIVE_FLOOR})
-    if keep_potentials:
-        report.equilibria = kept
-    return report
 
 
 # -- Minkowski codimension ---------------------------------------------------

@@ -165,7 +165,7 @@ def test_criterion_07_intrinsic_certificates_and_cutoff_bound():
         win = fam.max_window(48)
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, "sigma0", fam))
-        x0 = fam.model_to_id(0, win) if hasattr(fam, "model_to_id") else 0
+        x0 = fam.model_to_id(0, win)
         dist = metric.distances_from(x0)
         ecc = float(np.max(dist[np.isfinite(dist)]))
         families += 1

@@ -6,6 +6,7 @@ import pytest
 from iglab.classify import (BUDGETS, Budget, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
+from iglab.completeness import hopf_rinow_report
 from iglab.errors import InputError
 from iglab.gallery import build_family
 from iglab.graphs import RayFamily
@@ -133,6 +134,32 @@ def test_deg_ball_star_grows():
     rep = deg_ball_boundedness(build_family("a5.1"), "sigma0", n_max=64)
     assert not rep.bounded_per_ball
     assert not rep.stable[max(rep.radii)]
+
+
+@pytest.mark.parametrize("name", ["ex5.3a", "ex5.1", "a5.1"])
+def test_deg_ball_and_hopf_share_the_ball_scan(name):
+    # the deg-ball windows are a prefix of the hopf windows, its radii
+    # ecc*j/4 are the even hopf radii ecc*2j/8, and both count the same balls
+    fam = build_family(name)
+    bud = BUDGETS["standard"]
+    hopf = hopf_rinow_report(fam, n_max=bud.hopf_n_max)
+    deg = deg_ball_boundedness(fam, n_max=bud.degball_n_max)
+    assert hopf.windows[:len(deg.windows)] == deg.windows
+    assert deg.radii == hopf.radii[1::2]
+    for r in deg.radii:
+        assert deg.ball_sizes[r] == hopf.ball_sizes[r][:len(deg.windows)]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ex5.1", {}), ("ex5.6", {"alpha": 0.75, "case": 1})])
+def test_ball_scans_stop_before_lengths_underflow(name, params):
+    # regression: at the deep budget's n_max the float-range cap must also
+    # cover the canonical lengths, which underflow to 0 before w and mu do
+    fam = build_family(name, params)
+    n_max = BUDGETS["deep"].hopf_n_max
+    hopf = hopf_rinow_report(fam, n_max=n_max)
+    deg = deg_ball_boundedness(fam, n_max=n_max)
+    assert hopf.windows[-1] == deg.windows[-1] == fam.max_window(n_max)
 
 
 # -- combined classification --------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -18,8 +19,12 @@ def run(capsys, *argv):
 
 
 def test_version_subprocess():
+    # the child finds iglab where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "iglab.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "iglab 0.1.0"
 

@@ -85,7 +85,7 @@ def test_star_ball_grows_with_window():
 def make_record(**over):
     base = dict(schema_version=gallery.SCHEMA_VERSION, tool="iglab 0.1.0",
                 label="unit/label", family="ex5.4", params={"q": 2.0},
-                sigma="canonical", budget="quick", seed=11,
+                sigma="canonical", budget="quick",
                 started="2026-01-02T03:04:05", finished="2026-01-02T03:04:06",
                 classification={"polarity": "polar"},
                 checks=[{"name": "codim", "passed": True, "observed": 2.0,
@@ -100,7 +100,7 @@ def test_runrecord_roundtrip():
     rec = make_record()
     other = RunRecord.from_json(rec.to_json())
     assert other == rec
-    assert json.loads(rec.to_json())["schema_version"] == 1
+    assert json.loads(rec.to_json())["schema_version"] == 2
 
 
 def test_write_record_atomic(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iglab.errors import FamilyDefinitionError, InputError
-from iglab.gallery import build_family
+from iglab.gallery import REGISTRY, build_family
 from iglab.graphs import (WeightedGraph, combinatorial_neighborhood, dumps,
                           dump_path, load_family_config, load_path, loads,
                           vertex_set, weighted_degree)
@@ -201,12 +201,43 @@ def test_line_truncation_shape():
 
 def test_tail_ids():
     fam = build_family("ex5.3a")
-    assert fam.tail_ids(7, 10) == tuple(range(7, 10))
+    (end,) = fam.ends()
+    assert fam.tail_ids(end, 7, 10) == tuple(range(7, 10))
     lf = build_family("ex5.1")
-    plus = lf.tail_ids(4, 6, side=+1)
-    minus = lf.tail_ids(4, 6, side=-1)
-    assert plus == tuple(lf.model_to_id(x, 6) for x in (4, 5, 6))
-    assert minus == tuple(lf.model_to_id(-x, 6) for x in (6, 5, 4))
+    minus, plus = lf.ends()
+    assert lf.tail_ids(plus, 4, 6) == tuple(lf.model_to_id(x, 6)
+                                            for x in (4, 5, 6))
+    assert lf.tail_ids(minus, 4, 6) == tuple(lf.model_to_id(-x, 6)
+                                             for x in (6, 5, 4))
+    with pytest.raises(InputError):
+        lf.tail_ids(end, 4, 6)
+
+
+LINEAR_FAMILIES = [name for name, spec in sorted(REGISTRY.items())
+                   if spec.supported and build_family(name).ends()]
+
+
+@pytest.mark.parametrize("name", LINEAR_FAMILIES)
+def test_edges_and_tails_follow_their_end(name):
+    # every edge of a truncation takes its length from the end it lies on,
+    # at its outward index; tail_ids(end, k, N) is that end's vertices >= k
+    fam = build_family(name)
+    ends = {e.label: e for e in fam.ends()}
+    win = 12
+    g = fam.truncate(win)
+    lengths = fam.canonical_lengths(g)
+    for x, y, _ in g.edges():
+        a, b = g.labels[x], g.labels[y]
+        end = ends["plus" if max(a, b) > 0 else "minus"]
+        k = min(abs(a), abs(b))
+        assert lengths.of(x, y) == float(end.sigma_fn(np.float64(k)))
+    for end in fam.ends():
+        sign = -1 if end.label == "minus" else +1
+        outward = {i: sign * g.labels[i] for i in range(g.n)}
+        depth = max(outward.values())
+        for k in range(depth + 1):
+            want = tuple(i for i in range(g.n) if outward[i] >= k)
+            assert fam.tail_ids(end, k, win) == want
 
 
 def test_max_window_respects_float_range():
@@ -238,7 +269,7 @@ def test_ends_expose_rules():
     fam = build_family("ex5.3a")
     (end,) = fam.ends()
     assert end.label == "plus"
-    assert end.mu_total() == 2.0
+    assert end.total_measure() == 2.0
     assert end.res_upper == 1.0
     assert not end.mu_is_infinite()
     assert end.has_boundary_point()

@@ -102,7 +102,8 @@ def test_equilibrium_extreme_weights():
     # solve must stay accurate (this is where plain CG reports garbage)
     fam = build_family("ex5.3a")
     g = fam.truncate(100)
-    res = equilibrium(g, fam.tail_ids(90, 100))
+    (end,) = fam.ends()
+    res = equilibrium(g, fam.tail_ids(end, 90, 100))
     assert res.residual <= 1e-9
     assert res.bounds_ok
 
