@@ -9,7 +9,7 @@ of the appendix are not locally finite, and the report says the dichotomy
 is inapplicable instead of pretending.
 """
 
-from iglab.completeness import boundary_distances, boundary_model, hopf_rinow_report
+from iglab.completeness import boundary_end, hopf_rinow_report
 from iglab.gallery import build_family
 
 
@@ -28,14 +28,12 @@ def main():
     print()
 
     # ex5.4's boundary point sits at distance r(x) = 2^(1-x) from vertex x
-    fam = build_family("ex5.4")
-    bm = boundary_model(fam)
-    (end,) = bm.boundary_ends()
-    bd = boundary_distances(bm, end.label, depth=31)
+    end = boundary_end(build_family("ex5.4"), "boundary distances")
+    tails = {x: end.sigma_tail(x) for x in (1, 5, 10, 20, 30)}
     print("ex5.4 distances to the boundary point "
-          f"(exact arithmetic: {bd.exact}):")
-    for x in (1, 5, 10, 20, 30):
-        print(f"  r({x:2d}) = {bd.r(x):.10g}  (= 2^{1 - x})")
+          f"(exact arithmetic: {all(t.exact for t in tails.values())}):")
+    for x, t in tails.items():
+        print(f"  r({x:2d}) = {t.value:.10g}  (= 2^{1 - x})")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from .forms import (VertexFunction, caccioppoli_check, cutoff_eta, energy,
                     form_report, gradient_pairing, gradient_sq,
                     green_identity_check, laplacian, laplacian_all,
                     leibniz_check, norm_sq, qnorm)
-from .completeness import (boundary_distances, boundary_model, find_geodesic,
-                           hopf_rinow_report, lengths_for)
+from .completeness import (boundary_end, find_geodesic, hopf_rinow_report,
+                           lengths_for)
 from .potential import (boundary_alternative_evidence, boundary_capacity,
                         codim_polarity_test, equilibrium, minkowski_samples)
 from .classify import (BUDGETS, Budget, classify, deg_ball_boundedness,

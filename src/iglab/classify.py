@@ -35,6 +35,7 @@ import numpy as np
 
 from .completeness import _ball_scan, hopf_rinow_report
 from .errors import InputError
+from .forms import VertexFunction, energy, laplacian
 from .graphs import GraphFamily, combinatorial_neighborhood
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
@@ -170,6 +171,11 @@ class WitnessReport:
                 "passed": self.passed, "basis": self.basis}
 
 
+def _coordinate(g) -> VertexFunction:
+    """h(x) = x, the model coordinate of each vertex."""
+    return VertexFunction(g, [g.labels[i] for i in range(g.n)])
+
+
 def harmonic_witness_check(fam: GraphFamily,
                            window: int = 200) -> WitnessReport:
     """Check h(x) = x on a line family: harmonic, square-summable, with
@@ -195,22 +201,11 @@ def harmonic_witness_check(fam: GraphFamily,
                                         xs[1:] ** 2 * mu_neg]))
     # harmonicity on a small truncation, interior vertices only
     n_chk = min(window, 64)
-    g = fam.truncate(n_chk)
-    h = np.array([g.labels[i] for i in range(g.n)], dtype=float)
-    res = 0.0
-    for i in range(g.n):
-        if i in g.frontier:
-            continue
-        s = math.fsum(w * (h[i] - h[j]) for j, w in g.adj[i].items())
-        res = max(res, abs(s / g.mu[i]))
-    energies = []
-    for n in (8, 16, 32, 64):
-        if n > n_chk:
-            break
-        gv = fam.truncate(n)
-        hv = np.array([gv.labels[i] for i in range(gv.n)], dtype=float)
-        e = math.fsum(w * (hv[a] - hv[b]) ** 2 for a, b, w in gv.edges())
-        energies.append((n, e))
+    h = _coordinate(fam.truncate(n_chk))
+    res = max((abs(laplacian(h, i)) for i in range(h.graph.n)
+               if i not in h.graph.frontier), default=0.0)
+    energies = [(n, energy(_coordinate(fam.truncate(n))))
+                for n in (8, 16, 32, 64) if n <= n_chk]
     passed = (res <= 1e-12 and l2.verdict == "converged")
     basis = ("harmonic coordinate in L2 with window energy growing like 2N: "
              "essential self-adjointness fails"
@@ -346,7 +341,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     alt = None
     if fam.ends():
         capacity = boundary_capacity(
-            fam, sigma, solver_tail_max=bud.solver_tail_max,
+            fam, solver_tail_max=bud.solver_tail_max,
             outer_cap=bud.outer_cap,
             analytic_tail_max=bud.analytic_tail_max)
         polarity = capacity.polarity

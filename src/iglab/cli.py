@@ -3,10 +3,13 @@
     iglab metric check   --family F [--sigma S] [--window N]
     iglab complete report --family F [--sigma S] [--n-max N]
     iglab forms check    --family F [--window N] [--trials T] [--seed S]
-    iglab cap boundary   --family F [--sigma S] [--tails N] [--format csv]
+    iglab cap boundary   --family F [--tails N] [--outer M] [--format csv]
     iglab codim          --family F [--depth D] [--format csv]
     iglab classify       --family F [--sigma S] [--budget B]
     iglab gallery        [--select L1,L2,...] [--budget B] [--out DIR]
+
+--sigma is sigma0 | sigma1 | natural:K | canonical (the default). The
+commands with --family also take --out FILE in place of stdout.
 
 --family takes either a path to a family config file (lines "family NAME"
 then "key value" pairs) or an inline spec "NAME" / "NAME:key=val,key=val".
@@ -32,20 +35,11 @@ from .completeness import hopf_rinow_report, lengths_for
 from .errors import InputError, NumericalError
 from .forms import (VertexFunction, caccioppoli_check, energy,
                     green_identity_check, leibniz_check)
-from .gallery import REGISTRY, build_family, run_gallery
-from .graphs import load_family_config
+from .gallery import _write_atomic, build_family, run_gallery
+from .graphs import _cast, load_family_config
 from .metrics import (PathMetric, discovered_jump_size, intrinsic_check,
                       strongly_intrinsic_check)
 from .potential import boundary_capacity, minkowski_samples
-
-
-def _cast(value: str):
-    for kind in (int, float):
-        try:
-            return kind(value)
-        except ValueError:
-            pass
-    return value
 
 
 def _resolve_family(spec: str):
@@ -66,12 +60,7 @@ def _resolve_family(spec: str):
 
 def _emit(payload: str, out: str | None):
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
-        os.replace(tmp, out)
+        _write_atomic(out, payload)
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -134,7 +123,7 @@ def _cmd_forms_check(args) -> int:
 
 def _cmd_cap_boundary(args) -> int:
     fam = _resolve_family(args.family)
-    rep = boundary_capacity(fam, args.sigma, solver_tail_max=args.tails,
+    rep = boundary_capacity(fam, solver_tail_max=args.tails,
                             outer_cap=args.outer)
     if args.format == "csv":
         buf = io.StringIO()
@@ -191,11 +180,12 @@ def _cmd_gallery(args) -> int:
     return result.exit_code
 
 
-def _add_family_opts(p, sigma_default="canonical"):
+def _add_family_opts(p, sigma=False):
     p.add_argument("--family", required=True,
                    help="family config file or inline NAME[:k=v,...]")
-    p.add_argument("--sigma", default=sigma_default,
-                   help="sigma0 | sigma1 | natural:K | canonical")
+    if sigma:
+        p.add_argument("--sigma", default="canonical",
+                       help="sigma0 | sigma1 | natural:K | canonical")
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -210,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="intrinsic metric certificates")
     msub = p.add_subparsers(dest="subcommand", required=True)
     pc = msub.add_parser("check", help="intrinsic/strongly-intrinsic check")
-    _add_family_opts(pc)
+    _add_family_opts(pc, sigma=True)
     pc.add_argument("--window", type=int, default=64)
     pc.set_defaults(fn=_cmd_metric_check)
 
     p = sub.add_parser("complete", help="completeness evidence")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pr = csub.add_parser("report", help="ball stabilization and end lengths")
-    _add_family_opts(pr)
+    _add_family_opts(pr, sigma=True)
     pr.add_argument("--n-max", type=int, default=256)
     pr.set_defaults(fn=_cmd_complete_report)
 
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(fn=_cmd_codim)
 
     pl = sub.add_parser("classify", help="combined uniqueness verdicts")
-    _add_family_opts(pl)
+    _add_family_opts(pl, sigma=True)
     pl.add_argument("--budget", default="standard")
     pl.set_defaults(fn=_cmd_classify)
 

@@ -7,9 +7,14 @@ we can only gather evidence: ball sizes that stabilize as the window
 grows, and the total edge length of each ray end (a finite total length
 means the end is a Cauchy boundary point, so the graph is incomplete).
 
-Boundary distances: for a ray end with edge lengths sigma, the distance
-from vertex x to the ideal boundary point is r(x) = sum_{y >= x} sigma(y),
-computed from certified tail sums.
+Geodesics are searched with the metric's own Dijkstra kernel
+(scipy.sparse.csgraph): hop counts give the combinatorial ball, and its
+induced submatrix gives the distances restricted to that ball.
+
+Boundary distances: boundary_end picks the one end of finite total
+length. For that end with edge lengths sigma, the distance from vertex x
+to the ideal boundary point is r(x) = sum_{y >= x} sigma(y), its
+certified tail sum end.sigma_tail(x).
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import GraphFamily, WeightedGraph
+from .graphs import End, GraphFamily, WeightedGraph
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
-from .series import TailSum
 
 
 def lengths_for(g: WeightedGraph, choice, family: GraphFamily | None = None
@@ -66,35 +71,24 @@ def find_geodesic(metric: PathMetric, origin: int, n: int) -> Geodesic:
     g = metric.graph
     if not 0 <= origin < g.n:
         raise InputError("origin out of range")
-    # combinatorial distances from the origin
-    dn = [-1] * g.n
-    dn[origin] = 0
-    frontier = [origin]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in g.adj[x]:
-                if dn[y] < 0:
-                    dn[y] = dn[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    sphere = [x for x in range(g.n) if dn[x] == n]
-    if not sphere:
+    hops = dijkstra(metric._csr, unweighted=True, indices=origin)
+    sphere = np.flatnonzero(hops == n)
+    if not sphere.size:
         raise InputError(f"combinatorial sphere at {n} is empty in this window")
-    ball = set(x for x in range(g.n) if 0 <= dn[x] <= n)
-
-    dist_o = _restricted_dijkstra(metric, origin, ball)
-    best_len = min(dist_o[z] for z in sphere)
+    inside = hops <= n
+    ball = np.flatnonzero(inside)
+    # rows: distances inside the ball from the origin, then from each
+    # sphere vertex; columns: every vertex (inf outside the ball)
+    dist = np.full((1 + sphere.size, g.n), math.inf)
+    dist[:, ball] = dijkstra(metric._csr[ball][:, ball],
+                             indices=np.searchsorted(ball, [origin, *sphere]))
+    dist_o = dist[0]
+    best_len = dist_o[sphere].min()
     if math.isinf(best_len):
         raise InputError("sphere unreachable inside the ball")
-    candidates = [z for z in sphere if close(dist_o[z], best_len)]
-
-    best_path = None
-    for z in candidates:
-        dist_z = _restricted_dijkstra(metric, z, ball)
-        path = _lex_min_path(metric, origin, z, ball, dist_o, dist_z)
-        if best_path is None or path < best_path:
-            best_path = path
+    best_path = min(_lex_min_path(metric, origin, z, inside, dist_o, dist_z)
+                    for z, dist_z in zip(sphere, dist[1:])
+                    if close(dist_o[z], best_len))
     length = math.fsum(metric.lengths.of(a, b)
                        for a, b in zip(best_path, best_path[1:]))
     verified = all(
@@ -109,28 +103,7 @@ def _restricted_prefix_len(metric, path, k):
                      for a, b in zip(path[:k], path[1:k + 1]))
 
 
-def _restricted_dijkstra(metric, src, allowed):
-    import heapq
-    g = metric.graph
-    dist = {v: math.inf for v in allowed}
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    done = set()
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        for y in g.adj[x]:
-            if y in allowed:
-                nd = d + metric.lengths.of(x, y)
-                if nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-    return dist
-
-
-def _lex_min_path(metric, origin, z, ball, dist_o, dist_z):
+def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
     """Lexicographically smallest shortest origin-z path inside the ball.
 
     A vertex v lies on some shortest path iff d(o,v) + d(v,z) = d(o,z);
@@ -142,7 +115,7 @@ def _lex_min_path(metric, origin, z, ball, dist_o, dist_z):
     while cur != z:
         choices = []
         for y in metric.graph.adj[cur]:
-            if y not in ball:
+            if not inside[y]:
                 continue
             step = metric.lengths.of(cur, y)
             if close(dist_o[cur] + step, dist_o[y]) and \
@@ -257,54 +230,19 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
                            sizes, stabilized, end_lengths, verdict, notes)
 
 
-@dataclass
-class BoundaryModel:
-    """Which ends of the family are ideal boundary points (finite length)."""
-    family: GraphFamily
-    entries: list            # (End, length TailSum, is_boundary_point)
+def boundary_end(fam: GraphFamily, purpose: str) -> End:
+    """The family's one end of finite total length: its metric boundary
+    point. The distance from the end's k-th vertex to that point is
+    end.sigma_tail(k).
 
-    def boundary_ends(self):
-        return [e for e, _, b in self.entries if b]
-
-
-def boundary_model(fam: GraphFamily) -> BoundaryModel:
+    Raises InputError, naming `purpose`, when the family has no end or
+    more than one of finite length, and passes on the InputError of an
+    end that has no tail data for its lengths.
+    """
     ends = fam.ends()
     if not ends:
         raise InputError(f"{fam.describe()}: no linear end structure")
-    entries = []
-    for end in ends:
-        ts = end.sigma_tail(0)
-        entries.append((end, ts, math.isfinite(ts.upper)))
-    return BoundaryModel(fam, entries)
-
-
-@dataclass
-class BoundaryDistance:
-    """r(k) = distance from the k-th vertex (outward) to the end."""
-    end_label: str
-    values: np.ndarray       # r(k) for k = 0..depth-1
-    bounds: np.ndarray       # certified |error| per entry
-    exact: bool
-
-    def r(self, k: int) -> float:
-        return float(self.values[k])
-
-
-def boundary_distances(bm: BoundaryModel, end_label: str,
-                       depth: int) -> BoundaryDistance:
-    matches = [(e, ts, b) for e, ts, b in bm.entries if e.label == end_label]
-    if not matches:
-        raise InputError(f"no end labeled {end_label!r}")
-    end, ts, is_bp = matches[0]
-    if not is_bp:
-        raise InputError(
-            f"end {end_label!r} has infinite total length (no boundary point)")
-    vals = np.empty(depth)
-    bnds = np.empty(depth)
-    exact = True
-    for k in range(depth):
-        t = end.sigma_tail(k)
-        vals[k] = t.value
-        bnds[k] = t.bound
-        exact = exact and t.exact
-    return BoundaryDistance(end_label, vals, bnds, exact)
+    finite = [end for end in ends if math.isfinite(end.sigma_tail(0).upper)]
+    if len(finite) != 1:
+        raise InputError(f"{purpose} needs exactly one boundary end")
+    return finite[0]

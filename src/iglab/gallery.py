@@ -31,17 +31,17 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .classify import Budget, classify, resolve_budget
+from .classify import classify, resolve_budget
 from .completeness import PathMetric, lengths_for
 from .errors import InputError, NumericalError, UnsupportedFamilyError
 from .graphs import End, GraphFamily, LineFamily, RayFamily, WeightedGraph
 from .metrics import sigma0
-from .potential import codim_polarity_test, minkowski_samples
+from .potential import codim_polarity_test
 
 SCHEMA_VERSION = 2
 
@@ -107,21 +107,8 @@ def _build_ex53a(params):
 
 def _build_ex53(params):
     _no_params("ex5.3", params)
-    inv_sqrt6 = 6.0 ** -0.5
-    plus = End(
-        w_fn=lambda x: 2.0 ** np.asarray(x, dtype=float),
-        mu_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
-        sigma_fn=lambda x: inv_sqrt6 * 2.0 ** -np.asarray(x, dtype=float),
-        sigma_tail_fn=lambda k: inv_sqrt6 * 2.0 ** (1 - k),
-        mu_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_total=2.0, res_upper=1.0)
-    minus = End(
-        w_fn=lambda k: (np.asarray(k, dtype=float) + 1.0) ** 4,
-        mu_fn=_ones,
-        sigma_fn=lambda k: ((np.asarray(k, dtype=float) + 1.0) ** 4
-                            + (np.asarray(k, dtype=float) + 2.0) ** 4) ** -0.5,
-        sigma_rem_fn=lambda d: 2.0 ** -0.5 / max(d, 1),
-        mu_total=math.inf)
+    (minus,) = _build_ex52({}).ends()
+    (plus,) = _build_ex53a({}).ends()
     return LineFamily("ex5.3", minus, plus)
 
 
@@ -625,15 +612,20 @@ class RunRecord:
         return cls(**json.loads(text))
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text, newline-terminated, to a temporary file that then
+    replaces path, so readers never see a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+    os.replace(tmp, path)
+
+
 def write_record_atomic(record: RunRecord, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     safe = record.label.replace("/", "_")
     path = os.path.join(out_dir, f"{safe}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(record.to_json())
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_atomic(path, record.to_json())
     return path
 
 

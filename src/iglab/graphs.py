@@ -117,11 +117,6 @@ class WeightedGraph:
         return len(seen) == self.n
 
 
-def weighted_degree(g: WeightedGraph, x: int) -> float:
-    """Deg(x) = (1/mu(x)) sum_y w(x,y)."""
-    return g.degree(x)
-
-
 def vertex_set(g: WeightedGraph, ids) -> tuple:
     """Normalize an iterable of vertex ids: sorted, unique, validated."""
     out = sorted(set(int(v) for v in ids))
@@ -219,16 +214,20 @@ def load_family_config(path):
             if key == "family":
                 name = val
             else:
-                for cast in (int, float):
-                    try:
-                        val = cast(val)
-                        break
-                    except ValueError:
-                        continue
-                params[key] = val
+                params[key] = _cast(val)
     if name is None:
         raise InputError("config file missing 'family <name>' line")
     return name, params
+
+
+def _cast(text: str):
+    """A parameter value: int if it parses as one, else float, else str."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 # -- rule families ---------------------------------------------------------
@@ -474,10 +473,18 @@ class LinearFamily(GraphFamily):
 
     def max_window(self, cap: int) -> int:
         """Largest window <= cap whose realization and canonical lengths
-        read only finite, positive rule values."""
+        read only finite, positive rule values.
+
+        Raises InputError when cap is below the smallest window (depth 1),
+        and FamilyDefinitionError when the rules fail at depth 1.
+        """
+        smallest = 1 + self._depth_offset
+        if int(cap) < smallest:
+            raise InputError(f"{self.name}: window cap {int(cap)} is below "
+                             f"the smallest window {smallest}")
         hi = self._depth(min(int(cap), self._window_cap))
         window = _probe_depth(self._ends, hi) + self._depth_offset
-        if window < 2:
+        if window < smallest:
             raise FamilyDefinitionError(
                 f"{self.name}: rules invalid near the origin")
         return window

@@ -15,15 +15,21 @@ Standard constructions:
     sigma_1(x,y) = w(x,y)^-1/2 * min(mu(x)/deg(x), mu(y)/deg(y))^1/2
                    with deg the combinatorial degree
     natural scaled: sigma == 1/sqrt(K), valid when Deg <= K everywhere.
+
+PathMetric stores the lengths once as a symmetric CSR matrix and computes
+distances with scipy.sparse.csgraph.dijkstra, the one graph search of the
+package. Each distance is the minimum over paths of the left-to-right
+float sum of the edge lengths.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
 from .graphs import WeightedGraph
@@ -112,42 +118,29 @@ def custom_lengths(g: WeightedGraph, spec, kind: str = "custom") -> EdgeLengths:
 class PathMetric:
     """Path pseudo metric induced by edge lengths, via Dijkstra.
 
-    Single-source distance arrays are memoized per source. The memo is a
-    plain dict written once per source; Dijkstra is deterministic, so
-    concurrent readers always observe identical values. Disconnected pairs
-    get d = inf and set the `saw_disconnected` flag.
+    The lengths are held once as a symmetric CSR matrix. Single-source
+    distance arrays are memoized per source. The memo is a plain dict
+    written once per source; Dijkstra is deterministic, so concurrent
+    readers always observe identical values. Disconnected pairs get
+    d = inf.
     """
 
-    def __init__(self, lengths: EdgeLengths, jump_size: float | None = None):
+    def __init__(self, lengths: EdgeLengths):
         self.graph = lengths.graph
         self.lengths = lengths
-        self.jump_size = jump_size if jump_size is not None else (
-            1.0 if lengths.kind == "sigma0" else None)
-        self.saw_disconnected = False
+        n = self.graph.n
+        ij = np.array(list(lengths.lengths), dtype=np.intp).reshape(-1, 2)
+        s = np.fromiter(lengths.lengths.values(), float, len(ij))
+        # each edge in both directions: rows i then j, columns j then i
+        self._csr = sp.csr_matrix(
+            (np.tile(s, 2), (ij.T.ravel(), ij[:, ::-1].T.ravel())),
+            shape=(n, n))
         self._memo: dict[int, np.ndarray] = {}
 
     def distances_from(self, src: int) -> np.ndarray:
-        cached = self._memo.get(src)
-        if cached is not None:
-            return cached
-        g = self.graph
-        dist = np.full(g.n, math.inf)
-        dist[src] = 0.0
-        done = [False] * g.n
-        heap = [(0.0, src)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if done[x]:
-                continue
-            done[x] = True
-            for y in g.adj[x]:
-                nd = d + self.lengths.of(x, y)
-                if nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        if math.inf in dist:
-            self.saw_disconnected = True
-        self._memo[src] = dist
+        dist = self._memo.get(src)
+        if dist is None:
+            dist = self._memo[src] = dijkstra(self._csr, indices=src)
         return dist
 
     def distance(self, x: int, y: int) -> float:

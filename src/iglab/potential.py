@@ -31,13 +31,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .completeness import BoundaryModel, boundary_model
+from .completeness import boundary_end
 from .errors import InputError, NumericalError
-from .forms import VertexFunction, energy, norm_sq, qnorm
+from .forms import VertexFunction, energy, norm_sq
 from .graphs import GraphFamily, WeightedGraph, vertex_set
 from .series import last_quartile, loglog_slope
 
-RESIDUAL_TOL = 1e-9
 POLAR_THRESHOLD = 1e-3
 POLAR_SLOPE = -0.2
 PLATEAU_CHANGE = 1e-4
@@ -51,12 +50,11 @@ class EquilibriumResult:
     cap_sq: float
     residual: float          # normalized sup-norm residual of the system
     U: tuple
-    iterations: int
     bounds_ok: bool          # 0 <= e <= 1 within 1e-10
 
     def to_dict(self):
         return dict(cap=self.cap, cap_sq=self.cap_sq, residual=self.residual,
-                    iterations=self.iterations, bounds_ok=self.bounds_ok)
+                    bounds_ok=self.bounds_ok)
 
 
 def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
@@ -73,7 +71,6 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     in_u[list(U)] = True
     free = np.flatnonzero(~in_u)
     values = np.ones(g.n)
-    iters = 0
     if free.size:
         idx = -np.ones(g.n, dtype=int)
         idx[free] = np.arange(free.size)
@@ -105,7 +102,6 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
         As = (dis @ A @ dis).tocsr()
         bs = dis @ b
         ys = spla.spsolve(As, bs)
-        iters = 1
         sol = dis @ ys
         # residual of each row's equation relative to its diagonal weight
         res = float(np.max(np.abs(A @ sol - b) / diag)) if b.size else 0.0
@@ -120,8 +116,7 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     bounds_ok = lo >= -1e-10 and hi <= 1.0 + 1e-10
     en = energy(e)
     n2 = norm_sq(e)
-    return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res, U, iters,
-                             bounds_ok)
+    return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res, U, bounds_ok)
 
 
 # -- boundary capacity -------------------------------------------------------
@@ -213,8 +208,8 @@ def _ramp_upper(end, N: int) -> float:
     return math.sqrt(total)
 
 
-def boundary_capacity(fam: GraphFamily, sigma="canonical",
-                      solver_tail_max: int = 256, outer_cap: int = 4096,
+def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
+                      outer_cap: int = 4096,
                       analytic_tail_max: int = 1 << 22) -> CapacityReport:
     """Tail-capacity sequences for every end, with regime verdicts.
 
@@ -399,11 +394,7 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40,
     a limsup proxy takes their max over the deepest quartile), two-point
     local slopes, and a least-squares log-log fit.
     """
-    bm = boundary_model(fam)
-    bps = bm.boundary_ends()
-    if len(bps) != 1:
-        raise InputError("codimension sampling needs exactly one boundary end")
-    end = bps[0]
+    end = boundary_end(fam, "codimension sampling")
     if end.mu_is_infinite():
         raise InputError("measure of the space is infinite; mu(B_r) diverges")
     xs = np.arange(1, depth + 1)
@@ -471,11 +462,7 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
     for the capacity of a boundary neighborhood and is checked against the
     bound sqrt(mu(B_{r_n}) + 4 mu(B_{r_n}) / r_n^2).
     """
-    bm = boundary_model(fam)
-    bps = bm.boundary_ends()
-    if len(bps) != 1:
-        raise InputError("polarity test needs exactly one boundary end")
-    end = bps[0]
+    end = boundary_end(fam, "polarity test")
     entries = []
     for n in range(2, depth + 1):
         r_n = end.sigma_tail(n).value

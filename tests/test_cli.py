@@ -147,6 +147,27 @@ def test_sigma_precondition_exit_2(capsys):
     assert code == 2 and "Deg" in err
 
 
+def test_window_cap_below_smallest_window_exit_2(capsys):
+    # the rules of ex5.2 are valid; the message must blame the cap
+    code, out, err = run(capsys, "complete", "report", "--family", "ex5.2",
+                         "--n-max", "1")
+    assert code == 2 and out == ""
+    assert "window cap 1 is below the smallest window 2" in err
+    assert "rules invalid" not in err
+
+
+def test_sigma_only_where_it_is_read():
+    parser = cli.build_parser()
+    for argv in (["metric", "check"], ["complete", "report"], ["classify"]):
+        args = parser.parse_args(argv + ["--family", "ex5.4", "--sigma",
+                                         "sigma1"])
+        assert args.sigma == "sigma1"
+    for argv in (["cap", "boundary"], ["codim"], ["forms", "check"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--family", "ex5.4", "--sigma",
+                                      "sigma1"])
+
+
 def test_numerical_failure_exit_3(capsys, monkeypatch):
     def boom(fam, sigma, budget):
         raise NumericalError("synthetic blowup")

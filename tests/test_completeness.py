@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from iglab.completeness import (boundary_distances, boundary_model,
-                                find_geodesic, hopf_rinow_report,
-                                lengths_for)
+from iglab.completeness import (boundary_end, find_geodesic,
+                                hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
 from iglab.gallery import build_family
 from iglab.graphs import RayFamily, WeightedGraph
-from iglab.metrics import PathMetric, custom_lengths
+from iglab.metrics import PathMetric, custom_lengths, sigma0
+
+from conftest import make_random_graph
 
 
 def unit_path_metric(n):
@@ -80,6 +81,41 @@ def test_geodesic_prefix_property():
                                        rel=1e-12)
 
 
+def hop_counts(g, origin):
+    """Combinatorial distances from origin, by breadth-first search."""
+    hops = {origin: 0}
+    frontier = [origin]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in g.adj[x]:
+                if y not in hops:
+                    hops[y] = hops[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return hops
+
+
+def test_geodesic_property_on_random_graphs():
+    # a path leaving the hop-n ball first crosses the hop-n sphere, so the
+    # ball-restricted geodesic is as short as the nearest sphere vertex
+    rng = np.random.default_rng(1208)
+    cases = 0
+    for _ in range(300):
+        g = make_random_graph(rng)
+        m = PathMetric(sigma0(g))
+        hops = hop_counts(g, 0)
+        for n in range(1, max(hops.values()) + 1):
+            geo = find_geodesic(m, 0, n)
+            assert geo.verified
+            assert all(hops[v] <= n for v in geo.vertices)
+            assert hops[geo.vertices[-1]] == n
+            nearest = min(m.distance(0, z) for z, k in hops.items() if k == n)
+            assert geo.length == pytest.approx(nearest, rel=1e-12)
+            cases += 1
+    assert cases >= 500
+
+
 # -- Hopf-Rinow evidence ----------------------------------------------------------
 
 def test_hopf_rinow_incomplete_families():
@@ -123,34 +159,43 @@ def test_hopf_rinow_ball_sizes_monotone_in_radius():
     assert set(d["stabilized"]) == {f"{r:.6g}" for r in radii}
 
 
-# -- boundary model ----------------------------------------------------------------
+# -- boundary end ------------------------------------------------------------------
 
 def test_boundary_model_ends():
-    bm = boundary_model(build_family("ex5.1"))
-    assert sorted(e.label for e in bm.boundary_ends()) == ["minus", "plus"]
-    bm2 = boundary_model(build_family("ex5.4"))
-    assert [e.label for e in bm2.boundary_ends()] == ["plus"]
+    # ex5.4 and ex5.3a have one end of finite length; ex5.1 has two
+    for name in ("ex5.4", "ex5.3a"):
+        fam = build_family(name)
+        assert boundary_end(fam, "codimension sampling") is fam.ends()[0]
+    with pytest.raises(InputError, match="^polarity test needs exactly "
+                                         "one boundary end$"):
+        boundary_end(build_family("ex5.1"), "polarity test")
 
 
 def test_boundary_model_rejects_stars():
-    with pytest.raises(InputError):
-        boundary_model(build_family("a5.1"))
+    with pytest.raises(InputError, match="no linear end structure"):
+        boundary_end(build_family("a5.1"), "codimension sampling")
 
 
 def test_boundary_distances_dyadic():
-    bm = boundary_model(build_family("ex5.4"))
-    bd = boundary_distances(bm, "plus", depth=30)
+    end = boundary_end(build_family("ex5.4"), "codimension sampling")
+    r = []
     for k in range(30):
-        assert bd.r(k) == 2.0 ** (1 - k)       # exact dyadic values
-    assert bd.exact
-    assert np.all(bd.bounds == 0.0)
-    assert np.all(np.diff(bd.values) < 0)
+        ts = end.sigma_tail(k)
+        assert ts.value == 2.0 ** (1 - k)      # exact dyadic values
+        assert ts.exact and ts.bound == 0.0
+        r.append(ts.value)
+    assert np.all(np.diff(r) < 0)
 
 
 def test_boundary_distances_unknown_end():
-    bm = boundary_model(build_family("ex5.4"))
-    with pytest.raises(InputError):
-        boundary_distances(bm, "minus", depth=5)
+    # an end without tail data for its lengths has no known distance to
+    # its boundary: the end's own error passes through unchanged
+    fam = RayFamily(
+        "bare",
+        w_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        mu_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    with pytest.raises(InputError, match="no tail data for the edge lengths"):
+        boundary_end(fam, "codimension sampling")
 
 
 def test_boundary_distances_infinite_end_rejected():
@@ -165,7 +210,6 @@ def test_boundary_distances_infinite_end_rejected():
         mu_total=math.inf)
     (end,) = fam.ends()
     assert not end.has_boundary_point()
-    bm = boundary_model(fam)
-    assert bm.boundary_ends() == []
-    with pytest.raises(InputError):
-        boundary_distances(bm, "plus", depth=4)
+    with pytest.raises(InputError, match="^codimension sampling needs "
+                                         "exactly one boundary end$"):
+        boundary_end(fam, "codimension sampling")

@@ -6,9 +6,9 @@ import pytest
 
 from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import REGISTRY, build_family
-from iglab.graphs import (WeightedGraph, combinatorial_neighborhood, dumps,
-                          dump_path, load_family_config, load_path, loads,
-                          vertex_set, weighted_degree)
+from iglab.graphs import (RayFamily, WeightedGraph, combinatorial_neighborhood,
+                          dumps, dump_path, load_family_config, load_path,
+                          loads, vertex_set)
 
 from conftest import make_random_graph
 
@@ -81,7 +81,7 @@ def test_degree_and_total_measure():
     g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 4.0)], [0.5, 1.0, 2.0])
     assert g.degree(0) == 4.0            # 2 / 0.5
     assert g.degree(1) == 6.0
-    assert weighted_degree(g, 2) == 2.0
+    assert g.degree(2) == 2.0
     assert g.combinatorial_degree(1) == 2
     assert g.total_measure() == 3.5
 
@@ -253,6 +253,31 @@ def test_max_window_respects_float_range():
     g = lf.truncate(cap)
     assert np.all(np.isfinite(g.mu)) and np.all(g.mu > 0)
     assert all(math.isfinite(v) and v > 0 for v in g.leak.values())
+
+
+def test_max_window_below_the_smallest_window():
+    # the cap, not the rules, is what is too small
+    ray = build_family("ex5.2")
+    assert ray.max_window(2) == 2
+    with pytest.raises(InputError, match="window cap 1 is below the "
+                                         "smallest window 2") as err:
+        ray.max_window(1)
+    assert not isinstance(err.value, FamilyDefinitionError)
+    line = build_family("ex5.1")
+    assert line.max_window(1) == 1
+    with pytest.raises(InputError, match="window cap 0 is below the "
+                                         "smallest window 1"):
+        line.max_window(0)
+
+
+def test_max_window_rules_invalid_at_depth_one():
+    # w(0, 1) = 0: no window realizes a valid edge
+    fam = RayFamily("dead-root",
+                    w_fn=lambda x: np.asarray(x, dtype=float),
+                    mu_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    with pytest.raises(FamilyDefinitionError,
+                       match="rules invalid near the origin"):
+        fam.max_window(64)
 
 
 def test_truncation_never_reads_invalid_floats():

@@ -27,11 +27,9 @@ def cap_reports():
     """boundary_capacity at standard budget, computed once per family."""
     out = {}
     for name in ("ex5.1", "ex5.3a", "ex5.3", "ex5.4", "ex5.5"):
-        out[name] = boundary_capacity(build_family(name), "canonical",
-                                      **STANDARD)
+        out[name] = boundary_capacity(build_family(name), **STANDARD)
     out["ex5.6c2"] = boundary_capacity(
-        build_family("ex5.6", {"alpha": 2.0, "case": 2}), "canonical",
-        **STANDARD)
+        build_family("ex5.6", {"alpha": 2.0, "case": 2}), **STANDARD)
     return out
 
 
@@ -211,7 +209,7 @@ def test_ramp_bound_matches_explicit_cutoff():
     # closed-form energy/mass agree with the graph computation
     fam = build_family("ex5.3a")
     (end,) = fam.ends()
-    rep = boundary_capacity(fam, "canonical", solver_tail_max=16,
+    rep = boundary_capacity(fam, solver_tail_max=16,
                             outer_cap=256, analytic_tail_max=16)
     (seq,) = rep.per_end
     entry = [e for e in seq.entries if e.tail_start == 16][0]
