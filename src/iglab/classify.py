@@ -114,8 +114,9 @@ def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
     # rounding, not correctness.)
     res = 0.0
     scale = max(1.0, float(np.max(np.abs(u))))
+    um = u * mu
     for x in range(window - 1):
-        rhs = lam * math.fsum(u[y] * mu[y] for y in range(x + 1)) / w[x]
+        rhs = lam * math.fsum(um[:x + 1]) / w[x]
         res = max(res, abs(u[x + 1] - u[x] - rhs))
     res /= scale
     cum_mu = np.cumsum(mu[:-1])

@@ -108,6 +108,8 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
 
     A vertex v lies on some shortest path iff d(o,v) + d(v,z) = d(o,z);
     greedily extending by the smallest feasible neighbor stays shortest.
+    Both tests are relative only: distances can be far below any absolute
+    floor, and a floor would let a step back pass as shortest.
     """
     total = dist_o[z]
     path = [origin]
@@ -118,8 +120,8 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
             if not inside[y]:
                 continue
             step = metric.lengths.of(cur, y)
-            if close(dist_o[cur] + step, dist_o[y]) and \
-               close(dist_o[y] + dist_z[y], total):
+            if close(dist_o[cur] + step, dist_o[y], floor=0.0) and \
+               close(dist_o[y] + dist_z[y], total, floor=0.0):
                 choices.append(y)
         cur = min(choices)
         path.append(cur)

@@ -17,9 +17,14 @@ a window M brackets the true value:
     Cap_M(tail)^2 <= Cap(tail)^2 <= Cap_M(tail)^2 + mu_tail(M),
 
 and an explicit admissible ramp (0 below N/2, linear up to 1 at N) gives
-a certified upper bound at any N without building a graph. Verdicts use
-whichever side of the bracket can carry them: smallness claims (polar)
-run on certified upper bounds, positivity claims on the solver plateau.
+a certified upper bound at any N without building a graph. Its mass
+term is bounded by the certified tail mu_tail(N/2 + 1); where that bound
+cannot move the ramp energy in floating point, the measure rule is not
+evaluated. The dyadic ramp grid stops at the first bound that is 0 (tails
+are nested, so Cap(tail_N) cannot grow again) or inf (the rules left float
+range). Verdicts use whichever side of the bracket can carry them:
+smallness claims (polar) run on certified upper bounds, positivity claims
+on the solver plateau.
 """
 
 from __future__ import annotations
@@ -185,7 +190,13 @@ class CapacityReport:
 
 def _ramp_upper(end, N: int) -> float:
     """||eta||_Q for the admissible ramp: 0 out to N/2, linear to 1 at N,
-    constant 1 on the tail. A true upper bound for Cap(tail_N)."""
+    constant 1 on the tail. A true upper bound for Cap(tail_N).
+
+    The squared norm is energy + mass + mu_tail(N). Since eta vanishes up
+    to N/2 and never exceeds 1, mass + mu_tail(N) <= mu_tail(N/2 + 1);
+    when adding that bound to the energy leaves the energy unchanged in
+    floating point, so does the full sum (rounding is monotone), and the
+    measure rule is not evaluated over the ramp."""
     a, b = max(1, N // 2), N
     if b - a < 1:
         return math.inf
@@ -194,14 +205,18 @@ def _ramp_upper(end, N: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(end.w_fn(ks), dtype=float)
         en = float(np.sum(w)) * inc * inc
+    try:
+        bound = end.mu_tail(a + 1).upper
+        if en + bound == en:
+            return math.sqrt(en) if math.isfinite(en) else math.inf
+        tail = end.mu_tail(b).upper
+    except InputError:
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
         mu_ramp = np.asarray(end.mu_fn(ks[1:] if ks.size > 1 else ks),
                              dtype=float)
         prof = ((ks[1:] if ks.size > 1 else ks) - a) * inc
         mass = float(np.sum(mu_ramp * prof * prof))
-    try:
-        tail = end.mu_tail(b).upper
-    except InputError:
-        return math.inf
     total = en + mass + tail
     if not math.isfinite(total):
         return math.inf
@@ -217,7 +232,12 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     doubles until the value moves by < 1e-6 relatively or the family's
     float range caps the window), bracketed above by mu_tail(M); plus
     analytic ramp bounds extending the tail grid beyond any buildable
-    window. Regime rules:
+    window. A ramp bound skips the measure rule when its certified mass
+    bound mu_tail(N/2 + 1) cannot change it in floating point. The ramp
+    grid stops after the first bound that is 0 (final: Cap(tail_N) does
+    not increase with N) or inf (the rules overflow float range), and
+    diagnostics["analytic_stopped"] names the tail and the reason.
+    Regime rules:
 
       infinite:        the end has infinite measure (no solving needed)
       positive-finite: the end carries a finite tail-resistance bound, so
@@ -278,9 +298,17 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
             entry.ramp_upper = _ramp_upper(end, n_tail)
             entries.append(entry)
             n_tail *= 2
+        analytic_note = None
         while n_tail <= analytic_tail_max:
-            entry = CapacityEntry(n_tail, ramp_upper=_ramp_upper(end, n_tail))
-            entries.append(entry)
+            ramp = _ramp_upper(end, n_tail)
+            entries.append(CapacityEntry(n_tail, ramp_upper=ramp))
+            if ramp in (0.0, math.inf):
+                why = ("is 0, and Cap(tail_N) does not increase with N"
+                       if ramp == 0.0 else
+                       "is inf, the rules overflow float range")
+                analytic_note = (f"analytic grid stopped at tail {n_tail}: "
+                                 f"ramp bound {why}")
+                break
             n_tail *= 2
 
         uppers = [e.certified_upper for e in entries]
@@ -288,6 +316,8 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
         diag = {}
         if noise_note:
             diag["solver_stopped"] = noise_note
+        if analytic_note:
+            diag["analytic_stopped"] = analytic_note
         lower = None
         if end.res_upper is not None and math.isfinite(end.res_upper):
             # Cap(tail_N) >= (1/mu(1) + sum_{k>=1} 1/w(k))^(-1/2) for every

@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import iglab
 from iglab.completeness import (boundary_end, find_geodesic,
                                 hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
@@ -114,6 +119,36 @@ def test_geodesic_property_on_random_graphs():
             assert geo.length == pytest.approx(nearest, rel=1e-12)
             cases += 1
     assert cases >= 500
+
+
+A53_GEODESIC = """
+import json
+from iglab.completeness import find_geodesic
+from iglab.gallery import build_family
+from iglab.metrics import PathMetric
+fam = build_family("a5.3")
+g = fam.truncate(64)
+m = PathMetric(fam.canonical_lengths(g))
+geo = find_geodesic(m, 0, 1)
+nearest = min(m.distance(0, z) for z in g.adj[0])   # the hop-1 sphere
+print(json.dumps({"verified": geo.verified, "length": geo.length,
+                  "nearest": nearest}))
+"""
+
+
+def test_geodesic_at_tiny_distances_terminates():
+    # a5.3 at window 64: hub distances ~2^-64, far below metrics.close's
+    # absolute floor; with that floor a step back passed as shortest and
+    # the walk cycled. Run in a child so a regression fails, not hangs.
+    src = os.path.dirname(os.path.dirname(iglab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", A53_GEODESIC],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["verified"]
+    assert out["length"] == pytest.approx(out["nearest"], rel=1e-12)
 
 
 # -- Hopf-Rinow evidence ----------------------------------------------------------

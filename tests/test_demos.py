@@ -1,7 +1,7 @@
 """Smoke test: the fast demos run to completion against this package.
 
-classification_gallery.py is left out: it runs the whole gallery (about
-11 s), which test_acceptance's criterion 11 already covers.
+classification_gallery.py is left out: it runs the whole gallery, which
+test_acceptance's criterion 11 already covers.
 """
 
 import os

@@ -170,3 +170,23 @@ def test_run_gallery_numerical_failure(monkeypatch, tmp_path):
     assert rec.error == "synthetic solver failure"
     assert rec.classification is None and rec.checks == []
     assert any("ERROR" in line for line in res.summary_lines())
+
+
+def _verdicts(record):
+    c = record.classification
+    cap = c["capacity"]
+    return {"completeness": c["completeness"], "polarity": c["polarity"],
+            "markov_unique": c["markov_unique"]["value"],
+            "esa": c["esa"]["value"],
+            "regimes": cap and [(s["end"], s["regime"])
+                                for s in cap["per_end"]]}
+
+
+def test_deep_verdicts_equal_standard():
+    deep = run_gallery(budget="deep")
+    assert deep.exit_code == 0, deep.summary_lines()
+    standard = run_gallery(budget="standard")
+    assert [r.label for r in deep.records] == \
+        [r.label for r in standard.records]
+    for d, s in zip(deep.records, standard.records):
+        assert _verdicts(d) == _verdicts(s), d.label

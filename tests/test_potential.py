@@ -5,9 +5,9 @@ import pytest
 
 from iglab.errors import InputError
 from iglab.forms import VertexFunction, energy, norm_sq
-from iglab.gallery import build_family
+from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import WeightedGraph
-from iglab.potential import (boundary_alternative_evidence,
+from iglab.potential import (_ramp_upper, boundary_alternative_evidence,
                              boundary_capacity, codim_polarity_test,
                              equilibrium, minkowski_samples)
 
@@ -228,6 +228,57 @@ def test_ramp_bound_matches_explicit_cutoff():
                                              rel=1e-9)
     # and the bound really is admissible: it dominates the true capacity
     assert entry.ramp_upper >= entry.solver_cap
+
+
+def full_ramp_upper(end, N):
+    """The ramp bound with every term evaluated: w over [N/2, N), mu over
+    (N/2, N) and the certified tail mu_tail(N)."""
+    a, b = max(1, N // 2), N
+    ks = np.arange(a, b, dtype=float)
+    inc = 1.0 / (b - a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        en = float(np.sum(np.asarray(end.w_fn(ks), dtype=float))) * inc * inc
+        mu = np.asarray(end.mu_fn(ks[1:]), dtype=float)
+        prof = (ks[1:] - a) * inc
+        mass = float(np.sum(mu * prof * prof))
+    try:
+        tail = end.mu_tail(b).upper
+    except InputError:
+        return math.inf
+    total = en + mass + tail
+    return math.sqrt(total) if math.isfinite(total) else math.inf
+
+
+def test_ramp_mass_skip_is_exact():
+    # skipping the measure rule must not change a single bit of the bound
+    checked = 0
+    for _label, name, params, _check in GOLDEN_RUNS:
+        for end in build_family(name, params).ends():
+            if end.mu_is_infinite():
+                continue
+            for p in range(2, 19):
+                N = 1 << p
+                assert _ramp_upper(end, N) == full_ramp_upper(end, N), \
+                    (name, params, end.label, N)
+                checked += 1
+    assert checked == 12 * 17      # 12 finite-measure ends, N = 4..2^18
+
+
+def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
+    (seq,) = cap_reports["ex5.3a"].per_end
+    assert seq.entries[-1].tail_start == 1024
+    assert seq.entries[-1].ramp_upper == math.inf
+    note = seq.diagnostics["analytic_stopped"]
+    assert "tail 1024" in note and "inf" in note
+    (seq,) = boundary_capacity(build_family("codim3"), **STANDARD).per_end
+    assert seq.regime == "zero"
+    assert seq.entries[-1].tail_start == 4096
+    assert seq.entries[-1].ramp_upper == 0.0
+    note = seq.diagnostics["analytic_stopped"]
+    assert "tail 4096" in note and "is 0" in note
+    for seq in cap_reports["ex5.1"].per_end:
+        assert seq.entries[-1].tail_start == STANDARD["analytic_tail_max"]
+        assert "analytic_stopped" not in seq.diagnostics
 
 
 def test_thresholds_recorded(cap_reports):
