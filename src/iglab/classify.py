@@ -35,7 +35,7 @@ import numpy as np
 
 from .completeness import _ball_scan, hopf_rinow_report
 from .errors import InputError
-from .forms import VertexFunction, energy, laplacian
+from .forms import VertexFunction, energy, laplacian_all
 from .graphs import GraphFamily, combinatorial_neighborhood
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
@@ -203,7 +203,8 @@ def harmonic_witness_check(fam: GraphFamily,
     # harmonicity on a small truncation, interior vertices only
     n_chk = min(window, 64)
     h = _coordinate(fam.truncate(n_chk))
-    res = max((abs(laplacian(h, i)) for i in range(h.graph.n)
+    lap = laplacian_all(h).tolist()
+    res = max((abs(lap[i]) for i in range(h.graph.n)
                if i not in h.graph.frontier), default=0.0)
     energies = [(n, energy(_coordinate(fam.truncate(n))))
                 for n in (8, 16, 32, 64) if n <= n_chk]
@@ -245,12 +246,13 @@ def deg_ball_boundedness(fam: GraphFamily, sigma="canonical",
     sizes: dict = {}
     for win, g, d, radii in _ball_scan(fam, sigma, n_max, 4):
         windows.append(win)
+        deg = g.degrees()
         for r in radii:
-            ball = tuple(int(v) for v in np.flatnonzero(d <= r))
-            hood = combinatorial_neighborhood(g, ball)
+            ball = np.flatnonzero(d <= r)
+            hood = list(combinatorial_neighborhood(g, ball.tolist()))
             max_deg.setdefault(r, []).append(
-                max(g.degree(x) for x in hood) if hood else 0.0)
-            sizes.setdefault(r, []).append(len(ball))
+                float(deg[hood].max()) if hood else 0.0)
+            sizes.setdefault(r, []).append(int(ball.size))
     stable = {r: len(v) >= 3 and len(set(v[-3:])) == 1
               for r, v in sizes.items()}
     for r in radii:

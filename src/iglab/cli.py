@@ -177,6 +177,8 @@ def _cmd_gallery(args) -> int:
               f"observed {check.observed}", file=sys.stderr)
     for label, msg in result.numerical_failures:
         print(f"NUMERICAL FAILURE {label}: {msg}", file=sys.stderr)
+    for label, msg in result.input_failures:
+        print(f"INPUT ERROR {label}: {msg}", file=sys.stderr)
     return result.exit_code
 
 

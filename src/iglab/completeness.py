@@ -91,11 +91,18 @@ def find_geodesic(metric: PathMetric, origin: int, n: int) -> Geodesic:
                     if close(dist_o[z], best_len))
     length = math.fsum(metric.lengths.of(a, b)
                        for a, b in zip(best_path, best_path[1:]))
-    verified = all(
-        close(_restricted_prefix_len(metric, best_path, k),
-              metric.distance(origin, best_path[k]))
-        for k in range(1, len(best_path)))
-    return Geodesic(tuple(best_path), length, verified)
+    return Geodesic(tuple(best_path), length,
+                    _prefixes_realize_distance(metric, best_path))
+
+
+def _prefixes_realize_distance(metric, path) -> bool:
+    """Whether every prefix of path is as long as the path distance from
+    path[0] to its last vertex. The test is relative only, as in
+    _lex_min_path: lengths can lie far below any absolute floor, and a
+    floor would pass every prefix there."""
+    return all(close(_restricted_prefix_len(metric, path, k),
+                     metric.distance(path[0], path[k]), floor=0.0)
+               for k in range(1, len(path)))
 
 
 def _restricted_prefix_len(metric, path, k):
@@ -111,15 +118,17 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
     Both tests are relative only: distances can be far below any absolute
     floor, and a floor would let a step back pass as shortest.
     """
+    g = metric.graph
     total = dist_o[z]
     path = [origin]
     cur = origin
     while cur != z:
         choices = []
-        for y in metric.graph.adj[cur]:
+        row = slice(g.indptr[cur], g.indptr[cur + 1])
+        for y, step in zip(g.indices[row].tolist(),
+                           metric.entry_lengths[row].tolist()):
             if not inside[y]:
                 continue
-            step = metric.lengths.of(cur, y)
             if close(dist_o[cur] + step, dist_o[y], floor=0.0) and \
                close(dist_o[y] + dist_z[y], total, floor=0.0):
                 choices.append(y)

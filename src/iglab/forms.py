@@ -68,16 +68,43 @@ class VertexFunction:
         return VertexFunction(self.graph, np.clip(self.values, lo, hi))
 
 
+# The kernels below evaluate the per-vertex and per-edge formulas as array
+# expressions over the CSR entries, with the same operations in the same
+# order as the scalar formulas, and sum each row with math.fsum (see
+# WeightedGraph.row_fsum). Squares of single values use Python's float **
+# (libm pow), as the scalar formulas do: numpy's array power can differ
+# from it in the last bit.
+
+def _squares(values) -> np.ndarray:
+    return np.array([t ** 2 for t in np.asarray(values).tolist()])
+
+
+def _diff(f: VertexFunction) -> np.ndarray:
+    """f(x) - f(y) on every CSR entry (x, y)."""
+    g = f.graph
+    return f.values[g.rows] - f.values[g.indices]
+
+
+def _pairing_rows(f: VertexFunction, g: VertexFunction) -> np.ndarray:
+    """(grad f . grad g)(x) for every vertex x."""
+    gr = f.graph
+    return gr.row_fsum(gr.w * _diff(f) * _diff(g))
+
+
+def _gradient_sq_rows(f: VertexFunction) -> np.ndarray:
+    """|grad f|^2(x) for every vertex x."""
+    g = f.graph
+    return g.row_fsum(g.w * _squares(_diff(f)))
+
+
 def energy(f: VertexFunction) -> float:
     """Q(f) = 1/2 sum_{x,y} w (f(x)-f(y))^2, accumulated once per edge."""
-    v = f.values
-    return math.fsum(w * (v[x] - v[y]) ** 2 for x, y, w in f.graph.edges())
+    g, v = f.graph, f.values
+    return math.fsum((g.edge_w * _squares(v[g.edge_u] - v[g.edge_v])).tolist())
 
 
 def norm_sq(f: VertexFunction) -> float:
-    v = f.values
-    mu = f.graph.mu
-    return math.fsum(float(v[x]) ** 2 * float(mu[x]) for x in range(f.graph.n))
+    return math.fsum((_squares(f.values) * f.graph.mu).tolist())
 
 
 def qnorm(f: VertexFunction) -> float:
@@ -85,18 +112,23 @@ def qnorm(f: VertexFunction) -> float:
     return math.sqrt(energy(f) + norm_sq(f))
 
 
+def _row(g: WeightedGraph, x: int) -> slice:
+    return slice(g.indptr[x], g.indptr[x + 1])
+
+
 def gradient_sq(f: VertexFunction, x: int) -> float:
     """|grad f|^2(x) = sum_y w(x,y)(f(x)-f(y))^2."""
-    v = f.values
-    return math.fsum(w * (v[x] - v[y]) ** 2
-                     for y, w in f.graph.adj[x].items())
+    g, v = f.graph, f.values
+    r = _row(g, x)
+    return math.fsum((g.w[r] * _squares(v[x] - v[g.indices[r]])).tolist())
 
 
 def gradient_pairing(f: VertexFunction, g: VertexFunction, x: int) -> float:
     """(grad f . grad g)(x) = sum_y w (f(x)-f(y))(g(x)-g(y))."""
-    vf, vg = f.values, g.values
-    return math.fsum(w * (vf[x] - vf[y]) * (vg[x] - vg[y])
-                     for y, w in f.graph.adj[x].items())
+    gr, vf, vg = f.graph, f.values, g.values
+    r = _row(gr, x)
+    ys = gr.indices[r]
+    return math.fsum((gr.w[r] * (vf[x] - vf[ys]) * (vg[x] - vg[ys])).tolist())
 
 
 def laplacian(f: VertexFunction, x: int) -> float:
@@ -105,13 +137,21 @@ def laplacian(f: VertexFunction, x: int) -> float:
     On a truncation this is the Laplacian of the finite graph; at frontier
     vertices it differs from the infinite-graph value by the dropped edges.
     """
-    v = f.values
-    s = math.fsum(w * (v[x] - v[y]) for y, w in f.graph.adj[x].items())
-    return s / float(f.graph.mu[x])
+    g, v = f.graph, f.values
+    r = _row(g, x)
+    s = math.fsum((g.w[r] * (v[x] - v[g.indices[r]])).tolist())
+    return s / float(g.mu[x])
 
 
 def laplacian_all(f: VertexFunction) -> np.ndarray:
-    return np.array([laplacian(f, x) for x in range(f.graph.n)])
+    g = f.graph
+    return g.row_fsum(g.w * _diff(f)) / g.mu
+
+
+def _touches(f: VertexFunction, g: WeightedGraph) -> bool:
+    """Whether f is nonzero somewhere on the frontier's neighborhood."""
+    near = list(combinatorial_neighborhood(g, g.frontier))
+    return bool(np.any(f.values[near] != 0.0))
 
 
 @dataclass(frozen=True)
@@ -143,8 +183,7 @@ def form_report(f: VertexFunction) -> FormReport:
     g = f.graph
     e = energy(f)
     n2 = norm_sq(f)
-    near = set(combinatorial_neighborhood(g, g.frontier))
-    touches = any(f.values[x] != 0.0 for x in near) if near else False
+    touches = _touches(f, g)
     mass = math.fsum(g.leak.values())
     sup = max((abs(float(f.values[x])) for x in g.frontier), default=0.0)
     return FormReport(e, n2, math.sqrt(e + n2), touches, mass,
@@ -174,16 +213,12 @@ def green_identity_check(u: VertexFunction, v: VertexFunction,
     the infinite-graph ones (the identity itself still holds).
     """
     g = u.graph
-    mu = g.mu
-    a = math.fsum(laplacian(u, x) * float(v.values[x]) * float(mu[x])
-                  for x in range(g.n))
-    b = math.fsum(float(u.values[x]) * laplacian(v, x) * float(mu[x])
-                  for x in range(g.n))
-    c = 0.5 * math.fsum(gradient_pairing(u, v, x) for x in range(g.n))
+    a = math.fsum((laplacian_all(u) * v.values * g.mu).tolist())
+    b = math.fsum((u.values * laplacian_all(v) * g.mu).tolist())
+    c = 0.5 * math.fsum(_pairing_rows(u, v).tolist())
     sc = _scale(a, b, c)
     res = max(abs(a - b), abs(a - c), abs(b - c))
-    near = set(combinatorial_neighborhood(g, g.frontier))
-    warn = any(v.values[x] != 0.0 for x in near)
+    warn = _touches(v, g)
     return IdentityCheck("green", {"sum (Du)v mu": a, "sum u(Dv) mu": b,
                                    "half pairing": c},
                          res, sc, res <= tol * sc, warn)
@@ -193,13 +228,10 @@ def leibniz_check(f: VertexFunction, g: VertexFunction, h: VertexFunction,
                   tol: float = RESIDUAL_TOL) -> IdentityCheck:
     """sum grad(fg).grad h = sum f (grad g . grad h) + sum g (grad f . grad h),
     all three outer sums plain (unweighted) vertex sums."""
-    gr = f.graph
     fg = f * g
-    lhs = math.fsum(gradient_pairing(fg, h, x) for x in range(gr.n))
-    rhs = math.fsum(
-        float(f.values[x]) * gradient_pairing(g, h, x)
-        + float(g.values[x]) * gradient_pairing(f, h, x)
-        for x in range(gr.n))
+    lhs = math.fsum(_pairing_rows(fg, h).tolist())
+    rhs = math.fsum((f.values * _pairing_rows(g, h)
+                     + g.values * _pairing_rows(f, h)).tolist())
     sc = _scale(lhs, rhs)
     res = abs(lhs - rhs)
     return IdentityCheck("leibniz", {"lhs": lhs, "rhs": rhs},
@@ -210,11 +242,9 @@ def caccioppoli_check(u: VertexFunction, v: VertexFunction,
                       tol: float = RESIDUAL_TOL) -> IdentityCheck:
     """-sum (Delta u) u v^2 mu <= 1/2 sum u^2 |grad v|^2 (slack >= 0)."""
     g = u.graph
-    lhs = -math.fsum(laplacian(u, x) * float(u.values[x])
-                     * float(v.values[x]) ** 2 * float(g.mu[x])
-                     for x in range(g.n))
-    rhs = 0.5 * math.fsum(float(u.values[x]) ** 2 * gradient_sq(v, x)
-                          for x in range(g.n))
+    lhs = -math.fsum((laplacian_all(u) * u.values * _squares(v.values)
+                      * g.mu).tolist())
+    rhs = 0.5 * math.fsum((_squares(u.values) * _gradient_sq_rows(v)).tolist())
     sc = _scale(lhs, rhs)
     slack = rhs - lhs
     return IdentityCheck("caccioppoli", {"lhs": lhs, "rhs": rhs,

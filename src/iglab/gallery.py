@@ -639,6 +639,8 @@ class GalleryResult:
     failed_checks: list          # (label, Check)
     numerical_failures: list     # (label, message)
     exit_code: int
+    # (label, message) per run stopped by an InputError
+    input_failures: list = dataclasses.field(default_factory=list)
 
     def summary_lines(self):
         lines = []
@@ -655,8 +657,11 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
     """Classify every golden family, compare against expected results, and
     optionally persist one JSON run record per family.
 
-    Exit code semantics: 0 all claims hold, 1 golden mismatch,
-    2 input error (raised), 3 numerical failure in some run.
+    An InputError or NumericalError inside one run is recorded in that
+    run's record and the gallery carries on. Exit code semantics: 0 all
+    claims hold, 1 golden mismatch, 2 input error in some run, 3 numerical
+    failure in some run (2 wins over 3). An unknown selection raises
+    InputError before any run.
     """
     bud = resolve_budget(budget)
     if select:
@@ -669,7 +674,7 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
             raise InputError(f"unknown gallery selection {unknown}")
     else:
         runs = list(GOLDEN_RUNS)
-    records, failed, numfail = [], [], []
+    records, failed, numfail, inputfail = [], [], [], []
     for label, name, params, checker in runs:
         started = _now()
         error = None
@@ -683,6 +688,9 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
         except NumericalError as exc:
             error = str(exc)
             numfail.append((label, error))
+        except InputError as exc:
+            error = f"input error: {exc}"
+            inputfail.append((label, str(exc)))
         record = RunRecord(
             schema_version=SCHEMA_VERSION, tool=f"iglab {__version__}",
             label=label, family=name, params=params, sigma="canonical",
@@ -694,5 +702,5 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
             write_record_atomic(record, out_dir)
         failed.extend((label, c) for c in checks
                       if not c.passed and not c.skipped)
-    code = 3 if numfail else (1 if failed else 0)
-    return GalleryResult(records, failed, numfail, code)
+    code = 2 if inputfail else 3 if numfail else 1 if failed else 0
+    return GalleryResult(records, failed, numfail, code, inputfail)

@@ -4,6 +4,25 @@ A weighted graph here is a finite symmetric edge-weight structure w >= 0
 with zero diagonal together with a strictly positive vertex measure mu.
 The weighted degree is Deg(x) = (1/mu(x)) * sum_y w(x,y).
 
+Storage. A WeightedGraph keeps its edges once, as arrays built in one
+vectorized pass:
+
+    edge_u, edge_v, edge_w   the edges x < y with w > 0, sorted by (x, y);
+                             edges() yields them in this order
+    indptr, indices, w       symmetric CSR: the neighbors of x, increasing,
+                             are indices[indptr[x]:indptr[x+1]], with
+                             w(x, y) at the same positions; each edge has
+                             the two entries (x, y) and (y, x)
+    rows                     the row x of every entry
+    edge_of                  the edge index of every entry, so per-edge
+                             values reach the entries as values[edge_of]
+    mu, row_sums             the measure and sum_y w(x, y) per vertex
+
+Kernels on a graph compute one value per entry as an array expression and
+sum each row with math.fsum over a slice of one list (row_fsum). fsum is
+correctly rounded, so a row sum does not depend on the order of the
+entries.
+
 An infinite ray or line is a root vertex plus one or two End records.
 An End holds the rules of one linear end (weight, measure and canonical
 edge length as functions of the outward index) and its certified tail
@@ -20,6 +39,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FamilyDefinitionError, InputError
 from .series import TailSum, bounded_tail, geometric_tail
@@ -28,12 +49,14 @@ from .series import TailSum, bounded_tail, geometric_tail
 class WeightedGraph:
     """Finite symmetric weighted graph with a positive vertex measure.
 
-    Vertices are 0..n-1. Edges are stored once per unordered pair in both
-    adjacency mirrors, sharing the same float, so lookups of (x, y) and
-    (y, x) are identical bit for bit.
+    Vertices are 0..n-1. The edges are stored once as the symmetric CSR
+    arrays described in the module docstring; an edge's two entries hold
+    the same float, so weight(x, y) and weight(y, x) agree bit for bit.
     """
 
-    __slots__ = ("n", "mu", "adj", "frontier", "leak", "labels", "_row_sums")
+    __slots__ = ("n", "mu", "indptr", "indices", "w", "rows", "edge_u",
+                 "edge_v", "edge_w", "edge_of", "frontier", "leak", "labels",
+                 "row_sums")
 
     def __init__(self, n, edges, mu, frontier=(), leak=None, labels=None):
         if n <= 0:
@@ -42,23 +65,11 @@ class WeightedGraph:
         self.mu = np.asarray(mu, dtype=float)
         if self.mu.shape != (self.n,):
             raise InputError(f"mu must have length {self.n}")
-        if not np.all(np.isfinite(self.mu)) or np.any(self.mu <= 0.0):
+        if not ((self.mu > 0.0) & (self.mu < math.inf)).all():
             raise InputError("measure must be finite and strictly positive")
-        self.adj = [dict() for _ in range(self.n)]
-        for x, y, w in edges:
-            x, y, w = int(x), int(y), float(w)
-            if not 0 <= x < self.n or not 0 <= y < self.n:
-                raise InputError(f"edge ({x},{y}) out of range")
-            if x == y:
-                raise InputError(f"self-loop at {x} (diagonal must be zero)")
-            if not math.isfinite(w) or w < 0.0:
-                raise InputError(f"edge ({x},{y}) has invalid weight {w}")
-            if y in self.adj[x]:
-                raise InputError(f"duplicate edge ({x},{y})")
-            if w == 0.0:
-                continue  # absent edge
-            self.adj[x][y] = w
-            self.adj[y][x] = w
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        self._store(*_valid_edges(self.n, np.asarray(edges, dtype=float)))
         self.leak = {int(k): float(v) for k, v in (leak or {}).items()}
         for x, v in self.leak.items():
             if not 0 <= x < self.n or v < 0.0:
@@ -67,54 +78,132 @@ class WeightedGraph:
         if any(not 0 <= v < self.n for v in self.frontier):
             raise InputError("frontier vertex out of range")
         self.labels = labels
-        self._row_sums = np.array(
-            [math.fsum(self.adj[x].values()) for x in range(self.n)])
+        self.row_sums = self.row_fsum(self.w)
+
+    def _store(self, u, v, w) -> None:
+        """Build the CSR arrays from edges u < v with w > 0, sorted."""
+        n, m = self.n, u.size
+        self.edge_u, self.edge_v, self.edge_w = u, v, w
+        rows = np.concatenate((u, v))
+        cols = np.concatenate((v, u))
+        entry = np.argsort(rows * n + cols)
+        self.rows, self.indices = rows[entry], cols[entry]
+        # position k < m of (rows, cols) is edge k as (u, v), m + k as (v, u)
+        self.edge_of = entry % max(m, 1)
+        self.w = w[self.edge_of]
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
 
     # -- basic accessors -------------------------------------------------
 
-    def neighbors(self, x: int):
-        return self.adj[x]
+    def _entry(self, x: int, y: int) -> int:
+        """CSR position of the entry (x, y), or -1 when it is not an edge."""
+        a, b = self.indptr[x], self.indptr[x + 1]
+        k = a + int(np.searchsorted(self.indices[a:b], y))
+        return k if k < b and self.indices[k] == y else -1
+
+    def neighbors(self, x: int) -> dict:
+        """{y: w(x, y)} over the neighbors of x, in increasing order."""
+        a, b = self.indptr[x], self.indptr[x + 1]
+        return dict(zip(self.indices[a:b].tolist(), self.w[a:b].tolist()))
 
     def weight(self, x: int, y: int) -> float:
-        return self.adj[x].get(y, 0.0)
+        k = self._entry(x, y)
+        return float(self.w[k]) if k >= 0 else 0.0
+
+    def edge_index(self, x: int, y: int) -> int:
+        """Position of the edge {x, y} in edges(); KeyError if absent."""
+        k = self._entry(x, y) if 0 <= x < self.n and 0 <= y < self.n else -1
+        if k < 0:
+            raise KeyError((x, y))
+        return int(self.edge_of[k])
+
+    def row_fsum(self, values) -> np.ndarray:
+        """math.fsum of per-entry values over each row. fsum is correctly
+        rounded, so each row sum does not depend on the entry order."""
+        vals = np.asarray(values, dtype=float).tolist()
+        ip = self.indptr.tolist()
+        fsum = math.fsum
+        return np.array([fsum(vals[a:b]) for a, b in zip(ip, ip[1:])])
 
     def row_sum(self, x: int) -> float:
         """Cached sum_y w(x,y)."""
-        return float(self._row_sums[x])
+        return float(self.row_sums[x])
 
     def recomputed_row_sum(self, x: int) -> float:
-        return math.fsum(self.adj[x].values())
+        return math.fsum(self.w[self.indptr[x]:self.indptr[x + 1]].tolist())
 
     def degree(self, x: int) -> float:
         """Weighted degree Deg(x) = row_sum(x) / mu(x)."""
-        return float(self._row_sums[x]) / float(self.mu[x])
+        return float(self.row_sums[x]) / float(self.mu[x])
+
+    def degrees(self) -> np.ndarray:
+        """Deg(x) for every vertex, as one array (inf where it overflows)."""
+        with np.errstate(over="ignore"):
+            return self.row_sums / self.mu
 
     def combinatorial_degree(self, x: int) -> int:
-        return len(self.adj[x])
+        return int(self.indptr[x + 1] - self.indptr[x])
 
     def edges(self):
         """Yield (x, y, w) once per edge with x < y, sorted."""
-        for x in range(self.n):
-            for y in sorted(self.adj[x]):
-                if x < y:
-                    yield x, y, self.adj[x][y]
+        return zip(self.edge_u.tolist(), self.edge_v.tolist(),
+                   self.edge_w.tolist())
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return int(self.edge_u.size)
 
     def total_measure(self) -> float:
         return math.fsum(self.mu)
 
+    def csr(self, values=None) -> sp.csr_matrix:
+        """scipy CSR matrix on the edge pattern, holding per-entry values
+        (default: the weights)."""
+        return sp.csr_matrix((self.w if values is None else values,
+                              self.indices, self.indptr), shape=(self.n, self.n))
+
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        return connected_components(self.csr(), directed=False,
+                                    return_labels=False) == 1
+
+
+def _valid_edges(n: int, e: np.ndarray):
+    """The edges of an (m, 3) array of (x, y, w) rows, as arrays u < v
+    (int) and w (float) sorted by (u, v), without the absent (w == 0)
+    ones. An invalid row raises the InputError of _check_edges."""
+    e = e.reshape(-1, 3)
+    x, y, w = e[:, 0], e[:, 1], e[:, 2]
+    suspect = ~((x >= 0) & (x < n) & (y >= 0) & (y < n)
+                & (w >= 0.0) & (w < math.inf))
+    if suspect.any():
+        _check_edges(n, e)
+    x, y = x.astype(np.int64), y.astype(np.int64)
+    u, v = np.minimum(x, y), np.maximum(x, y)
+    key = u * n + v
+    order = np.argsort(key, kind="stable")
+    if (u == v).any() or (key[order[1:]] == key[order[:-1]]).any():
+        _check_edges(n, e)      # a self-loop, or a repeat (unless absent)
+    order = order[w[order] != 0.0]
+    return u[order], v[order], w[order]
+
+
+def _check_edges(n: int, e: np.ndarray) -> None:
+    """Store the rows one by one, in order, and raise InputError at the
+    first that is out of range, a self-loop, a negative or non-finite
+    weight, or a repeat of an edge already stored."""
+    stored = set()
+    for x, y, w in e.tolist():
+        x, y, w = int(x), int(y), float(w)
+        if not 0 <= x < n or not 0 <= y < n:
+            raise InputError(f"edge ({x},{y}) out of range")
+        if x == y:
+            raise InputError(f"self-loop at {x} (diagonal must be zero)")
+        if not math.isfinite(w) or w < 0.0:
+            raise InputError(f"edge ({x},{y}) has invalid weight {w}")
+        pair = (min(x, y), max(x, y))
+        if pair in stored:
+            raise InputError(f"duplicate edge ({x},{y})")
+        if w != 0.0:
+            stored.add(pair)
 
 
 def vertex_set(g: WeightedGraph, ids) -> tuple:
@@ -127,11 +216,10 @@ def vertex_set(g: WeightedGraph, ids) -> tuple:
 
 def combinatorial_neighborhood(g: WeightedGraph, ids) -> tuple:
     """n(K) = K together with every vertex adjacent to K."""
-    k = vertex_set(g, ids)
-    out = set(k)
-    for x in k:
-        out.update(g.adj[x])
-    return tuple(sorted(out))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(vertex_set(g, ids))] = True
+    inside[g.indices[inside[g.rows]]] = True
+    return tuple(np.flatnonzero(inside).tolist())
 
 
 # -- graph interchange format ---------------------------------------------
@@ -146,10 +234,8 @@ def combinatorial_neighborhood(g: WeightedGraph, ids) -> tuple:
 
 def dumps(g: WeightedGraph) -> str:
     lines = [f"graph {g.n}"]
-    for x in range(g.n):
-        lines.append(f"mu {x} {float(g.mu[x])!r}")
-    for x, y, w in g.edges():
-        lines.append(f"edge {x} {y} {w!r}")
+    lines += [f"mu {x} {m!r}" for x, m in enumerate(g.mu.tolist())]
+    lines += [f"edge {x} {y} {w!r}" for x, y, w in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -443,7 +529,7 @@ class LinearFamily(GraphFamily):
         ks = np.arange(depth + 1.0)
         mu = np.empty(root + depth + 1)
         leak = {}
-        sides = []                       # (direction in ids, edge weights)
+        edges = []                       # one (x, y, w) block per end
         for end in self._ends:
             sign = self._sign(end)
             w = np.asarray(end.w_fn(ks[:-1]), dtype=float)
@@ -454,21 +540,22 @@ class LinearFamily(GraphFamily):
             else:
                 mu[:root] = m[::-1]
             leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
-            sides.insert(0, (sign, w))
-        edges = [(root + sign * k, root + sign * (k + 1), w[k])
-                 for k in range(depth) for sign, w in sides]
-        return WeightedGraph(root + depth + 1, edges, mu, leak=leak,
+            ids = root + sign * ks
+            edges.append(np.column_stack((ids[:-1], ids[1:], w)))
+        return WeightedGraph(root + depth + 1, np.concatenate(edges), mu,
+                             leak=leak,
                              labels={i: i - root for i in range(mu.size)})
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
-        first, last = self._ends[0], self._ends[-1]
-        lengths = {}
-        for x, y, _ in g.edges():
-            k = g.labels[x]              # model coordinate of the lower end
-            s = last.sigma_fn(np.float64(k)) if k >= 0 else \
-                first.sigma_fn(np.float64(-k - 1))
-            lengths[(x, y)] = float(s)
+        # model coordinate of each edge's lower end (labels[i] = i - root)
+        k = (g.edge_u + g.labels[0]).astype(float)
+        plus = k >= 0
+        lengths = np.empty(k.size)
+        for end, sel, idx in ((self._ends[-1], plus, k),
+                              (self._ends[0], ~plus, -k - 1)):
+            if sel.any():
+                lengths[sel] = end.sigma_fn(idx[sel])
         return EdgeLengths(g, lengths, kind=self.sigma_kind)
 
     def max_window(self, cap: int) -> int:

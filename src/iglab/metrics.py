@@ -16,10 +16,22 @@ Standard constructions:
                    with deg the combinatorial degree
     natural scaled: sigma == 1/sqrt(K), valid when Deg <= K everywhere.
 
-PathMetric stores the lengths once as a symmetric CSR matrix and computes
-distances with scipy.sparse.csgraph.dijkstra, the one graph search of the
-package. Each distance is the minimum over paths of the left-to-right
-float sum of the edge lengths.
+EdgeLengths holds one length per edge, aligned with graph.edges().
+PathMetric puts them on the graph's CSR pattern and computes distances
+with scipy.sparse.csgraph.dijkstra, the one graph search of the package.
+Each distance is the minimum over paths of the left-to-right float sum of
+the edge lengths, summed from the source.
+
+The intrinsic certificate needs d(x, y) on every stored edge.
+PathMetric.edge_distances reads all of them from one kernel: dijkstra
+from a block of source rows at a time, with limit = the largest edge
+length, and d(x, y) taken from the search started at x, the entry's row,
+as distance(x, y) does. The limit loses nothing. The edge is itself a
+path of length sigma(x, y), so d(x, y) <= sigma(x, y) <= limit; and
+float addition of nonnegative lengths never decreases, so every prefix of
+a shortest path ends at or below the limit and the bounded search finds
+the same minimum as the full one (scipy keeps a distance equal to the
+limit). Each block holds at most SOURCE_BLOCK_ENTRIES distances.
 """
 
 from __future__ import annotations
@@ -28,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
@@ -38,6 +49,9 @@ from .graphs import WeightedGraph
 # quantities are compared.
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
+# Distance entries per Dijkstra block in PathMetric.edge_distances: the
+# block of source rows holds at most this many floats (32 MB).
+SOURCE_BLOCK_ENTRIES = 1 << 22
 
 
 def close(a: float, b: float, rel: float = REL_TOL,
@@ -46,28 +60,58 @@ def close(a: float, b: float, rel: float = REL_TOL,
 
 
 class EdgeLengths:
-    """Positive lengths on the edges of a graph, keyed (x, y) with x < y."""
+    """Positive lengths on the edges of a graph.
 
-    def __init__(self, graph: WeightedGraph, lengths: dict, kind: str):
+    `values` holds one length per edge, aligned with graph.edges(). The
+    lengths come either as that array or as a dict {(x, y): s} keyed in
+    either orientation.
+    """
+
+    def __init__(self, graph: WeightedGraph, lengths, kind: str):
         self.graph = graph
         self.kind = kind
-        self.lengths = {}
-        for (x, y), s in lengths.items():
-            if graph.weight(x, y) == 0.0:
-                raise InputError(f"length given for non-edge ({x},{y})")
-            if not math.isfinite(s) or s <= 0.0:
-                raise InputError(f"edge ({x},{y}): length must be positive")
-            self.lengths[(min(x, y), max(x, y))] = float(s)
-        missing = [(x, y) for x, y, _ in graph.edges()
-                   if (x, y) not in self.lengths]
-        if missing:
-            raise InputError(f"missing lengths, e.g. for edge {missing[0]}")
+        m = graph.edge_count()
+        if isinstance(lengths, dict):
+            values = np.full(m, np.nan)
+            given = np.zeros(m, dtype=bool)
+            for (x, y), s in lengths.items():
+                try:
+                    k = graph.edge_index(x, y)
+                except KeyError:
+                    raise InputError(
+                        f"length given for non-edge ({x},{y})") from None
+                if not math.isfinite(s) or s <= 0.0:
+                    raise InputError(
+                        f"edge ({x},{y}): length must be positive")
+                values[k] = s
+                given[k] = True
+            if not given.all():
+                k = int(np.argmin(given))
+                raise InputError("missing lengths, e.g. for edge "
+                                 f"{(int(graph.edge_u[k]), int(graph.edge_v[k]))}")
+        else:
+            values = np.array(lengths, dtype=float)
+            if values.shape != (m,):
+                raise InputError(f"need one length per edge ({m})")
+            bad = ~(np.isfinite(values) & (values > 0.0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InputError(f"edge ({graph.edge_u[k]},{graph.edge_v[k]})"
+                                 ": length must be positive")
+        self.values = values
 
     def of(self, x: int, y: int) -> float:
-        return self.lengths[(min(x, y), max(x, y))]
+        return float(self.values[self.graph.edge_index(x, y)])
 
     def items(self):
-        return self.lengths.items()
+        """((x, y), s) per edge, x < y, in edges() order."""
+        g = self.graph
+        return zip(zip(g.edge_u.tolist(), g.edge_v.tolist()),
+                   self.values.tolist())
+
+    def entry_values(self) -> np.ndarray:
+        """The lengths on the graph's CSR entries (both directions)."""
+        return self.values[self.graph.edge_of]
 
 
 def sigma0(g: WeightedGraph) -> EdgeLengths:
@@ -76,35 +120,36 @@ def sigma0(g: WeightedGraph) -> EdgeLengths:
     Strongly intrinsic on every graph: on the edge (x,y) the length is at
     most Deg(x)^-1/2, so the weighted square sum at x is at most mu(x).
     """
-    deg = [g.degree(x) for x in range(g.n)]
-    lengths = {}
-    for x, y, _ in g.edges():
-        lengths[(x, y)] = min(deg[x] ** -0.5, deg[y] ** -0.5, 1.0)
-    return EdgeLengths(g, lengths, kind="sigma0")
+    # Python's float ** (libm pow) per vertex, as in the scalar formula;
+    # numpy's array power may differ from it in the last bit
+    inv = np.array([d ** -0.5 if d else math.inf
+                    for d in g.degrees().tolist()])
+    s = np.minimum(np.minimum(inv[g.edge_u], inv[g.edge_v]), 1.0)
+    return EdgeLengths(g, s, kind="sigma0")
 
 
 def sigma1(g: WeightedGraph) -> EdgeLengths:
     """sigma_1(x,y) = w(x,y)^-1/2 min(mu(x)/deg(x), mu(y)/deg(y))^1/2,
     deg combinatorial. Strongly intrinsic; adapts to the local edge count."""
-    lengths = {}
-    for x, y, w in g.edges():
-        mx = g.mu[x] / len(g.adj[x])
-        my = g.mu[y] / len(g.adj[y])
-        lengths[(x, y)] = min(mx, my) ** 0.5 / w ** 0.5
-    return EdgeLengths(g, lengths, kind="sigma1")
+    count = np.diff(g.indptr)
+    m = np.minimum(g.mu[g.edge_u] / count[g.edge_u],
+                   g.mu[g.edge_v] / count[g.edge_v])
+    # Python's float ** for the roots, as in sigma0
+    s = (np.array([t ** 0.5 for t in m.tolist()])
+         / np.array([t ** 0.5 for t in g.edge_w.tolist()]))
+    return EdgeLengths(g, s, kind="sigma1")
 
 
 def natural_scaled(g: WeightedGraph, K: float) -> EdgeLengths:
     """Constant lengths 1/sqrt(K). Requires Deg(x) <= K for all x."""
     if not K > 0:
         raise InputError("K must be positive")
-    worst = max(range(g.n), key=g.degree) if g.n else 0
+    worst = int(np.argmax(g.degrees()))
     if g.degree(worst) > K * (1 + REL_TOL):
         raise InputError(
             f"natural metric needs Deg <= {K}; vertex {worst} has "
             f"Deg = {g.degree(worst)}")
-    s = 1.0 / math.sqrt(K)
-    return EdgeLengths(g, {(x, y): s for x, y, _ in g.edges()},
+    return EdgeLengths(g, np.full(g.edge_count(), 1.0 / math.sqrt(K)),
                        kind=f"natural:{K:g}")
 
 
@@ -118,23 +163,18 @@ def custom_lengths(g: WeightedGraph, spec, kind: str = "custom") -> EdgeLengths:
 class PathMetric:
     """Path pseudo metric induced by edge lengths, via Dijkstra.
 
-    The lengths are held once as a symmetric CSR matrix. Single-source
-    distance arrays are memoized per source. The memo is a plain dict
-    written once per source; Dijkstra is deterministic, so concurrent
-    readers always observe identical values. Disconnected pairs get
-    d = inf.
+    The lengths are held once as a CSR matrix on the graph's own pattern.
+    Single-source distance arrays are memoized per source. The memo is a
+    plain dict written once per source; Dijkstra is deterministic, so
+    concurrent readers always observe identical values. Disconnected
+    pairs get d = inf.
     """
 
     def __init__(self, lengths: EdgeLengths):
         self.graph = lengths.graph
         self.lengths = lengths
-        n = self.graph.n
-        ij = np.array(list(lengths.lengths), dtype=np.intp).reshape(-1, 2)
-        s = np.fromiter(lengths.lengths.values(), float, len(ij))
-        # each edge in both directions: rows i then j, columns j then i
-        self._csr = sp.csr_matrix(
-            (np.tile(s, 2), (ij.T.ravel(), ij[:, ::-1].T.ravel())),
-            shape=(n, n))
+        self.entry_lengths = lengths.entry_values()
+        self._csr = self.graph.csr(self.entry_lengths)
         self._memo: dict[int, np.ndarray] = {}
 
     def distances_from(self, src: int) -> np.ndarray:
@@ -147,6 +187,27 @@ class PathMetric:
         if x == y:
             return 0.0
         return float(self.distances_from(x)[y])
+
+    def edge_distances(self) -> np.ndarray:
+        """d(x, y) for every CSR entry (x, y) of the graph, searched from x.
+
+        One bounded multi-source Dijkstra per block of source rows; see
+        the module docstring for why the bound loses nothing.
+        """
+        g = self.graph
+        out = np.empty(g.indices.size)
+        if not out.size:
+            return out
+        limit = float(self.entry_lengths.max())
+        block = max(1, SOURCE_BLOCK_ENTRIES // g.n)
+        for lo in range(0, g.n, block):
+            hi = min(lo + block, g.n)
+            a, b = g.indptr[lo], g.indptr[hi]
+            if a == b:
+                continue
+            dist = dijkstra(self._csr, indices=np.arange(lo, hi), limit=limit)
+            out[a:b] = dist[g.rows[a:b] - lo, g.indices[a:b]]
+        return out
 
     def ball(self, x0: int, r: float) -> tuple:
         """Closed ball {y : d(x0, y) <= r} as a sorted vertex tuple."""
@@ -162,10 +223,9 @@ class PathMetric:
 def discovered_jump_size(m: PathMetric) -> float:
     """Least s with w(x,y) = 0 whenever d(x,y) > s, on the realized graph:
     max over stored edges of d(x, y). Experimental diagnostic."""
-    best = 0.0
-    for x, y, _ in m.graph.edges():
-        best = max(best, m.distance(x, y))
-    return best
+    g = m.graph
+    d = m.edge_distances()[g.rows < g.indices]     # each edge once, from x < y
+    return float(d.max()) if d.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -183,21 +243,23 @@ class IntrinsicCertificate:
                 "tolerance": self.tolerance, "verdict": self.passed}
 
 
-def _certificate(g: WeightedGraph, length_of, kind: str,
+def _certificate(g: WeightedGraph, entry_len: np.ndarray, kind: str,
                  tol: float) -> IntrinsicCertificate:
-    slack = np.empty(g.n)
-    for x in range(g.n):
-        s = math.fsum(w * length_of(x, y) ** 2 for y, w in g.adj[x].items())
-        slack[x] = 1.0 - s / g.mu[x]
-    worst = int(np.argmin(slack)) if g.n else 0
-    mn = float(slack[worst]) if g.n else 1.0
+    """Slack 1 - (1/mu(x)) sum_y w(x,y) len(x,y)^2 from per-entry lengths."""
+    # Python's float ** (libm pow), as in the scalar formula
+    sq = np.array([t ** 2 for t in entry_len.tolist()])
+    slack = 1.0 - g.row_fsum(g.w * sq) / g.mu
+    worst = int(np.argmin(slack))
+    mn = float(slack[worst])
     return IntrinsicCertificate(kind, slack, mn, worst, tol, mn >= -tol)
 
 
 def strongly_intrinsic_check(g: WeightedGraph, lengths: EdgeLengths,
                              tol: float = REL_TOL) -> IntrinsicCertificate:
     """Certificate for (1/mu) sum w sigma^2 <= 1 using the lengths directly."""
-    return _certificate(g, lengths.of, "strongly-intrinsic", tol)
+    if not _same_pattern(g, lengths.graph):
+        raise InputError("the lengths live on a different graph")
+    return _certificate(g, lengths.entry_values(), "strongly-intrinsic", tol)
 
 
 def intrinsic_check(g: WeightedGraph, metric: PathMetric,
@@ -207,4 +269,11 @@ def intrinsic_check(g: WeightedGraph, metric: PathMetric,
     d <= sigma edgewise, so strongly intrinsic implies intrinsic; tests
     assert that ordering whenever both certificates are computed.
     """
-    return _certificate(g, metric.distance, "intrinsic", tol)
+    if not _same_pattern(g, metric.graph):
+        raise InputError("the metric lives on a different graph")
+    return _certificate(g, metric.edge_distances(), "intrinsic", tol)
+
+
+def _same_pattern(g: WeightedGraph, h: WeightedGraph) -> bool:
+    return g is h or (np.array_equal(g.indptr, h.indptr)
+                      and np.array_equal(g.indices, h.indices))

@@ -77,23 +77,24 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     free = np.flatnonzero(~in_u)
     values = np.ones(g.n)
     if free.size:
+        n_free = free.size
         idx = -np.ones(g.n, dtype=int)
-        idx[free] = np.arange(free.size)
-        rows, cols, vals = [], [], []
-        b = np.zeros(free.size)
-        for i, x in enumerate(free):
-            rows.append(i)
-            cols.append(i)
-            vals.append(g.row_sum(x) + float(g.mu[x]))
-            for y, w in g.adj[x].items():
-                if in_u[y]:
-                    b[i] += w
-                else:
-                    rows.append(i)
-                    cols.append(idx[y])
-                    vals.append(-w)
-        A = sp.csr_matrix((vals, (rows, cols)),
-                          shape=(free.size, free.size))
+        idx[free] = np.arange(n_free)
+        # CSR entries (x, y) of free rows: y in U feeds b (summed in
+        # increasing y, as the rows are stored), y free is an entry -w of A
+        from_free = ~in_u[g.rows]
+        to_u = from_free & in_u[g.indices]
+        inner = from_free & ~to_u
+        b = np.bincount(idx[g.rows[to_u]], weights=g.w[to_u],
+                        minlength=n_free)
+        diag = g.row_sums[free] + g.mu[free]
+        # A in canonical CSR form: rows in order, columns sorted
+        r = np.concatenate((np.arange(n_free), idx[g.rows[inner]]))
+        c = np.concatenate((np.arange(n_free), idx[g.indices[inner]]))
+        order = np.argsort(r * n_free + c)
+        r, c = r[order], c[order]
+        a = np.concatenate((diag, -g.w[inner]))[order]
+        A = _csr(a, r, c, n_free)
         # Symmetric diagonal equilibration: the scaled matrix has unit
         # diagonal and off-diagonal entries in (-1, 0], so weights spanning
         # hundreds of orders of magnitude cannot overflow the factorization.
@@ -102,12 +103,15 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
         # are chains or stars, so a direct sparse solve is stable and cheap;
         # iterative solvers stall here because their 2-norm stopping rule is
         # dominated by the boundary rows when weights span many decades.
-        diag = A.diagonal()
-        dis = sp.diags(1.0 / np.sqrt(diag))
-        As = (dis @ A @ dis).tocsr()
-        bs = dis @ b
-        ys = spla.spsolve(As, bs)
-        sol = dis @ ys
+        # A~ is formed entrywise as (d_i a_ij) d_j, without the entries
+        # that round to 0, which is what the sparse products
+        # diag(d) @ A @ diag(d) store; likewise d * b (b >= 0) and
+        # d * y + 0.0 are the diagonal matrix-vector products.
+        d = 1.0 / np.sqrt(diag)
+        a_s = d[r] * a * d[c]
+        keep = a_s != 0.0
+        ys = spla.spsolve(_csr(a_s[keep], r[keep], c[keep], n_free), d * b)
+        sol = d * ys + 0.0
         # residual of each row's equation relative to its diagonal weight
         res = float(np.max(np.abs(A @ sol - b) / diag)) if b.size else 0.0
         if not np.all(np.isfinite(sol)) or res > 1e-6:
@@ -122,6 +126,12 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     en = energy(e)
     n2 = norm_sq(e)
     return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res, U, bounds_ok)
+
+
+def _csr(data, rows, cols, n: int) -> sp.csr_matrix:
+    """n x n CSR matrix from entries already sorted by (row, column)."""
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 # -- boundary capacity -------------------------------------------------------

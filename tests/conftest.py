@@ -47,7 +47,7 @@ def exhaustive_distances(g, lengths, src):
         if not s & start:
             continue
         for v, dv in best[s].items():
-            for u, _w in g.adj[v].items():
+            for u, _w in g.neighbors(v).items():
                 if s >> u & 1:
                     continue
                 nd = dv + lengths.of(v, u)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import iglab
-from iglab.completeness import (boundary_end, find_geodesic,
-                                hopf_rinow_report, lengths_for)
+from iglab.completeness import (_prefixes_realize_distance,
+                                _restricted_prefix_len, boundary_end,
+                                find_geodesic, hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
 from iglab.gallery import build_family
 from iglab.graphs import RayFamily, WeightedGraph
-from iglab.metrics import PathMetric, custom_lengths, sigma0
+from iglab.metrics import PathMetric, close, custom_lengths, sigma0
 
 from conftest import make_random_graph
 
@@ -93,7 +94,7 @@ def hop_counts(g, origin):
     while frontier:
         nxt = []
         for x in frontier:
-            for y in g.adj[x]:
+            for y in g.neighbors(x):
                 if y not in hops:
                     hops[y] = hops[x] + 1
                     nxt.append(y)
@@ -130,7 +131,7 @@ fam = build_family("a5.3")
 g = fam.truncate(64)
 m = PathMetric(fam.canonical_lengths(g))
 geo = find_geodesic(m, 0, 1)
-nearest = min(m.distance(0, z) for z in g.adj[0])   # the hop-1 sphere
+nearest = min(m.distance(0, z) for z in g.neighbors(0))   # the hop-1 sphere
 print(json.dumps({"verified": geo.verified, "length": geo.length,
                   "nearest": nearest}))
 """
@@ -149,6 +150,23 @@ def test_geodesic_at_tiny_distances_terminates():
     out = json.loads(proc.stdout)
     assert out["verified"]
     assert out["length"] == pytest.approx(out["nearest"], rel=1e-12)
+
+
+def test_verified_flag_is_relative_at_tiny_scale():
+    # a5.3 at window 64: every length is below metrics.close's absolute
+    # floor of 1e-15, so with that floor any path passed as verified. The
+    # detour hub -> tip 126 -> extra -> tip 128 is twice as long as the
+    # direct edge to tip 128 yet within 1e-15 of it.
+    fam = build_family("a5.3")
+    g = fam.truncate(64)
+    m = PathMetric(fam.canonical_lengths(g))
+    detour = [0, 126, fam.extra_id(64), 128]
+    prefix = [_restricted_prefix_len(m, detour, k) for k in (1, 2, 3)]
+    direct = [m.distance(0, v) for v in detour[1:]]
+    assert all(close(a, b) for a, b in zip(prefix, direct))   # the old test
+    assert prefix[-1] > 2.0 * direct[-1]
+    assert not _prefixes_realize_distance(m, detour)
+    assert _prefixes_realize_distance(m, [0, 128, fam.extra_id(64)])
 
 
 # -- Hopf-Rinow evidence ----------------------------------------------------------

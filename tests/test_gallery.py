@@ -172,6 +172,30 @@ def test_run_gallery_numerical_failure(monkeypatch, tmp_path):
     assert any("ERROR" in line for line in res.summary_lines())
 
 
+def test_run_gallery_records_input_error_and_carries_on(monkeypatch,
+                                                        tmp_path):
+    # a run whose family rejects its parameters is recorded as an error;
+    # the runs after it still run and write their records, and the exit
+    # code is 2 once every record is written
+    check_ex56 = next(run[3] for run in GOLDEN_RUNS if run[1] == "ex5.6")
+    bad = ("ex5.6-bad", "ex5.6", {"alpha": -1.0, "case": 1}, check_ex56)
+    a51 = next(run for run in GOLDEN_RUNS if run[0] == "a5.1")
+    monkeypatch.setattr(gallery, "GOLDEN_RUNS", [bad, a51])
+    res = run_gallery(budget="quick", out_dir=str(tmp_path))
+    assert res.exit_code == 2
+    assert res.input_failures == [("ex5.6-bad",
+                                   "ex5.6: alpha must be positive")]
+    assert [r.label for r in res.records] == ["ex5.6-bad", "a5.1"]
+    rec = RunRecord.from_json(open(tmp_path / "ex5.6-bad.json").read())
+    assert rec.error == "input error: ex5.6: alpha must be positive"
+    assert rec.classification is None and rec.checks == []
+    ok = RunRecord.from_json(open(tmp_path / "a5.1.json").read())
+    assert ok.error is None and ok.classification is not None
+    with pytest.raises(InputError, match="nosuch"):
+        run_gallery(select=["nosuch"], out_dir=str(tmp_path / "none"))
+    assert not (tmp_path / "none").exists()
+
+
 def _verdicts(record):
     c = record.classification
     cap = c["capacity"]
