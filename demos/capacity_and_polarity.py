@@ -18,7 +18,7 @@ from iglab.potential import boundary_capacity
 
 def show(name):
     fam = build_family(name)
-    rep = boundary_capacity(fam, solver_tail_max=128, outer_cap=2048,
+    rep = boundary_capacity(fam, solver_tail_max=128,
                             analytic_tail_max=1 << 22)
     print(f"== {fam.describe()}")
     for seq in rep.per_end:

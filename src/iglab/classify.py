@@ -21,9 +21,12 @@ The diagnostics assembled here:
     balls across windows; completeness plus a uniform bound per ball is
     the hypothesis of the self-adjointness theorem for intrinsic metrics.
 
-classify() combines these with the capacity regimes and checks the
-consistency rules (ESA implies Markov unique; polar boundary of finite
-capacity implies Markov unique; a tail capacity in (0, inf) refutes it).
+classify() runs one ball scan (completeness._ball_scan) at the budget's
+hopf_n_max and reads both the Hopf-Rinow table and the deg-ball table
+from it: the deg-ball radii are the even scan radii. It combines these
+with the capacity regimes and checks the consistency rules (ESA implies
+Markov unique; polar boundary of finite capacity implies Markov unique;
+a tail capacity in (0, inf) refutes it).
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completeness import _ball_scan, hopf_rinow_report
+from .completeness import BallScan, _ball_scan, _hopf_rinow
 from .errors import InputError
 from .forms import VertexFunction, energy, laplacian_all
-from .graphs import GraphFamily, combinatorial_neighborhood
+from .graphs import GraphFamily
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
 from .series import SeriesVerdict, plateau, series_verdict
@@ -47,17 +50,15 @@ class Budget:
     name: str
     hopf_n_max: int
     solver_tail_max: int
-    outer_cap: int
     analytic_tail_max: int
     lambda_window: int
     codim_depth: int
-    degball_n_max: int
 
 
 BUDGETS = {
-    "quick": Budget("quick", 64, 16, 256, 1 << 16, 80, 16, 64),
-    "standard": Budget("standard", 512, 128, 2048, 1 << 22, 200, 40, 256),
-    "deep": Budget("deep", 1 << 16, 2048, 1 << 15, 1 << 24, 400, 60, 1024),
+    "quick": Budget("quick", 64, 16, 1 << 16, 80, 16),
+    "standard": Budget("standard", 512, 128, 1 << 22, 200, 40),
+    "deep": Budget("deep", 1 << 16, 2048, 1 << 24, 400, 60),
 }
 
 
@@ -239,26 +240,21 @@ def deg_ball_boundedness(fam: GraphFamily, sigma="canonical",
 
     A radius row that stabilizes witnesses a finite bound for that ball;
     rows that keep growing (balls swallowing the whole window) witness the
-    failure of the bounded-degree hypothesis at that radius.
+    failure of the bounded-degree hypothesis at that radius. The radii are
+    the quarters of the origin's eccentricity in the first window.
     """
-    windows = []
-    max_deg: dict = {}
-    sizes: dict = {}
-    for win, g, d, radii in _ball_scan(fam, sigma, n_max, 4):
-        windows.append(win)
-        deg = g.degrees()
-        for r in radii:
-            ball = np.flatnonzero(d <= r)
-            hood = list(combinatorial_neighborhood(g, ball.tolist()))
-            max_deg.setdefault(r, []).append(
-                float(deg[hood].max()) if hood else 0.0)
-            sizes.setdefault(r, []).append(int(ball.size))
-    stable = {r: len(v) >= 3 and len(set(v[-3:])) == 1
-              for r, v in sizes.items()}
+    return _deg_ball(_ball_scan(fam, sigma, n_max))
+
+
+def _deg_ball(scan: BallScan) -> DegBallReport:
+    radii = scan.radii[1::2]
+    sizes = {r: scan.sizes[r] for r in radii}
+    stable = {}
     for r in radii:
-        md = max_deg[r]
-        stable[r] = stable[r] and max(md[-3:]) <= min(md[-3:]) * (1 + 1e-12)
-    return DegBallReport(radii, windows, max_deg, sizes, stable,
+        s, md = sizes[r], scan.max_deg[r]
+        stable[r] = (len(s) >= 3 and len(set(s[-3:])) == 1
+                     and max(md[-3:]) <= min(md[-3:]) * (1 + 1e-12))
+    return DegBallReport(radii, scan.windows, scan.max_deg, sizes, stable,
                          all(stable.values()))
 
 
@@ -336,8 +332,9 @@ def classify(fam: GraphFamily, sigma="canonical",
     uniqueness verdicts, and check their mutual consistency."""
     bud = resolve_budget(budget)
     notes = []
-    hopf = hopf_rinow_report(fam, sigma, n_max=bud.hopf_n_max)
-    completeness = hopf.verdict
+    scan = _ball_scan(fam, sigma, bud.hopf_n_max)
+    completeness = _hopf_rinow(fam, sigma, scan).verdict
+    deg_ball = _deg_ball(scan)
 
     capacity = None
     polarity = "inconclusive"
@@ -345,7 +342,6 @@ def classify(fam: GraphFamily, sigma="canonical",
     if fam.ends():
         capacity = boundary_capacity(
             fam, solver_tail_max=bud.solver_tail_max,
-            outer_cap=bud.outer_cap,
             analytic_tail_max=bud.analytic_tail_max)
         polarity = capacity.polarity
         alt = boundary_alternative_evidence(capacity)
@@ -363,12 +359,6 @@ def classify(fam: GraphFamily, sigma="canonical",
         except InputError as exc:
             notes.append(f"witness skipped: {exc}")
 
-    deg_ball = None
-    try:
-        deg_ball = deg_ball_boundedness(fam, sigma, n_max=bud.degball_n_max)
-    except InputError:
-        pass
-
     codim = None
     if fam.ends():
         try:
@@ -381,7 +371,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     if witness is not None and witness.passed:
         esa = Verdict("no", witness.basis)
     elif (completeness == "complete-evidence" and fam.locally_finite
-          and deg_ball is not None and deg_ball.bounded_per_ball):
+          and deg_ball.bounded_per_ball):
         esa = Verdict("yes",
                       "complete with degree bounded on ball neighborhoods; "
                       "compactly supported functions are a core")

@@ -3,13 +3,15 @@
     iglab metric check   --family F [--sigma S] [--window N]
     iglab complete report --family F [--sigma S] [--n-max N]
     iglab forms check    --family F [--window N] [--trials T] [--seed S]
-    iglab cap boundary   --family F [--tails N] [--outer M] [--format csv]
+    iglab cap boundary   --family F [--tails N] [--format csv]
     iglab codim          --family F [--depth D] [--format csv]
     iglab classify       --family F [--sigma S] [--budget B]
     iglab gallery        [--select L1,L2,...] [--budget B] [--out DIR]
 
 --sigma is sigma0 | sigma1 | natural:K | canonical (the default). The
-commands with --family also take --out FILE in place of stdout.
+commands with --family also take --out FILE in place of stdout. --tails
+is the largest solver tail N of `cap boundary` (default 128); its outer
+windows stop at 16 N.
 
 --family takes either a path to a family config file (lines "family NAME"
 then "key value" pairs) or an inline spec "NAME" / "NAME:key=val,key=val".
@@ -123,8 +125,7 @@ def _cmd_forms_check(args) -> int:
 
 def _cmd_cap_boundary(args) -> int:
     fam = _resolve_family(args.family)
-    rep = boundary_capacity(fam, solver_tail_max=args.tails,
-                            outer_cap=args.outer)
+    rep = boundary_capacity(fam, solver_tail_max=args.tails)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -227,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = capsub.add_parser("boundary", help="tail capacity sequences")
     _add_family_opts(pb)
     pb.add_argument("--tails", type=int, default=128)
-    pb.add_argument("--outer", type=int, default=2048)
     pb.add_argument("--format", choices=("json", "csv"), default="json")
     pb.set_defaults(fn=_cmd_cap_boundary)
 

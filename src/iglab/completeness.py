@@ -26,7 +26,8 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import End, GraphFamily, WeightedGraph
+from .graphs import (End, GraphFamily, WeightedGraph,
+                     combinatorial_neighborhood)
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
 
@@ -144,7 +145,7 @@ class HopfRinowReport:
     windows: list
     radii: list
     ball_sizes: dict        # radius -> list of |B_r(x0)| per window
-    stabilized: dict        # radius -> bool (constant over last 3 windows)
+    stabilized: dict        # radius -> bool (constant over last 4 windows)
     end_lengths: list       # (label, TailSum or None, finite: bool | None)
     verdict: str
     notes: list = field(default_factory=list)
@@ -161,13 +162,22 @@ class HopfRinowReport:
                 "verdict": self.verdict, "notes": self.notes}
 
 
-def _ball_scan(fam: GraphFamily, sigma, n_max: int, parts: int):
-    """Distances from the origin over doubling windows 8, 16, ... up to
-    the family's usable cap at n_max.
+@dataclass
+class BallScan:
+    windows: list
+    radii: list             # eighths ecc*j/8 (j = 1..8) of the first window
+    sizes: dict             # radius -> |B_r(x0)| per window
+    max_deg: dict           # even radius -> max Deg over n(B_r(x0)) per window
 
-    Yields (window, graph, distances, radii) per window. The radii are
-    the fractions j/parts (j = 1..parts) of the origin's eccentricity in
-    the first window, and stay fixed across windows.
+
+def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
+    """Balls around the origin over doubling windows 8, 16, ... up to the
+    family's usable cap at n_max.
+
+    The radii are the eighths j/8 (j = 1..8) of the origin's eccentricity
+    in the first window, and stay fixed across windows. Per window the
+    scan counts every ball and, at the even radii radii[1::2], takes the
+    largest weighted degree over the ball's combinatorial neighborhood.
     """
     cap = fam.max_window(n_max)
     windows = []
@@ -176,15 +186,24 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int, parts: int):
         windows.append(w)
         w *= 2
     windows.append(cap)
-    radii = None
-    for win in sorted(set(windows)):
+    scan = None
+    for win in windows:
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, sigma, fam))
         d = metric.distances_from(fam.model_to_id(0, win))
-        if radii is None:
+        if scan is None:
             ecc = float(np.max(d[np.isfinite(d)]))
-            radii = [ecc * j / parts for j in range(1, parts + 1)]
-        yield win, g, d, radii
+            scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
+        scan.windows.append(win)
+        deg = g.degrees()
+        for j, r in enumerate(scan.radii):
+            ball = np.flatnonzero(d <= r)
+            scan.sizes.setdefault(r, []).append(int(ball.size))
+            if j % 2:
+                hood = list(combinatorial_neighborhood(g, ball.tolist()))
+                scan.max_deg.setdefault(r, []).append(
+                    float(deg[hood].max()) if hood else 0.0)
+    return scan
 
 
 def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
@@ -197,20 +216,13 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
     For families that are not locally finite the dichotomy does not apply
     and the verdict says so.
     """
-    windows = []
-    sizes = {}
-    for win, _, d, radii in _ball_scan(fam, sigma, n_max, 8):
-        windows.append(win)
-        for r in radii:
-            sizes.setdefault(r, []).append(int(np.sum(d <= r)))
+    return _hopf_rinow(fam, sigma, _ball_scan(fam, sigma, n_max))
 
-    stabilized = {}
-    for r in radii:
-        s = sizes[r]
-        stabilized[r] = len(s) >= 4 and len(set(s[-4:])) == 1
 
+def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
+    stabilized = {r: len(s) >= 4 and len(set(s[-4:])) == 1
+                  for r, s in scan.sizes.items()}
     end_lengths = []
-    any_finite = False
     for end in fam.ends():
         try:
             ts = end.sigma_tail(0)
@@ -218,27 +230,25 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
         except InputError:
             ts, finite = None, None
         end_lengths.append((end.label, ts, finite))
-        any_finite = any_finite or bool(finite)
+    n_finite = sum(1 for _, _, fin in end_lengths if fin)
 
     notes = []
     if not fam.locally_finite:
         verdict = "inapplicable (not locally finite)"
         notes.append("completeness dichotomy needs local finiteness; "
                      "ball sizes reported for the truncation sequence only")
-    elif any_finite:
+    elif n_finite:
         verdict = "incomplete-evidence"
-        k = sum(1 for _, _, fin in end_lengths if fin)
-        notes.append(f"{k} end(s) with finite total length "
+        notes.append(f"{n_finite} end(s) with finite total length "
                      "(Cauchy boundary points)")
-    elif end_lengths and all(fin is False for _, _, fin in end_lengths) \
-            and all(stabilized.values()):
-        verdict = "complete-evidence"
-    elif all(stabilized.values()) and not end_lengths:
+    elif all(stabilized.values()) and \
+            all(fin is False for _, _, fin in end_lengths):
         verdict = "complete-evidence"
     else:
         verdict = "inconclusive"
-    return HopfRinowReport(fam.describe(), str(sigma), windows, radii,
-                           sizes, stabilized, end_lengths, verdict, notes)
+    return HopfRinowReport(fam.describe(), str(sigma), scan.windows,
+                           scan.radii, scan.sizes, stabilized, end_lengths,
+                           verdict, notes)
 
 
 def boundary_end(fam: GraphFamily, purpose: str) -> End:

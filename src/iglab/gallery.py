@@ -22,6 +22,14 @@ Registered families (keyed as in the CLI):
   a5.3    star with an extra point joined like the hub: d(hub, extra) -> 0
   a5.4    star with heavy inner edges: two-point distances shrink to 0
   a5.2, a5.5 are registered but unsupported (they need an end-space model).
+
+GOLDEN_RUNS lists (label, family, params, checker) per golden run. Each
+checker is a Golden record: the expected verdicts as a dict, then the
+claims that compute something. Runs share records where their claims
+agree: the five ex5.6 runs take the polar or non-polar verdicts and one
+codimension claim whose target is the family's codim_closed_form, and the
+three a5.x runs share the claim that the completeness verdict is
+inapplicable.
 """
 
 from __future__ import annotations
@@ -382,208 +390,194 @@ def _verdict_checks(rep, expect: dict) -> list:
     return out
 
 
-def _codim_claim(rep, target, tol, name="codim"):
+@dataclass(frozen=True)
+class Golden:
+    """The golden claims of one run, as data: the expected verdicts
+    (report field -> value, a trailing "*" matches a prefix), then claims
+    that compute something, each a function (fam, rep, bud) -> [Check].
+    Calling it checks one classification."""
+    verdicts: dict
+    claims: tuple = ()
+
+    def __call__(self, fam, rep, bud) -> list:
+        out = _verdict_checks(rep, self.verdicts)
+        for claim in self.claims:
+            out += claim(fam, rep, bud)
+        return out
+
+
+def _codim_claim(fam, rep, bud):
+    target, tol = fam.codim_closed_form, 0.05
     est = rep.codim
     if est is None:
-        return [Check(name, False, "missing", f"{target:+.4f}")]
+        return [Check("codim", False, "missing", f"{target:+.4f}")]
     ok = abs(est.codim - target) <= tol
-    return [Check(name, ok, f"{est.codim:.4f}", f"{target:.4f} +- {tol}")]
+    return [Check("codim", ok, f"{est.codim:.4f}", f"{target:.4f} +- {tol}")]
 
 
-def _check_ex51(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "completeness": "incomplete-evidence", "polarity": "polar",
-        "markov_unique": "yes", "esa": "no", "boundary_regime": "zero"})
-    ends = [s for s in rep.capacity.per_end]
-    out.append(Check("two polar ends", len(ends) == 2 and
-                     all(s.regime == "zero" for s in ends),
-                     str([s.regime for s in ends]), "zero on both ends"))
-    out.append(Check("witness fired", rep.witness is not None
-                     and rep.witness.passed, str(rep.witness and
-                                                 rep.witness.passed), "True"))
-    return out
+def _inapplicable_claim(fam, rep, bud):
+    return [Check("completeness verdict inapplicable",
+                  rep.completeness.startswith("inapplicable"),
+                  rep.completeness, "inapplicable*")]
 
 
-def _check_ex52(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "completeness": "incomplete-evidence", "boundary_regime": "infinite",
-        "markov_unique": "yes", "esa": "yes*"})
+def _ex51_claims(fam, rep, bud):
+    ends = rep.capacity.per_end
+    return [Check("two polar ends", len(ends) == 2 and
+                  all(s.regime == "zero" for s in ends),
+                  str([s.regime for s in ends]), "zero on both ends"),
+            Check("witness fired", rep.witness is not None
+                  and rep.witness.passed,
+                  str(rep.witness and rep.witness.passed), "True")]
+
+
+def _ex52_claims(fam, rep, bud):
     sol = rep.lambda_solutions["plus"]
-    out.append(Check("lambda solution increasing, not square-summable",
-                     sol.increasing and sol.l2.verdict == "diverged",
-                     f"increasing={sol.increasing}, l2={sol.l2.verdict}",
-                     "increasing=True, l2=diverged"))
-    out.append(Check("bounded solution criterion converges",
-                     sol.criterion.verdict == "converged",
-                     sol.criterion.verdict, "converged"))
-    return out
+    return [Check("lambda solution increasing, not square-summable",
+                  sol.increasing and sol.l2.verdict == "diverged",
+                  f"increasing={sol.increasing}, l2={sol.l2.verdict}",
+                  "increasing=True, l2=diverged"),
+            Check("bounded solution criterion converges",
+                  sol.criterion.verdict == "converged",
+                  sol.criterion.verdict, "converged")]
 
 
-def _check_ex53a(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "boundary_regime": "positive-finite", "polarity": "non-polar",
-        "markov_unique": "no", "esa": "no"})
+def _ex53a_claims(fam, rep, bud):
     sol = rep.lambda_solutions["plus"]
-    out.append(Check("lambda solution in maximal form domain",
-                     sol.in_max_form_domain,
-                     f"bounded={sol.bounded}, l2={sol.l2.verdict}, "
-                     f"energy={sol.energy.verdict}", "all converged"))
-    out.append(Check("boundary alternative separates the forms",
-                     rep.boundary_alternative.verdict.startswith(
-                         "forms differ"),
-                     rep.boundary_alternative.verdict, "forms differ*"))
-    return out
+    alt = rep.boundary_alternative.verdict
+    return [Check("lambda solution in maximal form domain",
+                  sol.in_max_form_domain,
+                  f"bounded={sol.bounded}, l2={sol.l2.verdict}, "
+                  f"energy={sol.energy.verdict}", "all converged"),
+            Check("boundary alternative separates the forms",
+                  alt.startswith("forms differ"), alt, "forms differ*")]
 
 
-def _check_ex53(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "boundary_regime": "infinite", "markov_unique": "no"})
+def _ex53_claims(fam, rep, bud):
     regimes = {s.end_label: s.regime for s in rep.capacity.per_end}
-    out.append(Check("per-end regimes", regimes == {
-        "minus": "infinite", "plus": "positive-finite"},
-        str(regimes), "minus: infinite, plus: positive-finite"))
-    return out
+    return [Check("per-end regimes",
+                  regimes == {"minus": "infinite", "plus": "positive-finite"},
+                  str(regimes), "minus: infinite, plus: positive-finite")]
 
 
-def _check_ex54(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "completeness": "incomplete-evidence", "polarity": "polar",
-        "markov_unique": "yes", "boundary_regime": "zero"})
+def _ex54_claims(fam, rep, bud):
     est = rep.codim
-    out.append(Check("local slope = 2 (dyadic scaling)",
-                     est is not None and abs(est.codim_local - 2.0) <= 0.01,
-                     f"{est.codim_local:.6f}" if est else "missing",
-                     "2 +- 0.01"))
     end = fam.ends()[0]
     exact = all(
         end.sigma_tail(x).value == 2.0 ** (1 - x) and
         abs(end.mu_tail(x).value - (2.0 ** (1 - x)) ** 2 / 3.0)
         <= 1e-12 * end.mu_tail(x).value
         for x in range(1, 31))
-    out.append(Check("r(x) = 2^(1-x), mu(B_r) = r^2/3 to 1e-12", exact,
-                     "exact" if exact else "drift", "exact"))
-    return out
+    return [Check("local slope = 2 (dyadic scaling)",
+                  est is not None and abs(est.codim_local - 2.0) <= 0.01,
+                  f"{est.codim_local:.6f}" if est else "missing",
+                  "2 +- 0.01"),
+            Check("r(x) = 2^(1-x), mu(B_r) = r^2/3 to 1e-12", exact,
+                  "exact" if exact else "drift", "exact")]
 
 
-def _check_ex55(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "boundary_regime": "positive-finite", "polarity": "non-polar",
-        "markov_unique": "no"})
+def _ex55_claims(fam, rep, bud):
     est = rep.codim
     if est is None:
-        out.append(Check("codim ratios", False, "missing", ""))
-        return out
+        return [Check("codim ratios", False, "missing", "")]
     ratios = est.ratios[~np.isnan(est.ratios)]
     mono = bool(np.all(np.diff(ratios) > 0)) and bool(np.all(ratios <= 2.0))
-    out.append(Check("pointwise ratios increase toward 2 from below", mono,
-                     f"last={ratios[-1]:.4f}", "increasing, <= 2"))
-    out.append(Check("local slope approaches 2",
-                     est.codim_local >= 1.85 and est.codim_local <= 2.0,
-                     f"{est.codim_local:.4f}", "in [1.85, 2]"))
-    return out
+    return [Check("pointwise ratios increase toward 2 from below", mono,
+                  f"last={ratios[-1]:.4f}", "increasing, <= 2"),
+            Check("local slope approaches 2",
+                  est.codim_local >= 1.85 and est.codim_local <= 2.0,
+                  f"{est.codim_local:.4f}", "in [1.85, 2]")]
 
 
-def _check_ex56(fam, rep, bud):
-    alpha = fam.params["alpha"]
-    case = fam.params["case"]
-    target = 2.0 - 1.0 / alpha
-    expect = {"polarity": "polar", "markov_unique": "yes",
-              "boundary_regime": "zero"} if case == 1 else \
-             {"polarity": "non-polar", "markov_unique": "no",
-              "boundary_regime": "positive-finite"}
-    out = _verdict_checks(rep, expect)
-    out += _codim_claim(rep, target, 0.05)
-    return out
-
-
-def _check_codim3(fam, rep, bud):
-    out = _verdict_checks(rep, {
-        "polarity": "polar", "markov_unique": "yes",
-        "boundary_regime": "zero"})
-    out.append(Check("local slope = 3",
-                     rep.codim is not None and
-                     abs(rep.codim.codim_local - 3.0) <= 1e-9,
-                     f"{rep.codim.codim_local:.9f}" if rep.codim else "missing",
-                     "3 +- 1e-9"))
+def _codim3_claims(fam, rep, bud):
     pt = codim_polarity_test(fam, depth=min(30, bud.codim_depth + 14))
-    ok = pt.fires and all(e.within_bound for e in pt.entries)
-    out.append(Check("cutoff sequence under theorem bound, below 1e-3",
-                     ok, f"final={pt.final_value:.3e}, "
-                         f"bounds={'ok' if all(e.within_bound for e in pt.entries) else 'violated'}",
-                     "decreasing below 1e-3 within bounds"))
-    return out
+    bounds_ok = all(e.within_bound for e in pt.entries)
+    return [Check("local slope = 3",
+                  rep.codim is not None and
+                  abs(rep.codim.codim_local - 3.0) <= 1e-9,
+                  f"{rep.codim.codim_local:.9f}" if rep.codim else "missing",
+                  "3 +- 1e-9"),
+            Check("cutoff sequence under theorem bound, below 1e-3",
+                  pt.fires and bounds_ok,
+                  f"final={pt.final_value:.3e}, "
+                  f"bounds={'ok' if bounds_ok else 'violated'}",
+                  "decreasing below 1e-3 within bounds")]
 
 
 def _star_metric(fam, window):
-    g = fam.truncate(window)
-    return g, PathMetric(lengths_for(g, "canonical", fam))
+    return PathMetric(lengths_for(fam.truncate(window), "canonical", fam))
 
 
-def _check_a51(fam, rep, bud):
-    out = [Check("completeness verdict inapplicable",
-                 rep.completeness.startswith("inapplicable"),
-                 rep.completeness, "inapplicable*")]
+def _a51_claims(fam, rep, bud):
     sizes = []
     ok_d = True
     for win in (8, 16, 32):
-        g, m = _star_metric(fam, win)
+        m = _star_metric(fam, win)
         ok_d = ok_d and all(m.distance(0, 2 * n) == 1.0
                             for n in range(1, win + 1))
         sizes.append(len(m.ball(0, 1.0)))
-    out.append(Check("d(hub, ray tip) == 1 exactly", ok_d, str(ok_d), "True"))
-    out.append(Check("B_1(hub) = window + 1, growing",
-                     sizes == [9, 17, 33], str(sizes), "[9, 17, 33]"))
-    return out
+    return [Check("d(hub, ray tip) == 1 exactly", ok_d, str(ok_d), "True"),
+            Check("B_1(hub) = window + 1, growing",
+                  sizes == [9, 17, 33], str(sizes), "[9, 17, 33]")]
 
 
-def _check_a53(fam, rep, bud):
-    out = [Check("completeness verdict inapplicable",
-                 rep.completeness.startswith("inapplicable"),
-                 rep.completeness, "inapplicable*")]
-    ds = []
-    for win in (8, 16, 32):
-        g, m = _star_metric(fam, win)
-        ds.append(m.distance(0, fam.extra_id(win)))
-    ok = all(d <= 2.0 * 2.0 ** -w * 1.0001 for d, w in zip(ds, (8, 16, 32)))
-    out.append(Check("d(hub, extra) <= 2^(1-window) -> 0",
-                     ok and ds[2] < ds[1] < ds[0],
-                     f"{ds[0]:.3e}, {ds[1]:.3e}, {ds[2]:.3e}",
-                     "decreasing, <= 2*2^-window"))
-    return out
+def _a53_claims(fam, rep, bud):
+    wins = (8, 16, 32)
+    ds = [_star_metric(fam, w).distance(0, fam.extra_id(w)) for w in wins]
+    ok = all(d <= 2.0 * 2.0 ** -w * 1.0001 for d, w in zip(ds, wins))
+    return [Check("d(hub, extra) <= 2^(1-window) -> 0",
+                  ok and ds[2] < ds[1] < ds[0],
+                  f"{ds[0]:.3e}, {ds[1]:.3e}, {ds[2]:.3e}",
+                  "decreasing, <= 2*2^-window")]
 
 
-def _check_a54(fam, rep, bud):
-    out = [Check("completeness verdict inapplicable",
-                 rep.completeness.startswith("inapplicable"),
-                 rep.completeness, "inapplicable*")]
-    g, m = _star_metric(fam, 40)
-    d_far = m.distance(0, 80)   # tip of ray 40
-    out.append(Check("d(hub, tip of ray n) ~ 2^(-n/2) -> 0",
-                     d_far <= 2.0 ** -20 * 1.0001, f"{d_far:.3e}",
-                     "<= 2^-20"))
-    sizes = [len(_star_metric(fam, win)[1].ball(0, 0.25)) for win in (8, 16, 32)]
-    out.append(Check("B_1/4(hub) grows with the window",
-                     sizes[0] < sizes[1] < sizes[2], str(sizes),
-                     "strictly increasing"))
-    return out
+def _a54_claims(fam, rep, bud):
+    d_far = _star_metric(fam, 40).distance(0, 80)   # tip of ray 40
+    sizes = [len(_star_metric(fam, win).ball(0, 0.25)) for win in (8, 16, 32)]
+    return [Check("d(hub, tip of ray n) ~ 2^(-n/2) -> 0",
+                  d_far <= 2.0 ** -20 * 1.0001, f"{d_far:.3e}", "<= 2^-20"),
+            Check("B_1/4(hub) grows with the window",
+                  sizes[0] < sizes[1] < sizes[2], str(sizes),
+                  "strictly increasing")]
 
+
+_POLAR = {"polarity": "polar", "markov_unique": "yes",
+          "boundary_regime": "zero"}
+_NON_POLAR = {"polarity": "non-polar", "markov_unique": "no",
+              "boundary_regime": "positive-finite"}
+# the codim target of every ex5.6 run is its family's closed form 2 - 1/alpha
+_EX56_POLAR = Golden(_POLAR, (_codim_claim,))
+_EX56_NON_POLAR = Golden(_NON_POLAR, (_codim_claim,))
 
 GOLDEN_RUNS = [
-    ("ex5.1", "ex5.1", {}, _check_ex51),
-    ("ex5.2", "ex5.2", {}, _check_ex52),
-    ("ex5.3a", "ex5.3a", {}, _check_ex53a),
-    ("ex5.3", "ex5.3", {}, _check_ex53),
-    ("ex5.4", "ex5.4", {}, _check_ex54),
-    ("ex5.5", "ex5.5", {}, _check_ex55),
-    ("ex5.6-a0.75-case1", "ex5.6", {"alpha": 0.75, "case": 1}, _check_ex56),
-    ("ex5.6-a1-case1", "ex5.6", {"alpha": 1.0, "case": 1}, _check_ex56),
-    ("ex5.6-a1-case2", "ex5.6", {"alpha": 1.0, "case": 2}, _check_ex56),
-    ("ex5.6-a2-case1", "ex5.6", {"alpha": 2.0, "case": 1}, _check_ex56),
-    ("ex5.6-a2-case2", "ex5.6", {"alpha": 2.0, "case": 2}, _check_ex56),
-    ("codim3", "codim3", {}, _check_codim3),
-    ("a5.1", "a5.1", {}, _check_a51),
-    ("a5.3", "a5.3", {}, _check_a53),
-    ("a5.4", "a5.4", {}, _check_a54),
+    ("ex5.1", "ex5.1", {}, Golden(
+        {"completeness": "incomplete-evidence", "polarity": "polar",
+         "markov_unique": "yes", "esa": "no", "boundary_regime": "zero"},
+        (_ex51_claims,))),
+    ("ex5.2", "ex5.2", {}, Golden(
+        {"completeness": "incomplete-evidence",
+         "boundary_regime": "infinite", "markov_unique": "yes",
+         "esa": "yes*"}, (_ex52_claims,))),
+    ("ex5.3a", "ex5.3a", {}, Golden(
+        {"boundary_regime": "positive-finite", "polarity": "non-polar",
+         "markov_unique": "no", "esa": "no"}, (_ex53a_claims,))),
+    ("ex5.3", "ex5.3", {}, Golden(
+        {"boundary_regime": "infinite", "markov_unique": "no"},
+        (_ex53_claims,))),
+    ("ex5.4", "ex5.4", {}, Golden(
+        {"completeness": "incomplete-evidence", **_POLAR}, (_ex54_claims,))),
+    ("ex5.5", "ex5.5", {}, Golden(
+        {"boundary_regime": "positive-finite", "polarity": "non-polar",
+         "markov_unique": "no"}, (_ex55_claims,))),
+    ("ex5.6-a0.75-case1", "ex5.6", {"alpha": 0.75, "case": 1}, _EX56_POLAR),
+    ("ex5.6-a1-case1", "ex5.6", {"alpha": 1.0, "case": 1}, _EX56_POLAR),
+    ("ex5.6-a1-case2", "ex5.6", {"alpha": 1.0, "case": 2}, _EX56_NON_POLAR),
+    ("ex5.6-a2-case1", "ex5.6", {"alpha": 2.0, "case": 1}, _EX56_POLAR),
+    ("ex5.6-a2-case2", "ex5.6", {"alpha": 2.0, "case": 2}, _EX56_NON_POLAR),
+    ("codim3", "codim3", {}, Golden(_POLAR, (_codim3_claims,))),
+    ("a5.1", "a5.1", {}, Golden({}, (_inapplicable_claim, _a51_claims))),
+    ("a5.3", "a5.3", {}, Golden({}, (_inapplicable_claim, _a53_claims))),
+    ("a5.4", "a5.4", {}, Golden({}, (_inapplicable_claim, _a54_claims))),
 ]
 
 

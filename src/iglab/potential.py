@@ -46,6 +46,9 @@ POLAR_THRESHOLD = 1e-3
 POLAR_SLOPE = -0.2
 PLATEAU_CHANGE = 1e-4
 POSITIVE_FLOOR = 1e-2
+# boundary_capacity's outer windows stop at this multiple of the largest
+# solver tail (each tail N starts at outer window 4N)
+OUTER_PER_TAIL = 16
 
 
 @dataclass
@@ -234,15 +237,14 @@ def _ramp_upper(end, N: int) -> float:
 
 
 def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
-                      outer_cap: int = 4096,
                       analytic_tail_max: int = 1 << 22) -> CapacityReport:
     """Tail-capacity sequences for every end, with regime verdicts.
 
     Per end: solver values Cap_M(tail_N) on outer windows M >= 4N (M
-    doubles until the value moves by < 1e-6 relatively or the family's
-    float range caps the window), bracketed above by mu_tail(M); plus
-    analytic ramp bounds extending the tail grid beyond any buildable
-    window. A ramp bound skips the measure rule when its certified mass
+    doubles until the value moves by < 1e-6 relatively, or until it would
+    pass OUTER_PER_TAIL * solver_tail_max or the family's float range),
+    bracketed above by mu_tail(M); plus analytic ramp bounds extending
+    the tail grid beyond any buildable window. A ramp bound skips the measure rule when its certified mass
     bound mu_tail(N/2 + 1) cannot change it in floating point. The ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
@@ -273,7 +275,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                                       "integrable, every tail has infinite "
                                       "capacity"}))
             continue
-        maxwin = fam.max_window(outer_cap)
+        maxwin = fam.max_window(OUTER_PER_TAIL * solver_tail_max)
         entries = []
         noise_note = None
         n_tail = 4
@@ -424,8 +426,7 @@ class CodimEstimate:
                 "closed_form": self.closed_form}
 
 
-def minkowski_samples(fam: GraphFamily, depth: int = 40,
-                      closed_form: float | None = None) -> CodimEstimate:
+def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     """Samples (r(x), mu(B_r(x))) along the single boundary end.
 
     B_r(boundary) for r = r(x) is exactly the tail from x (boundary
@@ -461,10 +462,9 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40,
     codim = float(np.max(deep_ratios)) if deep_ratios.size else math.nan
     lq = last_quartile(len(local))
     codim_local = float(np.median(local[lq]))
-    if closed_form is None:
-        closed_form = getattr(fam, "codim_closed_form", None)
     return CodimEstimate(xs, r, rb, mb, mbb, ratios, local, fit,
-                         codim, codim_local, exact, closed_form)
+                         codim, codim_local, exact,
+                         getattr(fam, "codim_closed_form", None))
 
 
 # -- cutoff polarity test ----------------------------------------------------

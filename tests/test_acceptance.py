@@ -25,8 +25,7 @@ from iglab.metrics import (PathMetric, sigma0, sigma1,
 from iglab.potential import (boundary_capacity, codim_polarity_test,
                              equilibrium, minkowski_samples)
 
-STANDARD_CAP = dict(solver_tail_max=128, outer_cap=2048,
-                    analytic_tail_max=1 << 22)
+STANDARD_CAP = dict(solver_tail_max=128, analytic_tail_max=1 << 22)
 
 for _num in range(1, 12):
     ACCEPTANCE_RESULTS.setdefault(_num, (False, "did not run"))

@@ -1,38 +1,68 @@
-"""The quick-budget gallery classifications, pinned by their sha256.
+"""The gallery's classifications and golden checks, pinned by their sha256.
 
 tests/data/gallery_quick_sha256.json maps every golden run label to the
 sha256 of json.dumps(classification, sort_keys=True) at budget "quick".
+tests/data/gallery_checks_sha256.json maps every label to the sha256 of
+json.dumps(checks, sort_keys=True) at budgets "quick" and "standard".
 A change meant to keep behaviour keeps every digest. A change that alters
-classifications on purpose regenerates the file, from the repository
-root, with
+classifications or checks on purpose regenerates both files, from the
+repository root, with
 
-    PYTHONPATH=src python tests/test_behaviour_digest.py > tests/data/gallery_quick_sha256.json
+    PYTHONPATH=src python tests/test_behaviour_digest.py
 
 and says in its description which runs changed and why.
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
 
 from iglab.gallery import run_gallery
 
-DATA = Path(__file__).parent / "data" / "gallery_quick_sha256.json"
+DATA = Path(__file__).parent / "data"
+QUICK = DATA / "gallery_quick_sha256.json"
+CHECKS = DATA / "gallery_checks_sha256.json"
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@functools.cache
+def _records(budget: str) -> tuple:
+    return tuple(run_gallery(budget=budget).records)
 
 
 def quick_digests() -> dict:
-    return {rec.label: hashlib.sha256(json.dumps(
-                rec.classification, sort_keys=True).encode()).hexdigest()
-            for rec in run_gallery(budget="quick").records}
+    return {rec.label: _sha256(rec.classification)
+            for rec in _records("quick")}
+
+
+def checks_digests() -> dict:
+    out = {}
+    for budget in ("quick", "standard"):
+        for rec in _records(budget):
+            out.setdefault(rec.label, {})[budget] = _sha256(rec.checks)
+    return out
+
+
+def _changed(got: dict, want: dict) -> list:
+    assert sorted(got) == sorted(want)
+    return sorted(label for label in want if got[label] != want[label])
 
 
 def test_quick_gallery_classifications_unchanged():
-    want = json.loads(DATA.read_text())
-    got = quick_digests()
-    assert sorted(got) == sorted(want)
-    changed = sorted(label for label in want if got[label] != want[label])
+    changed = _changed(quick_digests(), json.loads(QUICK.read_text()))
     assert not changed, f"classification changed for {changed}"
 
 
+def test_gallery_checks_unchanged():
+    changed = _changed(checks_digests(), json.loads(CHECKS.read_text()))
+    assert not changed, f"golden checks changed for {changed}"
+
+
 if __name__ == "__main__":
-    print(json.dumps(quick_digests(), indent=1, sort_keys=True))
+    for path, digests in ((QUICK, quick_digests()),
+                          (CHECKS, checks_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

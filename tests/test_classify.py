@@ -1,15 +1,21 @@
+import importlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from iglab import completeness
 from iglab.classify import (BUDGETS, Budget, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
-from iglab.completeness import hopf_rinow_report
+from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
 from iglab.errors import InputError
-from iglab.gallery import build_family
+from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import RayFamily
+
+# the package re-exports the classify function under the module's name
+classify_module = importlib.import_module("iglab.classify")
 
 
 def unit_ray():
@@ -23,7 +29,7 @@ def unit_ray():
 def test_resolve_budget():
     assert resolve_budget("quick").name == "quick"
     assert resolve_budget("standard").codim_depth == 40
-    custom = Budget("tiny", 8, 4, 16, 64, 10, 6, 8)
+    custom = Budget("tiny", 8, 4, 64, 10, 6)
     assert resolve_budget(custom) is custom
     with pytest.raises(InputError):
         resolve_budget("huge")
@@ -32,7 +38,6 @@ def test_resolve_budget():
 def test_budget_table_is_sane():
     for name, b in BUDGETS.items():
         assert b.name == name
-        assert b.solver_tail_max < b.outer_cap
         assert b.analytic_tail_max >= b.solver_tail_max
 
 
@@ -136,18 +141,46 @@ def test_deg_ball_star_grows():
     assert not rep.stable[max(rep.radii)]
 
 
-@pytest.mark.parametrize("name", ["ex5.3a", "ex5.1", "a5.1"])
-def test_deg_ball_and_hopf_share_the_ball_scan(name):
-    # the deg-ball windows are a prefix of the hopf windows, its radii
-    # ecc*j/4 are the even hopf radii ecc*2j/8, and both count the same balls
-    fam = build_family(name)
-    bud = BUDGETS["standard"]
-    hopf = hopf_rinow_report(fam, n_max=bud.hopf_n_max)
-    deg = deg_ball_boundedness(fam, n_max=bud.degball_n_max)
-    assert hopf.windows[:len(deg.windows)] == deg.windows
-    assert deg.radii == hopf.radii[1::2]
-    for r in deg.radii:
-        assert deg.ball_sizes[r] == hopf.ball_sizes[r][:len(deg.windows)]
+@pytest.mark.parametrize("label", [run[0] for run in GOLDEN_RUNS])
+def test_deg_ball_and_hopf_share_the_ball_scan(label, monkeypatch):
+    # classify runs one ball scan, at hopf_n_max, and reads from it the
+    # same Hopf-Rinow and deg-ball tables that each report builds alone,
+    # at the quick and the standard budget
+    _, name, params, _ = next(run for run in GOLDEN_RUNS if run[0] == label)
+    scans, hopfs = [], []
+
+    def counted_scan(*args):
+        scans.append(args)
+        return _ball_scan(*args)
+
+    def kept_hopf(*args):
+        hopfs.append(_hopf_rinow(*args))
+        return hopfs[-1]
+
+    for mod in (classify_module, completeness):
+        monkeypatch.setattr(mod, "_ball_scan", counted_scan)
+    monkeypatch.setattr(classify_module, "_hopf_rinow", kept_hopf)
+    for budget in ("quick", "standard"):
+        n_max = BUDGETS[budget].hopf_n_max
+        fam = build_family(name, params)
+        scans.clear()
+        hopfs.clear()
+        rep = classify(fam, budget=budget)
+        assert len(scans) == 1
+        assert _canonical(rep.deg_ball.to_dict()) == _canonical(
+            deg_ball_boundedness(fam, n_max=n_max).to_dict())
+        assert _canonical(hopfs[0].to_dict()) == _canonical(
+            hopf_rinow_report(fam, n_max=n_max).to_dict())
+        assert hopfs[0].verdict == rep.completeness
+        # the deg-ball radii, the even eighths of the eccentricity, are
+        # bit-equal to its quarters, and both tables count the same balls
+        hopf, deg = hopfs[0], rep.deg_ball
+        assert deg.radii == [hopf.radii[-1] * j / 4 for j in range(1, 5)]
+        assert all(deg.ball_sizes[r] == hopf.ball_sizes[r] for r in deg.radii)
+
+
+def _canonical(d):
+    return json.dumps(d, sort_keys=True)
 
 
 @pytest.mark.parametrize("name, params", [

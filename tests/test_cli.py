@@ -70,7 +70,7 @@ def test_forms_check(capsys):
 
 def test_cap_boundary_csv(capsys):
     code, out, _ = run(capsys, "cap", "boundary", "--family", "ex5.3a",
-                       "--tails", "16", "--outer", "256", "--format", "csv")
+                       "--tails", "16", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:3] == ["end", "tail", "cap"]

@@ -13,8 +13,7 @@ from iglab.potential import (_ramp_upper, boundary_alternative_evidence,
 
 from conftest import lstsq_capacity, make_random_graph
 
-STANDARD = dict(solver_tail_max=128, outer_cap=2048,
-                analytic_tail_max=1 << 22)
+STANDARD = dict(solver_tail_max=128, analytic_tail_max=1 << 22)
 
 
 def path_graph(n, w=1.0, mu=1.0):
@@ -209,8 +208,7 @@ def test_ramp_bound_matches_explicit_cutoff():
     # closed-form energy/mass agree with the graph computation
     fam = build_family("ex5.3a")
     (end,) = fam.ends()
-    rep = boundary_capacity(fam, solver_tail_max=16,
-                            outer_cap=256, analytic_tail_max=16)
+    rep = boundary_capacity(fam, solver_tail_max=16, analytic_tail_max=16)
     (seq,) = rep.per_end
     entry = [e for e in seq.entries if e.tail_start == 16][0]
     n = 16
