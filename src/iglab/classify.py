@@ -314,16 +314,8 @@ class ClassificationReport:
         }
 
 
-def _mu_total_finite(fam) -> bool | None:
-    tot = 0.0
-    for end in fam.ends():
-        t = end.total_measure()
-        if t is None:
-            return None
-        if math.isinf(t):
-            return False
-        tot += t
-    return True
+def _mu_total_finite(fam) -> bool:
+    return not any(math.isinf(end.total_measure()) for end in fam.ends())
 
 
 def classify(fam: GraphFamily, sigma="canonical",

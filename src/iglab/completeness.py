@@ -98,11 +98,10 @@ def find_geodesic(metric: PathMetric, origin: int, n: int) -> Geodesic:
 
 def _prefixes_realize_distance(metric, path) -> bool:
     """Whether every prefix of path is as long as the path distance from
-    path[0] to its last vertex. The test is relative only, as in
-    _lex_min_path: lengths can lie far below any absolute floor, and a
-    floor would pass every prefix there."""
+    path[0] to its last vertex (metrics.close: relative only, since
+    lengths can lie far below any absolute floor)."""
     return all(close(_restricted_prefix_len(metric, path, k),
-                     metric.distance(path[0], path[k]), floor=0.0)
+                     metric.distance(path[0], path[k]))
                for k in range(1, len(path)))
 
 
@@ -116,8 +115,8 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
 
     A vertex v lies on some shortest path iff d(o,v) + d(v,z) = d(o,z);
     greedily extending by the smallest feasible neighbor stays shortest.
-    Both tests are relative only: distances can be far below any absolute
-    floor, and a floor would let a step back pass as shortest.
+    Both tests are relative only (metrics.close): with an absolute floor
+    above the distances, a step back would pass as shortest.
     """
     g = metric.graph
     total = dist_o[z]
@@ -130,8 +129,8 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
                            metric.entry_lengths[row].tolist()):
             if not inside[y]:
                 continue
-            if close(dist_o[cur] + step, dist_o[y], floor=0.0) and \
-               close(dist_o[y] + dist_z[y], total, floor=0.0):
+            if close(dist_o[cur] + step, dist_o[y]) and \
+               close(dist_o[y] + dist_z[y], total):
                 choices.append(y)
         cur = min(choices)
         path.append(cur)
@@ -141,7 +140,7 @@ def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):
 @dataclass
 class HopfRinowReport:
     family: str
-    sigma_kind: str
+    sigma: str
     windows: list
     radii: list
     ball_sizes: dict        # radius -> list of |B_r(x0)| per window
@@ -151,7 +150,7 @@ class HopfRinowReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {"family": self.family, "sigma": self.sigma_kind,
+        return {"family": self.family, "sigma": self.sigma,
                 "windows": self.windows, "radii": self.radii,
                 "ball_sizes": {f"{r:.6g}": s for r, s in self.ball_sizes.items()},
                 "stabilized": {f"{r:.6g}": v for r, v in self.stabilized.items()},
@@ -190,9 +189,10 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     for win in windows:
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, sigma, fam))
-        d = metric.distances_from(fam.model_to_id(0, win))
+        origin = fam.model_to_id(0, win)
+        d = metric.distances_from(origin)
         if scan is None:
-            ecc = float(np.max(d[np.isfinite(d)]))
+            ecc = metric.eccentricity(origin)
             scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
         scan.windows.append(win)
         deg = g.degrees()

@@ -1,6 +1,7 @@
 """Family catalog, golden-claim checks, and reproducible gallery runs.
 
-Registered families (keyed as in the CLI):
+REGISTRY maps each family name, as the CLI takes it, to its builder, a
+function params -> family:
 
   ex5.1   line, w == 1, mu(x) = 2^-|x| (1+x^2)^-p (default p=4): polar
           two-point boundary, harmonic witness refutes ESA, Markov unique
@@ -21,7 +22,8 @@ Registered families (keyed as in the CLI):
   a5.1    star of 2-edge rays: complete in sigma_0 yet B_1(hub) grows
   a5.3    star with an extra point joined like the hub: d(hub, extra) -> 0
   a5.4    star with heavy inner edges: two-point distances shrink to 0
-  a5.2, a5.5 are registered but unsupported (they need an end-space model).
+  a5.2, a5.5 are registered, but their builders raise
+          UnsupportedFamilyError (they need an end-space model).
 
 GOLDEN_RUNS lists (label, family, params, checker) per golden run. Each
 checker is a Golden record: the expected verdicts as a dict, then the
@@ -50,6 +52,7 @@ from .errors import InputError, NumericalError, UnsupportedFamilyError
 from .graphs import End, GraphFamily, LineFamily, RayFamily, WeightedGraph
 from .metrics import sigma0
 from .potential import codim_polarity_test
+from .series import bounded_tail, geometric_tail
 
 SCHEMA_VERSION = 2
 
@@ -78,7 +81,9 @@ def _build_ex51(params):
             np.minimum(np.sqrt(mu_of(a) / 2.0), np.sqrt(mu_of(a + 1.0) / 2.0)),
             1.0)
 
-    side = End(_ones, mu_of, sig, sigma_ratio=2.0 ** -0.5, mu_ratio=0.5)
+    side = End(_ones, mu_of, sig,
+               sigma_tail_fn=lambda k: geometric_tail(sig, k, 2.0 ** -0.5),
+               mu_tail_fn=lambda k: geometric_tail(mu_of, k, 0.5))
     return LineFamily("ex5.1", side, side, params={"p": p})
 
 
@@ -96,7 +101,8 @@ def _build_ex52(params):
         return ((x + 1.0) ** 4 + (x + 2.0) ** 4) ** -0.5
 
     return RayFamily("ex5.2", w_fn, _ones, sigma_fn=sigma_fn,
-                     sigma_rem_fn=lambda d: 2.0 ** -0.5 / max(d, 1),
+                     sigma_tail_fn=lambda k: bounded_tail(
+                         sigma_fn, k, lambda d: 2.0 ** -0.5 / max(d, 1)),
                      mu_total=math.inf)
 
 
@@ -110,7 +116,7 @@ def _build_ex53a(params):
         sigma_fn=lambda x: inv_sqrt6 * 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: inv_sqrt6 * 2.0 ** (1 - k),
         mu_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_total=2.0, res_upper=1.0, window_cap=1000)
+        res_upper=1.0, window_cap=1000)
 
 
 def _build_ex53(params):
@@ -128,8 +134,7 @@ def _build_ex54(params):
         mu_fn=lambda x: 4.0 ** -np.asarray(x, dtype=float),
         sigma_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_tail_fn=lambda k: (4.0 / 3.0) * 4.0 ** -k,
-        mu_total=4.0 / 3.0, window_cap=520)
+        mu_tail_fn=lambda k: (4.0 / 3.0) * 4.0 ** -k, window_cap=520)
     fam.codim_closed_form = 2.0
     return fam
 
@@ -148,10 +153,8 @@ def _build_ex55(params):
         mu_fn=lambda x: ((np.asarray(x, dtype=float) + 1.0) ** 2
                          * 4.0 ** -np.asarray(x, dtype=float)),
         sigma_fn=lambda x: 2.0 ** -(np.asarray(x, dtype=float) + 2.0),
-        sigma_kind="declared",
         sigma_tail_fn=lambda k: 2.0 ** -(k + 1.0),
         mu_tail_fn=mu_tail,
-        mu_total=80.0 / 27.0,
         res_upper=math.pi ** 2 / 6.0 - 1.0 + 1e-12,
         window_cap=520)
     fam.codim_closed_form = 2.0
@@ -177,20 +180,17 @@ def _build_ex56(params):
         def w_fn(x):
             return 2.0 ** np.asarray(x, dtype=float)
         res_upper = 1.0        # sum_{k>=1} 2^-k
+    mu_tail_fn = None          # beta <= 0: infinite measure
     if beta > 0:
         mu_tail_fn = lambda k: 2.0 ** (-beta * k) / (1.0 - 2.0 ** -beta)
-        mu_total = mu_tail_fn(0)
-    else:
-        mu_tail_fn, mu_total = None, math.inf
     fam = RayFamily(
         f"ex5.6", w_fn,
         mu_fn=lambda x: 2.0 ** (-beta * np.asarray(x, dtype=float)),
         params={"alpha": alpha, "case": case},
         sigma_fn=lambda x: 2.0 ** (-alpha * (np.asarray(x, dtype=float) + 1.0)),
-        sigma_kind="declared",
         sigma_tail_fn=lambda k: 2.0 ** (-alpha * k) / (2.0 ** alpha - 1.0),
-        mu_tail_fn=mu_tail_fn, mu_total=mu_total, res_upper=res_upper,
-        window_cap=2000)
+        mu_tail_fn=mu_tail_fn, mu_total=None if beta > 0 else math.inf,
+        res_upper=res_upper, window_cap=2000)
     fam.codim_closed_form = 2.0 - 1.0 / alpha
     return fam
 
@@ -202,10 +202,8 @@ def _build_codim3(params):
         w_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float) / 16.0,
         mu_fn=lambda x: 8.0 ** -np.asarray(x, dtype=float),
         sigma_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
-        sigma_kind="declared",
         sigma_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k,
-        mu_total=8.0 / 7.0, window_cap=340)
+        mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k, window_cap=340)
     fam.codim_closed_form = 3.0
     return fam
 
@@ -304,52 +302,31 @@ def _build_unsupported(which):
     return build
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    summary: str
-    build: object
-    supported: bool = True
-
-
 REGISTRY = {
-    "ex5.1": FamilySpec("ex5.1", "line, unit weights, rapidly decaying "
-                        "measure; polar boundary", _build_ex51),
-    "ex5.2": FamilySpec("ex5.2", "ray, infinite measure, quartic weights; "
-                        "essentially self-adjoint", _build_ex52),
-    "ex5.3a": FamilySpec("ex5.3a", "ray, geometric measure and weights; "
-                         "capacity in (0, inf)", _build_ex53a),
-    "ex5.3": FamilySpec("ex5.3", "line glued from ex5.2 and ex5.3a",
-                        _build_ex53),
-    "ex5.4": FamilySpec("ex5.4", "dyadic ray: r(x) = 2^(1-x), "
-                        "mu(B_r) = r^2/3, codim 2, polar", _build_ex54),
-    "ex5.5": FamilySpec("ex5.5", "quadratically weighted ray, codim 2 from "
-                        "below, non-polar", _build_ex55),
-    "ex5.6": FamilySpec("ex5.6", "alpha-parametrized ray, codim 2 - 1/alpha; "
-                        "case 1 polar, case 2 non-polar", _build_ex56),
-    "codim3": FamilySpec("codim3", "ray with boundary codimension 3; cutoff "
-                         "sequence certifies polarity", _build_codim3),
-    "a5.1": FamilySpec("a5.1", "star with 2-edge rays: complete but B_1(hub) "
-                       "grows without bound", _build_a51),
-    "a5.3": FamilySpec("a5.3", "star plus an extra hub-like vertex at "
-                       "sigma_0-distance 0 from the hub", _build_a53),
-    "a5.4": FamilySpec("a5.4", "star with heavy inner edges: pairs at "
-                       "vanishing distance", _build_a54),
-    "a5.2": FamilySpec("a5.2", "unsupported (needs an end-space model)",
-                       _build_unsupported("a5.2"), supported=False),
-    "a5.5": FamilySpec("a5.5", "unsupported (needs an end-space model)",
-                       _build_unsupported("a5.5"), supported=False),
+    "ex5.1": _build_ex51,
+    "ex5.2": _build_ex52,
+    "ex5.3a": _build_ex53a,
+    "ex5.3": _build_ex53,
+    "ex5.4": _build_ex54,
+    "ex5.5": _build_ex55,
+    "ex5.6": _build_ex56,
+    "codim3": _build_codim3,
+    "a5.1": _build_a51,
+    "a5.3": _build_a53,
+    "a5.4": _build_a54,
+    "a5.2": _build_unsupported("a5.2"),
+    "a5.5": _build_unsupported("a5.5"),
 }
 
 
 def build_family(name: str, params: dict | None = None) -> GraphFamily:
     try:
-        spec = REGISTRY[name]
+        build = REGISTRY[name]
     except KeyError:
         raise InputError(
             f"unknown family {name!r} (known: {sorted(REGISTRY)})") from None
     try:
-        return spec.build(dict(params or {}))
+        return build(dict(params or {}))
     except InputError:
         raise
     except (TypeError, ValueError) as exc:

@@ -25,11 +25,12 @@ entries.
 
 An infinite ray or line is a root vertex plus one or two End records.
 An End holds the rules of one linear end (weight, measure and canonical
-edge length as functions of the outward index) and its certified tail
-data. The family realizes itself on finite windows via truncate().
-Truncations carry the frontier (vertices that lost edge mass to the cut)
-and the dropped mass per frontier vertex, which downstream modules use
-for leak bounds.
+edge length as functions of the outward index) and one tail rule per
+series, a closed form or a certified TailSum; its mu_total only marks
+infinite measure. The family realizes itself on finite windows via
+truncate(). Truncations carry the frontier (vertices that lost edge mass
+to the cut) and the dropped mass per frontier vertex, which downstream
+modules use for leak bounds.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import FamilyDefinitionError, InputError
-from .series import TailSum, bounded_tail, geometric_tail
+from .series import TailSum
 
 
 class WeightedGraph:
@@ -377,59 +378,46 @@ class End:
     w_fn(k) is the weight of the k-th edge outward (vertex k to k+1),
     mu_fn(k) the measure of the k-th vertex and sigma_fn(k) the canonical
     length of the k-th edge, all vectorized over numpy arrays; vertex 0 is
-    the root. The optional tail data certify sum_{j >= k} sigma(j) and
-    sum_{j >= k} mu(j), each by a closed form, a geometric ratio or a
-    remainder bound. mu_total is the declared total measure (inf for an
-    infinite end) and res_upper a certified upper bound on the tail
-    resistance sum_{k>=1} 1/w(k), or None when unknown or infinite.
-    label names the end in reports ('plus', or 'minus' for the left end
-    of a line). Ends compare by identity.
+    the root. One optional tail rule per series certifies sum_{j >= k}
+    sigma(j) (sigma_tail_fn) and sum_{j >= k} mu(j) (mu_tail_fn) as a float
+    (a closed form, exact) or a TailSum (e.g. series.geometric_tail).
+    mu_total = inf only marks an end of infinite measure, which has no
+    measure tail. res_upper is a certified upper bound on the tail
+    resistance sum_{k>=1} 1/w(k), or None. label names the end in reports
+    ('plus', or 'minus' for the left end of a line). Ends compare by
+    identity.
     """
 
     w_fn: Callable
     mu_fn: Callable
     sigma_fn: Callable
     sigma_tail_fn: Callable | None = None
-    sigma_ratio: float | None = None
-    sigma_rem_fn: Callable | None = None
     mu_tail_fn: Callable | None = None
-    mu_ratio: float | None = None
-    mu_rem_fn: Callable | None = None
     mu_total: float | None = None
     res_upper: float | None = None
     label: str = "plus"
 
     def sigma_tail(self, k: int) -> TailSum:
         """sum_{j >= k} sigma(j): remaining length beyond vertex k."""
-        if self.sigma_tail_fn is not None:
-            return TailSum(float(self.sigma_tail_fn(k)))
-        if self.sigma_ratio is not None:
-            return geometric_tail(self.sigma_fn, k, self.sigma_ratio)
-        if self.sigma_rem_fn is not None:
-            return bounded_tail(self.sigma_fn, k, self.sigma_rem_fn)
-        raise InputError(
-            f"end {self.label}: no tail data for the edge lengths")
+        if self.sigma_tail_fn is None:
+            raise InputError(
+                f"end {self.label}: no tail data for the edge lengths")
+        return _tail_sum(self.sigma_tail_fn(k))
 
     def mu_tail(self, k: int) -> TailSum:
         """sum_{j >= k} mu(j); raises if the measure tail is infinite."""
         if self.mu_is_infinite():
             raise InputError(f"end {self.label}: measure tail is infinite")
-        if self.mu_tail_fn is not None:
-            return TailSum(float(self.mu_tail_fn(k)))
-        if self.mu_ratio is not None:
-            return geometric_tail(self.mu_fn, k, self.mu_ratio)
-        if self.mu_rem_fn is not None:
-            return bounded_tail(self.mu_fn, k, self.mu_rem_fn)
-        raise InputError(f"end {self.label}: no tail data for the measure")
+        if self.mu_tail_fn is None:
+            raise InputError(f"end {self.label}: no tail data for the measure")
+        return _tail_sum(self.mu_tail_fn(k))
 
     def mu_is_infinite(self) -> bool:
         return self.mu_total is not None and math.isinf(self.mu_total)
 
-    def total_measure(self):
-        """The declared total measure, else the certified tail sum from 0."""
-        if self.mu_total is not None:
-            return self.mu_total
-        return self.mu_tail(0).value
+    def total_measure(self) -> float:
+        """inf if the measure is infinite, else the certified tail from 0."""
+        return math.inf if self.mu_is_infinite() else self.mu_tail(0).value
 
     def has_boundary_point(self) -> bool:
         """Finite remaining length <=> the end is a metric boundary point."""
@@ -437,6 +425,11 @@ class End:
             return math.isfinite(self.sigma_tail(0).upper)
         except InputError:
             return False
+
+
+def _tail_sum(t) -> TailSum:
+    """A tail rule's value as a TailSum; a float is an exact closed form."""
+    return t if isinstance(t, TailSum) else TailSum(float(t))
 
 
 def _probe_depth(ends, hi: int) -> int:
@@ -498,11 +491,9 @@ class LinearFamily(GraphFamily):
 
     _depth_offset = 0
 
-    def __init__(self, name, ends, params=None, sigma_kind="sigma0",
-                 window_cap=1 << 24):
+    def __init__(self, name, ends, params=None, window_cap=1 << 24):
         self.name = name
         self.params = dict(params or {})
-        self.sigma_kind = sigma_kind
         self._ends = tuple(ends)
         self._window_cap = window_cap
 
@@ -556,7 +547,7 @@ class LinearFamily(GraphFamily):
                               (self._ends[0], ~plus, -k - 1)):
             if sel.any():
                 lengths[sel] = end.sigma_fn(idx[sel])
-        return EdgeLengths(g, lengths, kind=self.sigma_kind)
+        return EdgeLengths(g, lengths, kind="canonical")
 
     def max_window(self, cap: int) -> int:
         """Largest window <= cap whose realization and canonical lengths
@@ -590,17 +581,17 @@ class RayFamily(LinearFamily):
     w_fn(x) is the weight of edge (x, x+1), mu_fn(x) the measure, both
     vectorized over numpy arrays. sigma_fn(x) is the canonical edge length
     of (x, x+1); by default the closed-form sigma_0 of the infinite ray.
-    The remaining keywords are the End's tail data. Window N realizes
+    The remaining keywords are the End's other fields. Window N realizes
     depth N-1: vertices 0..N-1 with the root at id 0.
     """
 
     _depth_offset = 1
 
     def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
-                 sigma_kind="sigma0", window_cap=1 << 24, **tail):
+                 window_cap=1 << 24, **tail):
         end = End(w_fn, mu_fn, sigma_fn or default_sigma0_rule(w_fn, mu_fn),
                   **tail)
-        super().__init__(name, (end,), params, sigma_kind, window_cap)
+        super().__init__(name, (end,), params, window_cap)
 
     def truncate(self, window: int) -> WeightedGraph:
         return self._realize(window)

@@ -45,18 +45,16 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import InputError
 from .graphs import WeightedGraph
 
-# Relative tolerance with an absolute floor, used whenever two metric
-# quantities are compared.
+# Relative tolerance, with no absolute floor, used whenever two metric
+# quantities are compared: distances can lie far below any fixed floor.
 REL_TOL = 1e-12
-ABS_FLOOR = 1e-15
 # Distance entries per Dijkstra block in PathMetric.edge_distances: the
 # block of source rows holds at most this many floats (32 MB).
 SOURCE_BLOCK_ENTRIES = 1 << 22
 
 
-def close(a: float, b: float, rel: float = REL_TOL,
-          floor: float = ABS_FLOOR) -> bool:
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
 
 
 class EdgeLengths:

@@ -148,7 +148,6 @@ class CapacityEntry:
     outer_capped: bool = False
     bracket_upper: float | None = None   # sqrt(cap^2 + mu_tail(outer))
     ramp_upper: float | None = None      # explicit admissible ramp
-    residual: float | None = None
 
     @property
     def certified_upper(self) -> float:
@@ -266,6 +265,9 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     ends = fam.ends()
     if not ends:
         raise InputError(f"{fam.describe()}: no ends, no boundary capacity")
+    # one float-range probe serves every end of finite measure
+    maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
+              if any(not end.mu_is_infinite() for end in ends) else None)
     sequences = []
     for end in ends:
         if end.mu_is_infinite():
@@ -275,7 +277,6 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                                       "integrable, every tail has infinite "
                                       "capacity"}))
             continue
-        maxwin = fam.max_window(OUTER_PER_TAIL * solver_tail_max)
         entries = []
         noise_note = None
         n_tail = 4
@@ -295,7 +296,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                 g = fam.truncate(m)
                 r = equilibrium(g, fam.tail_ids(end, n_tail, m))
                 entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
-                entry.outer_window, entry.residual = m, r.residual
+                entry.outer_window = m
                 stable = prev is not None and \
                     abs(r.cap - prev) <= 1e-6 * max(abs(r.cap), 1e-300)
                 prev = r.cap
@@ -380,8 +381,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
 
     regimes = {s.regime for s in sequences}
     if "positive-finite" in regimes:
-        boundary = "positive-finite" if regimes == {"positive-finite"} \
-            else "infinite" if "infinite" in regimes else "positive-finite"
+        boundary = "infinite" if "infinite" in regimes else "positive-finite"
         polarity = "non-polar"
     elif "infinite" in regimes:
         boundary = "infinite"
@@ -405,9 +405,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
 class CodimEstimate:
     xs: np.ndarray
     r: np.ndarray
-    r_bounds: np.ndarray
     mu_ball: np.ndarray
-    mu_bounds: np.ndarray
     ratios: np.ndarray          # ln mu(B_r) / ln r where r < 1
     local_slopes: np.ndarray    # two-point slopes between samples
     fit_slope: float
@@ -439,17 +437,10 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     if end.mu_is_infinite():
         raise InputError("measure of the space is infinite; mu(B_r) diverges")
     xs = np.arange(1, depth + 1)
-    r = np.empty(len(xs))
-    rb = np.empty(len(xs))
-    mb = np.empty(len(xs))
-    mbb = np.empty(len(xs))
-    exact = True
-    for i, x in enumerate(xs):
-        ts = end.sigma_tail(int(x))
-        tm = end.mu_tail(int(x))
-        r[i], rb[i] = ts.value, ts.bound
-        mb[i], mbb[i] = tm.value, tm.bound
-        exact = exact and ts.exact and tm.exact
+    tails = [(end.sigma_tail(int(x)), end.mu_tail(int(x))) for x in xs]
+    r = np.array([ts.value for ts, _ in tails])
+    mb = np.array([tm.value for _, tm in tails])
+    exact = all(ts.exact and tm.exact for ts, tm in tails)
     lr = np.log(r)
     lm = np.log(mb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,7 +453,7 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     codim = float(np.max(deep_ratios)) if deep_ratios.size else math.nan
     lq = last_quartile(len(local))
     codim_local = float(np.median(local[lq]))
-    return CodimEstimate(xs, r, rb, mb, mbb, ratios, local, fit,
+    return CodimEstimate(xs, r, mb, ratios, local, fit,
                          codim, codim_local, exact,
                          getattr(fam, "codim_closed_form", None))
 

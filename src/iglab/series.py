@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TINY = np.finfo(float).tiny     # the smallest normal float
+
 
 @dataclass(frozen=True)
 class TailSum:
@@ -39,24 +41,33 @@ def geometric_tail(term_fn, start: int, ratio_bound: float,
 
     ratio_bound must satisfy term(x+1) <= ratio_bound * term(x) for all
     x >= start with 0 < ratio_bound < 1; the remainder after the partial
-    sum is then bounded by last_term * r / (1 - r).
+    sum is then bounded by last_term * r / (1 - r). The sum stops at a
+    zero term, at the first remainder <= rel_tol * fsum(terms so far), or
+    after max_terms terms. The plain running sum of n nonnegative terms is
+    within n 2^-53 of the exact one, so fsum runs only where the remainder
+    is at most twice rel_tol times it, or where that product is subnormal
+    and loses the relative bound: elsewhere the fsum test cannot pass.
     """
     if not 0.0 < ratio_bound < 1.0:
         raise ValueError("ratio_bound must lie in (0, 1)")
     terms = []
+    running = 0.0
     x = start
     while True:
         t = float(term_fn(x))
         if t < 0:
             raise ValueError("geometric_tail expects nonnegative terms")
         terms.append(t)
+        running += t
         remainder = t * ratio_bound / (1.0 - ratio_bound)
-        partial = math.fsum(terms)
-        if remainder <= rel_tol * partial or t == 0.0:
-            return TailSum(partial, remainder, exact=False)
+        scale = rel_tol * running
+        if t == 0.0 or remainder <= 2.0 * scale or scale < TINY:
+            partial = math.fsum(terms)
+            if remainder <= rel_tol * partial or t == 0.0:
+                return TailSum(partial, remainder, exact=False)
         x += 1
         if x - start >= max_terms:
-            return TailSum(partial, remainder, exact=False)
+            return TailSum(math.fsum(terms), remainder, exact=False)
 
 
 def bounded_tail(term_fn, start: int, remainder_fn,
@@ -99,8 +110,6 @@ def loglog_slope(xs, ys) -> float:
 class SeriesVerdict:
     verdict: str            # "converged" | "diverged" | "inconclusive"
     partial: float          # last partial sum
-    term_slope: float       # log-log decay rate of the terms
-    plateaued: bool
 
     def __bool__(self) -> bool:  # truthy iff converged
         return self.verdict == "converged"
@@ -118,8 +127,7 @@ def series_verdict(terms) -> SeriesVerdict:
     xs = np.arange(1, t.size + 1)
     q = last_quartile(t.size)
     slope = loglog_slope(xs[q], np.abs(t[q]) + 0.0)
-    flat = plateau(partials)
-    if flat or (not math.isnan(slope) and slope < -1.1):
+    if plateau(partials) or (not math.isnan(slope) and slope < -1.1):
         v = "converged"
     elif not math.isnan(slope) and slope > -0.9:
         v = "diverged"
@@ -127,4 +135,4 @@ def series_verdict(terms) -> SeriesVerdict:
         v = "converged"  # terms identically zero in the tail
     else:
         v = "inconclusive"
-    return SeriesVerdict(v, float(partials[-1]), slope, flat)
+    return SeriesVerdict(v, float(partials[-1]))

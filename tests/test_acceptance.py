@@ -15,9 +15,9 @@ from conftest import (ACCEPTANCE_RESULTS, exhaustive_distances,
                       lstsq_capacity, make_random_graph, random_values)
 from iglab.classify import classify, harmonic_witness_check, lambda_solve
 from iglab.completeness import lengths_for
-from iglab.forms import (VertexFunction, caccioppoli_check, cutoff_eta,
-                         energy, gradient_sq, green_identity_check,
-                         leibniz_check)
+from iglab.forms import (VertexFunction, _gradient_sq_rows,
+                         caccioppoli_check, cutoff_eta, energy,
+                         green_identity_check, leibniz_check)
 from iglab.gallery import GOLDEN_RUNS, build_family, run_gallery
 from iglab.graphs import WeightedGraph
 from iglab.metrics import (PathMetric, sigma0, sigma1,
@@ -173,12 +173,13 @@ def test_criterion_07_intrinsic_certificates_and_cutoff_bound():
             R = r + rng.uniform(1e-3, 1.2 * ecc)
             eta = cutoff_eta(metric, x0, r, R)
             bound = 1.0 / (R - r) ** 2
+            grad = _gradient_sq_rows(eta)   # gradient_sq(eta, x) at every x
             for x in range(g.n):
                 # 1e-12 absolute for O(1) bounds, relative beyond: the
                 # bound is attained exactly at sigma_0-tight vertices,
                 # where rounding splits either way at ulp scale
                 mb = g.mu[x] * bound
-                if gradient_sq(eta, x) > mb + 1e-12 * max(1.0, mb):
+                if grad[x] > mb + 1e-12 * max(1.0, mb):
                     violations += 1
     ok = cert_ok and violations == 0
     record(7, ok, f"min certificate slack {min_slack:.1e} over 2000 "

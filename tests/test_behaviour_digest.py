@@ -1,11 +1,12 @@
 """The gallery's classifications and golden checks, pinned by their sha256.
 
-tests/data/gallery_quick_sha256.json maps every golden run label to the
-sha256 of json.dumps(classification, sort_keys=True) at budget "quick".
+tests/data/gallery_quick_sha256.json and gallery_standard_sha256.json map
+every golden run label to the sha256 of json.dumps(classification,
+sort_keys=True) at budgets "quick" and "standard".
 tests/data/gallery_checks_sha256.json maps every label to the sha256 of
 json.dumps(checks, sort_keys=True) at budgets "quick" and "standard".
 A change meant to keep behaviour keeps every digest. A change that alters
-classifications or checks on purpose regenerates both files, from the
+classifications or checks on purpose regenerates the three files, from the
 repository root, with
 
     PYTHONPATH=src python tests/test_behaviour_digest.py
@@ -22,6 +23,7 @@ from iglab.gallery import run_gallery
 
 DATA = Path(__file__).parent / "data"
 QUICK = DATA / "gallery_quick_sha256.json"
+STANDARD = DATA / "gallery_standard_sha256.json"
 CHECKS = DATA / "gallery_checks_sha256.json"
 
 
@@ -34,9 +36,9 @@ def _records(budget: str) -> tuple:
     return tuple(run_gallery(budget=budget).records)
 
 
-def quick_digests() -> dict:
+def classification_digests(budget: str) -> dict:
     return {rec.label: _sha256(rec.classification)
-            for rec in _records("quick")}
+            for rec in _records(budget)}
 
 
 def checks_digests() -> dict:
@@ -53,7 +55,14 @@ def _changed(got: dict, want: dict) -> list:
 
 
 def test_quick_gallery_classifications_unchanged():
-    changed = _changed(quick_digests(), json.loads(QUICK.read_text()))
+    changed = _changed(classification_digests("quick"),
+                       json.loads(QUICK.read_text()))
+    assert not changed, f"classification changed for {changed}"
+
+
+def test_standard_gallery_classifications_unchanged():
+    changed = _changed(classification_digests("standard"),
+                       json.loads(STANDARD.read_text()))
     assert not changed, f"classification changed for {changed}"
 
 
@@ -63,6 +72,7 @@ def test_gallery_checks_unchanged():
 
 
 if __name__ == "__main__":
-    for path, digests in ((QUICK, quick_digests()),
+    for path, digests in ((QUICK, classification_digests("quick")),
+                          (STANDARD, classification_digests("standard")),
                           (CHECKS, checks_digests())):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

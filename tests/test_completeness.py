@@ -132,15 +132,17 @@ g = fam.truncate(64)
 m = PathMetric(fam.canonical_lengths(g))
 geo = find_geodesic(m, 0, 1)
 nearest = min(m.distance(0, z) for z in g.neighbors(0))   # the hop-1 sphere
-print(json.dumps({"verified": geo.verified, "length": geo.length,
-                  "nearest": nearest}))
+print(json.dumps({"path": geo.vertices, "verified": geo.verified,
+                  "length": geo.length, "nearest": nearest}))
 """
 
 
 def test_geodesic_at_tiny_distances_terminates():
-    # a5.3 at window 64: hub distances ~2^-64, far below metrics.close's
-    # absolute floor; with that floor a step back passed as shortest and
-    # the walk cycled. Run in a child so a regression fails, not hangs.
+    # a5.3 at window 64: hub distances ~2^-64, far below the absolute
+    # floor of 1e-15 that metrics.close once had; with that floor a step
+    # back passed as shortest and the walk cycled, and every sphere vertex
+    # tied as an endpoint, so the path went to tip 100 (8.9e-16) instead
+    # of tip 128 (5.4e-20). Run in a child so a regression fails, not hangs.
     src = os.path.dirname(os.path.dirname(iglab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", A53_GEODESIC],
@@ -149,21 +151,24 @@ def test_geodesic_at_tiny_distances_terminates():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["verified"]
-    assert out["length"] == pytest.approx(out["nearest"], rel=1e-12)
+    assert out["path"] == [0, 128]
+    assert out["length"] == pytest.approx(out["nearest"], rel=1e-12, abs=0)
 
 
 def test_verified_flag_is_relative_at_tiny_scale():
-    # a5.3 at window 64: every length is below metrics.close's absolute
-    # floor of 1e-15, so with that floor any path passed as verified. The
-    # detour hub -> tip 126 -> extra -> tip 128 is twice as long as the
-    # direct edge to tip 128 yet within 1e-15 of it.
+    # a5.3 at window 64: every length is below an absolute floor of 1e-15,
+    # so a comparison with that floor (the old metrics.close) passed any
+    # path as verified. The detour hub -> tip 126 -> extra -> tip 128 is
+    # twice as long as the direct edge to tip 128 yet within 1e-15 of it.
     fam = build_family("a5.3")
     g = fam.truncate(64)
     m = PathMetric(fam.canonical_lengths(g))
     detour = [0, 126, fam.extra_id(64), 128]
     prefix = [_restricted_prefix_len(m, detour, k) for k in (1, 2, 3)]
     direct = [m.distance(0, v) for v in detour[1:]]
-    assert all(close(a, b) for a, b in zip(prefix, direct))   # the old test
+    assert all(abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 1e-15)
+               for a, b in zip(prefix, direct))                 # the old test
+    assert not all(close(a, b) for a, b in zip(prefix, direct))
     assert prefix[-1] > 2.0 * direct[-1]
     assert not _prefixes_realize_distance(m, detour)
     assert _prefixes_realize_distance(m, [0, 128, fam.extra_id(64)])
@@ -259,7 +264,7 @@ def test_boundary_distances_infinite_end_rejected():
         mu_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         sigma_fn=lambda x: np.full_like(np.asarray(x, dtype=float),
                                         2.0 ** -0.5),
-        sigma_rem_fn=lambda d: math.inf,
+        sigma_tail_fn=lambda k: math.inf,
         mu_total=math.inf)
     (end,) = fam.ends()
     assert not end.has_boundary_point()

@@ -213,8 +213,9 @@ def test_tail_ids():
         lf.tail_ids(end, 4, 6)
 
 
-LINEAR_FAMILIES = [name for name, spec in sorted(REGISTRY.items())
-                   if spec.supported and build_family(name).ends()]
+LINEAR_FAMILIES = [name for name in sorted(REGISTRY)
+                   if name not in ("a5.2", "a5.5")      # unsupported
+                   and build_family(name).ends()]
 
 
 @pytest.mark.parametrize("name", LINEAR_FAMILIES)
