@@ -175,7 +175,7 @@ class WitnessReport:
 
 def _coordinate(g) -> VertexFunction:
     """h(x) = x, the model coordinate of each vertex."""
-    return VertexFunction(g, [g.labels[i] for i in range(g.n)])
+    return VertexFunction(g, np.arange(g.n) - g.origin)
 
 
 def harmonic_witness_check(fam: GraphFamily,
@@ -314,10 +314,6 @@ class ClassificationReport:
         }
 
 
-def _mu_total_finite(fam) -> bool:
-    return not any(math.isinf(end.total_measure()) for end in fam.ends())
-
-
 def classify(fam: GraphFamily, sigma="canonical",
              budget="standard") -> ClassificationReport:
     """Assemble completeness, capacity, spectral and witness evidence into
@@ -378,6 +374,7 @@ def classify(fam: GraphFamily, sigma="canonical",
                 "is infinite, so no nontrivial solution is square-summable")
 
     # -- Markov uniqueness ---------------------------------------------------
+    finite_measure = not any(end.mu_is_infinite() for end in fam.ends())
     positive_end = capacity is not None and any(
         s.regime == "positive-finite" for s in capacity.per_end)
     dqmax_sol = any(s.in_max_form_domain for s in lam_sols.values())
@@ -386,7 +383,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     elif positive_end:
         mu_v = Verdict("no", "boundary alternative: a tail capacity lies "
                              "strictly between 0 and infinity")
-    elif polarity == "polar" and _mu_total_finite(fam):
+    elif polarity == "polar" and finite_measure:
         mu_v = Verdict("yes", "polar boundary with finite total measure: "
                               "the forms with and without boundary "
                               "condition coincide")
@@ -409,7 +406,7 @@ def classify(fam: GraphFamily, sigma="canonical",
          not (esa.value.startswith("yes") and mu_v.value == "no")))
     consistency.append(
         ("polar & finite capacity => markov_unique",
-         not (polarity == "polar" and _mu_total_finite(fam)
+         not (polarity == "polar" and finite_measure
               and mu_v.value == "no")))
     consistency.append(
         ("capacity in (0, inf) => not markov_unique",

@@ -189,10 +189,9 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     for win in windows:
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, sigma, fam))
-        origin = fam.model_to_id(0, win)
-        d = metric.distances_from(origin)
+        d = metric.distances_from(g.origin)
         if scan is None:
-            ecc = metric.eccentricity(origin)
+            ecc = metric.eccentricity(g.origin)
             scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
         scan.windows.append(win)
         deg = g.degrees()

@@ -103,7 +103,7 @@ def _build_ex52(params):
     return RayFamily("ex5.2", w_fn, _ones, sigma_fn=sigma_fn,
                      sigma_tail_fn=lambda k: bounded_tail(
                          sigma_fn, k, lambda d: 2.0 ** -0.5 / max(d, 1)),
-                     mu_total=math.inf)
+                     mu_tail_fn=lambda k: math.inf)
 
 
 def _build_ex53a(params):
@@ -180,7 +180,7 @@ def _build_ex56(params):
         def w_fn(x):
             return 2.0 ** np.asarray(x, dtype=float)
         res_upper = 1.0        # sum_{k>=1} 2^-k
-    mu_tail_fn = None          # beta <= 0: infinite measure
+    mu_tail_fn = lambda k: math.inf          # beta <= 0: infinite measure
     if beta > 0:
         mu_tail_fn = lambda k: 2.0 ** (-beta * k) / (1.0 - 2.0 ** -beta)
     fam = RayFamily(
@@ -189,8 +189,7 @@ def _build_ex56(params):
         params={"alpha": alpha, "case": case},
         sigma_fn=lambda x: 2.0 ** (-alpha * (np.asarray(x, dtype=float) + 1.0)),
         sigma_tail_fn=lambda k: 2.0 ** (-alpha * k) / (2.0 ** alpha - 1.0),
-        mu_tail_fn=mu_tail_fn, mu_total=None if beta > 0 else math.inf,
-        res_upper=res_upper, window_cap=2000)
+        mu_tail_fn=mu_tail_fn, res_upper=res_upper, window_cap=2000)
     fam.codim_closed_form = 2.0 - 1.0 / alpha
     return fam
 
@@ -216,24 +215,22 @@ def _no_params(name, params):
 class StarFamily(GraphFamily):
     """Hub 0 joined to the tip 2n of every 2-edge ray (2n-1, 2n), mu == 1.
 
-    window = number of rays realized. Not locally finite in the limit (the
-    hub meets every ray), so completeness dichotomies do not apply; these
-    families exist to exhibit limit phenomena of the truncation sequence.
+    Joins weigh 2^-n, inner edges inner_w(n) over an integer array n;
+    with_extra adds a vertex joined to every tip like the hub. window = N
+    rays realized (N <= ray_cap); the hub and the extra vertex leak 2^-N.
+    Not locally finite in the limit (the hub meets every ray), so
+    completeness dichotomies do not apply; these families exist to exhibit
+    limit phenomena of the truncation sequence.
     """
 
     locally_finite = False
 
-    def __init__(self, name, hub_w, inner_w, hub_leak, with_extra=False,
-                 extra_w=None, extra_leak=None, ray_cap=900):
+    def __init__(self, name, inner_w, ray_cap, with_extra=False):
         self.name = name
         self.params = {}
-        self.hub_w = hub_w
         self.inner_w = inner_w
-        self.hub_leak = hub_leak
-        self.with_extra = with_extra
-        self.extra_w = extra_w
-        self.extra_leak = extra_leak
         self._ray_cap = ray_cap
+        self.with_extra = with_extra
 
     def truncate(self, window: int) -> WeightedGraph:
         n_rays = int(window)
@@ -241,23 +238,19 @@ class StarFamily(GraphFamily):
             raise InputError("window must be at least 2 rays")
         if n_rays > self._ray_cap:
             raise InputError(f"{self.name}: window beyond float range")
-        size = 2 * n_rays + 1 + (1 if self.with_extra else 0)
-        edges = []
-        labels = {0: 0}
-        for n in range(1, n_rays + 1):
-            edges.append((0, 2 * n, float(self.hub_w(n))))
-            edges.append((2 * n - 1, 2 * n, float(self.inner_w(n))))
-            labels[2 * n - 1] = 2 * n - 1
-            labels[2 * n] = 2 * n
-        leak = {0: float(self.hub_leak(n_rays))}
+        n = np.arange(1, n_rays + 1)
+        tips = 2 * n
+        join = np.ldexp(1.0, -n)         # 2^-n, exact
+        blocks = [(np.zeros_like(tips), tips, join),
+                  (tips - 1, tips, self.inner_w(n))]
+        size = 2 * n_rays + 1
+        leak = {0: math.ldexp(1.0, -n_rays)}
         if self.with_extra:
-            extra = size - 1
-            labels[extra] = "extra"
-            for n in range(1, n_rays + 1):
-                edges.append((extra, 2 * n, float(self.extra_w(n))))
-            leak[extra] = float(self.extra_leak(n_rays))
-        return WeightedGraph(size, edges, np.ones(size), leak=leak,
-                             labels=labels)
+            blocks.append((np.full_like(tips, size), tips, join))
+            leak[size] = leak[0]
+            size += 1
+        edges = np.concatenate([np.column_stack(b) for b in blocks])
+        return WeightedGraph(size, edges, np.ones(size), leak=leak)
 
     def canonical_lengths(self, g: WeightedGraph):
         return sigma0(g)
@@ -271,27 +264,21 @@ class StarFamily(GraphFamily):
         return 2 * int(window) + 1
 
 
+# inner edge weights 1 - 2^-n, 4^n and 2^n, each exact in float64
 def _build_a51(params):
     _no_params("a5.1", params)
-    return StarFamily("a5.1", hub_w=lambda n: 2.0 ** -n,
-                      inner_w=lambda n: 1.0 - 2.0 ** -n,
-                      hub_leak=lambda N: 2.0 ** -N, ray_cap=1000)
+    return StarFamily("a5.1", lambda n: 1.0 - np.ldexp(1.0, -n), 1000)
 
 
 def _build_a53(params):
     _no_params("a5.3", params)
-    return StarFamily("a5.3", hub_w=lambda n: 2.0 ** -n,
-                      inner_w=lambda n: 4.0 ** n,
-                      hub_leak=lambda N: 2.0 ** -N,
-                      with_extra=True, extra_w=lambda n: 2.0 ** -n,
-                      extra_leak=lambda N: 2.0 ** -N, ray_cap=500)
+    return StarFamily("a5.3", lambda n: np.ldexp(1.0, 2 * n), 500,
+                      with_extra=True)
 
 
 def _build_a54(params):
     _no_params("a5.4", params)
-    return StarFamily("a5.4", hub_w=lambda n: 2.0 ** -n,
-                      inner_w=lambda n: 2.0 ** n,
-                      hub_leak=lambda N: 2.0 ** -N, ray_cap=1000)
+    return StarFamily("a5.4", lambda n: np.ldexp(1.0, n), 1000)
 
 
 def _build_unsupported(which):

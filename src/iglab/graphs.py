@@ -26,11 +26,11 @@ entries.
 An infinite ray or line is a root vertex plus one or two End records.
 An End holds the rules of one linear end (weight, measure and canonical
 edge length as functions of the outward index) and one tail rule per
-series, a closed form or a certified TailSum; its mu_total only marks
-infinite measure. The family realizes itself on finite windows via
-truncate(). Truncations carry the frontier (vertices that lost edge mass
-to the cut) and the dropped mass per frontier vertex, which downstream
-modules use for leak bounds.
+series, a closed form or a certified TailSum; a tail rule whose value is
+inf marks an infinite series. The family realizes itself on finite
+windows via truncate(). A truncation carries the id of the model origin
+(origin) and the edge mass each frontier vertex lost to the cut (leak),
+which downstream modules use for leak bounds.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ class WeightedGraph:
     Vertices are 0..n-1. The edges are stored once as the symmetric CSR
     arrays described in the module docstring; an edge's two entries hold
     the same float, so weight(x, y) and weight(y, x) agree bit for bit.
+    leak and origin are the truncation metadata of the module docstring.
     """
 
     __slots__ = ("n", "mu", "indptr", "indices", "w", "rows", "edge_u",
-                 "edge_v", "edge_w", "edge_of", "frontier", "leak", "labels",
+                 "edge_v", "edge_w", "edge_of", "frontier", "leak", "origin",
                  "row_sums")
 
-    def __init__(self, n, edges, mu, frontier=(), leak=None, labels=None):
+    def __init__(self, n, edges, mu, leak=None, origin=0):
         if n <= 0:
             raise InputError("graph needs at least one vertex")
         self.n = int(n)
@@ -75,10 +76,10 @@ class WeightedGraph:
         for x, v in self.leak.items():
             if not 0 <= x < self.n or v < 0.0:
                 raise InputError("invalid leak entry")
-        self.frontier = frozenset(int(v) for v in frontier) | frozenset(self.leak)
-        if any(not 0 <= v < self.n for v in self.frontier):
-            raise InputError("frontier vertex out of range")
-        self.labels = labels
+        self.frontier = frozenset(self.leak)
+        self.origin = int(origin)
+        if not 0 <= self.origin < self.n:
+            raise InputError("origin out of range")
         self.row_sums = self.row_fsum(self.w)
 
     def _store(self, u, v, w) -> None:
@@ -231,7 +232,7 @@ def combinatorial_neighborhood(g: WeightedGraph, ids) -> tuple:
 #     edge <x> <y> <w>
 # Floats are written with repr() (shortest round-trip form, up to 17
 # significant digits), so dumps/loads is bit-stable. Truncation metadata
-# (frontier, leaks, labels) is not part of the format.
+# (leaks, origin) is not part of the format.
 
 def dumps(g: WeightedGraph) -> str:
     lines = [f"graph {g.n}"]
@@ -287,21 +288,25 @@ def load_path(path) -> WeightedGraph:
 # then kept as strings, and passed to the registry constructor.
 
 def load_family_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read family config {path}: {exc}") from None
     name = None
     params = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise InputError(f"bad config line {ln}: {raw.rstrip()!r}")
-            key, val = parts[0], parts[1].strip()
-            if key == "family":
-                name = val
-            else:
-                params[key] = _cast(val)
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise InputError(f"bad config line {ln}: {raw.rstrip()!r}")
+        key, val = parts[0], parts[1].strip()
+        if key == "family":
+            name = val
+        else:
+            params[key] = _cast(val)
     if name is None:
         raise InputError("config file missing 'family <name>' line")
     return name, params
@@ -337,34 +342,17 @@ def _validate_window(name, w, mu):
 
 class GraphFamily:
     """Base class: a countable weighted graph given by rules, realized on
-    finite windows. Subclasses define truncate() and end structure."""
+    finite windows. Subclasses set name and params and define truncate(),
+    canonical_lengths(), max_window() and, given linear ends, ends()."""
 
-    name = "family"
-    params: dict = {}
+    name: str
+    params: dict
     locally_finite = True
-
-    def truncate(self, window: int) -> WeightedGraph:
-        raise NotImplementedError
+    codim_closed_form: float | None = None  # boundary codimension, if known
 
     def ends(self):
         """End descriptors (empty when the family has no linear ends)."""
         return ()
-
-    def canonical_lengths(self, g: WeightedGraph):
-        """Edge lengths of the family's canonical path metric on g."""
-        raise NotImplementedError
-
-    def max_window(self, cap: int) -> int:
-        """Largest usable window <= cap (float-range probing)."""
-        return cap
-
-    def root_id(self, window: int) -> int:
-        """Id of the model origin inside truncate(window)."""
-        return 0
-
-    def model_to_id(self, x: int, window: int) -> int:
-        """Id of the vertex with model coordinate x inside truncate(window)."""
-        return int(x) + self.root_id(window)
 
     def describe(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -380,12 +368,12 @@ class End:
     length of the k-th edge, all vectorized over numpy arrays; vertex 0 is
     the root. One optional tail rule per series certifies sum_{j >= k}
     sigma(j) (sigma_tail_fn) and sum_{j >= k} mu(j) (mu_tail_fn) as a float
-    (a closed form, exact) or a TailSum (e.g. series.geometric_tail).
-    mu_total = inf only marks an end of infinite measure, which has no
-    measure tail. res_upper is a certified upper bound on the tail
-    resistance sum_{k>=1} 1/w(k), or None. label names the end in reports
-    ('plus', or 'minus' for the left end of a line). Ends compare by
-    identity.
+    (a closed form, exact) or a TailSum (e.g. series.geometric_tail); a
+    rule with value inf declares an infinite series, such as an infinite
+    measure, which has no measure tail. res_upper is a certified upper
+    bound on the tail resistance sum_{k>=1} 1/w(k), or None. label names
+    the end in reports ('plus', or 'minus' for the left end of a line).
+    Ends compare by identity.
     """
 
     w_fn: Callable
@@ -393,7 +381,6 @@ class End:
     sigma_fn: Callable
     sigma_tail_fn: Callable | None = None
     mu_tail_fn: Callable | None = None
-    mu_total: float | None = None
     res_upper: float | None = None
     label: str = "plus"
 
@@ -406,25 +393,17 @@ class End:
 
     def mu_tail(self, k: int) -> TailSum:
         """sum_{j >= k} mu(j); raises if the measure tail is infinite."""
-        if self.mu_is_infinite():
-            raise InputError(f"end {self.label}: measure tail is infinite")
         if self.mu_tail_fn is None:
             raise InputError(f"end {self.label}: no tail data for the measure")
-        return _tail_sum(self.mu_tail_fn(k))
+        tail = _tail_sum(self.mu_tail_fn(k))
+        if math.isinf(tail.value):
+            raise InputError(f"end {self.label}: measure tail is infinite")
+        return tail
 
     def mu_is_infinite(self) -> bool:
-        return self.mu_total is not None and math.isinf(self.mu_total)
-
-    def total_measure(self) -> float:
-        """inf if the measure is infinite, else the certified tail from 0."""
-        return math.inf if self.mu_is_infinite() else self.mu_tail(0).value
-
-    def has_boundary_point(self) -> bool:
-        """Finite remaining length <=> the end is a metric boundary point."""
-        try:
-            return math.isfinite(self.sigma_tail(0).upper)
-        except InputError:
-            return False
+        """Whether the measure tail rule declares infinite measure."""
+        return (self.mu_tail_fn is not None
+                and math.isinf(_tail_sum(self.mu_tail_fn(0)).value))
 
 
 def _tail_sum(t) -> TailSum:
@@ -483,10 +462,10 @@ class LinearFamily(GraphFamily):
     end's outermost vertex leaks the weight of edge d, the first one cut.
 
     Subclasses fix the window convention: the window minus the depth
-    (_depth_offset) and the root's id (root_id). They also define
-    truncate() and canonical_lengths() in their own bodies, as one-line
-    delegations, because per-class instrumentation (perfbench/tracing.py)
-    looks these methods up in each class's namespace.
+    (_depth_offset) and the root's id (root_id, the truncation's origin).
+    They also define truncate() and canonical_lengths() in their own
+    bodies, as one-line delegations, because per-class instrumentation
+    (perfbench/tracing.py) looks these methods up in each class's namespace.
     """
 
     _depth_offset = 0
@@ -502,6 +481,10 @@ class LinearFamily(GraphFamily):
 
     def _depth(self, window: int) -> int:
         return int(window) - self._depth_offset
+
+    def root_id(self, window: int) -> int:
+        """Id of the root inside truncate(window)."""
+        return 0
 
     def _sign(self, end: End) -> int:
         """+1 if the end runs toward increasing ids, -1 if toward decreasing."""
@@ -534,13 +517,13 @@ class LinearFamily(GraphFamily):
             ids = root + sign * ks
             edges.append(np.column_stack((ids[:-1], ids[1:], w)))
         return WeightedGraph(root + depth + 1, np.concatenate(edges), mu,
-                             leak=leak,
-                             labels={i: i - root for i in range(mu.size)})
+                             leak=leak, origin=root)
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
-        # model coordinate of each edge's lower end (labels[i] = i - root)
-        k = (g.edge_u + g.labels[0]).astype(float)
+        # model coordinate of each edge's lower end
+        k = (g.edge_u - g.origin).astype(float)
+
         plus = k >= 0
         lengths = np.empty(k.size)
         for end, sel, idx in ((self._ends[-1], plus, k),

@@ -433,6 +433,8 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     a limsup proxy takes their max over the deepest quartile), two-point
     local slopes, and a least-squares log-log fit.
     """
+    if depth < 2:
+        raise InputError(f"codimension sampling needs depth >= 2, got {depth}")
     end = boundary_end(fam, "codimension sampling")
     if end.mu_is_infinite():
         raise InputError("measure of the space is infinite; mu(B_r) diverges")
@@ -455,7 +457,7 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     codim_local = float(np.median(local[lq]))
     return CodimEstimate(xs, r, mb, ratios, local, fit,
                          codim, codim_local, exact,
-                         getattr(fam, "codim_closed_form", None))
+                         fam.codim_closed_form)
 
 
 # -- cutoff polarity test ----------------------------------------------------
@@ -493,6 +495,8 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
     for the capacity of a boundary neighborhood and is checked against the
     bound sqrt(mu(B_{r_n}) + 4 mu(B_{r_n}) / r_n^2).
     """
+    if depth < 2:
+        raise InputError(f"polarity test needs depth >= 2, got {depth}")
     end = boundary_end(fam, "polarity test")
     entries = []
     for n in range(2, depth + 1):

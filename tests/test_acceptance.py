@@ -68,7 +68,7 @@ def test_criterion_03_cutoff_energies_and_polar_verdict():
     for n in range(1, 101):
         vals = np.zeros(g.n)
         for x in range(-n, n + 1):
-            vals[fam.model_to_id(x, win)] = 1.0 - abs(x) / n
+            vals[g.origin + x] = 1.0 - abs(x) / n
         q = energy(VertexFunction(g, vals))
         worst = max(worst, abs(q - 2.0 / n) / (2.0 / n))
     rep = boundary_capacity(fam, **STANDARD_CAP)
@@ -164,7 +164,7 @@ def test_criterion_07_intrinsic_certificates_and_cutoff_bound():
         win = fam.max_window(48)
         g = fam.truncate(win)
         metric = PathMetric(lengths_for(g, "sigma0", fam))
-        x0 = fam.model_to_id(0, win)
+        x0 = g.origin
         dist = metric.distances_from(x0)
         ecc = float(np.max(dist[np.isfinite(dist)]))
         families += 1

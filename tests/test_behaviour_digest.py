@@ -5,8 +5,10 @@ every golden run label to the sha256 of json.dumps(classification,
 sort_keys=True) at budgets "quick" and "standard".
 tests/data/gallery_checks_sha256.json maps every label to the sha256 of
 json.dumps(checks, sort_keys=True) at budgets "quick" and "standard".
+tests/data/gallery_deep_sha256.json maps every label to the sha256 of its
+classification and of its checks at budget "deep".
 A change meant to keep behaviour keeps every digest. A change that alters
-classifications or checks on purpose regenerates the three files, from the
+classifications or checks on purpose regenerates the four files, from the
 repository root, with
 
     PYTHONPATH=src python tests/test_behaviour_digest.py
@@ -25,6 +27,7 @@ DATA = Path(__file__).parent / "data"
 QUICK = DATA / "gallery_quick_sha256.json"
 STANDARD = DATA / "gallery_standard_sha256.json"
 CHECKS = DATA / "gallery_checks_sha256.json"
+DEEP = DATA / "gallery_deep_sha256.json"
 
 
 def _sha256(obj) -> str:
@@ -49,6 +52,12 @@ def checks_digests() -> dict:
     return out
 
 
+def deep_digests() -> dict:
+    return {rec.label: {"classification": _sha256(rec.classification),
+                        "checks": _sha256(rec.checks)}
+            for rec in _records("deep")}
+
+
 def _changed(got: dict, want: dict) -> list:
     assert sorted(got) == sorted(want)
     return sorted(label for label in want if got[label] != want[label])
@@ -71,8 +80,14 @@ def test_gallery_checks_unchanged():
     assert not changed, f"golden checks changed for {changed}"
 
 
+def test_deep_gallery_unchanged():
+    changed = _changed(deep_digests(), json.loads(DEEP.read_text()))
+    assert not changed, f"deep classification or checks changed for {changed}"
+
+
 if __name__ == "__main__":
     for path, digests in ((QUICK, classification_digests("quick")),
                           (STANDARD, classification_digests("standard")),
-                          (CHECKS, checks_digests())):
+                          (CHECKS, checks_digests()),
+                          (DEEP, deep_digests())):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -21,7 +21,8 @@ classify_module = importlib.import_module("iglab.classify")
 def unit_ray():
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     return RayFamily("unitray", w_fn=ones, mu_fn=ones,
-                     sigma_tail_fn=lambda k: math.inf, mu_total=math.inf)
+                     sigma_tail_fn=lambda k: math.inf,
+                     mu_tail_fn=lambda k: math.inf)
 
 
 # -- budgets -------------------------------------------------------------------

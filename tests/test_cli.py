@@ -147,6 +147,25 @@ def test_sigma_precondition_exit_2(capsys):
     assert code == 2 and "Deg" in err
 
 
+def test_unreadable_config_exit_2(capsys, tmp_path):
+    # a directory, and a file that is not UTF-8, are input errors
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"family ex5.4\n# caf\xe9\n")
+    for spec in (tmp_path, latin1):
+        code, out, err = run(capsys, "classify", "--family", str(spec),
+                             "--budget", "quick")
+        assert code == 2 and out == ""
+        assert "cannot read family config" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "1", "-3"])
+def test_codim_shallow_depth_exit_2(capsys, depth):
+    code, out, err = run(capsys, "codim", "--family", "ex5.4",
+                         "--depth", depth)
+    assert code == 2 and out == ""
+    assert "needs depth >= 2" in err
+
+
 def test_window_cap_below_smallest_window_exit_2(capsys):
     # the rules of ex5.2 are valid; the message must blame the cap
     code, out, err = run(capsys, "complete", "report", "--family", "ex5.2",

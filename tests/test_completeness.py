@@ -265,9 +265,9 @@ def test_boundary_distances_infinite_end_rejected():
         sigma_fn=lambda x: np.full_like(np.asarray(x, dtype=float),
                                         2.0 ** -0.5),
         sigma_tail_fn=lambda k: math.inf,
-        mu_total=math.inf)
+        mu_tail_fn=lambda k: math.inf)
     (end,) = fam.ends()
-    assert not end.has_boundary_point()
+    assert math.isinf(end.sigma_tail(0).upper)
     with pytest.raises(InputError, match="^codimension sampling needs "
                                          "exactly one boundary end$"):
         boundary_end(fam, "codimension sampling")

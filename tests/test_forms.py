@@ -191,7 +191,7 @@ def test_cutoff_gradient_bound_random_pairs():
         fam = build_family(name)
         g = fam.truncate(fam.max_window(48))
         m = PathMetric(fam.canonical_lengths(g))
-        x0 = fam.model_to_id(0, fam.max_window(48))
+        x0 = g.origin
         d = m.distances_from(x0)
         ecc = float(np.max(d[np.isfinite(d)]))
         for _ in range(25):

@@ -67,6 +67,47 @@ def test_star_truncation_shape():
     assert d[tips[0]] == pytest.approx(2.0, abs=1e-12)
 
 
+def _loop_star(name, window):
+    """A copy of the loop builder StarFamily.truncate replaced, with the
+    scalar join, inner-edge and leak rules of a5.1, a5.3 and a5.4:
+    (size, edges, leak)."""
+    hub_w = extra_w = lambda n: 2.0 ** -n
+    hub_leak = extra_leak = lambda N: 2.0 ** -N
+    inner_w = {"a5.1": lambda n: 1.0 - 2.0 ** -n,
+               "a5.3": lambda n: 4.0 ** n,
+               "a5.4": lambda n: 2.0 ** n}[name]
+    with_extra = name == "a5.3"
+    n_rays = int(window)
+    size = 2 * n_rays + 1 + (1 if with_extra else 0)
+    edges = []
+    for n in range(1, n_rays + 1):
+        edges.append((0, 2 * n, float(hub_w(n))))
+        edges.append((2 * n - 1, 2 * n, float(inner_w(n))))
+    leak = {0: float(hub_leak(n_rays))}
+    if with_extra:
+        extra = size - 1
+        for n in range(1, n_rays + 1):
+            edges.append((extra, 2 * n, float(extra_w(n))))
+        leak[extra] = float(extra_leak(n_rays))
+    return size, edges, leak
+
+
+@pytest.mark.parametrize("name", ["a5.1", "a5.3", "a5.4"])
+def test_star_truncation_matches_the_loop_builder(name):
+    # the array builder reproduces the loop bit for bit at every window
+    fam = build_family(name)
+    for window in range(2, fam.max_window(10 ** 9) + 1):
+        size, edges, leak = _loop_star(name, window)
+        g = fam.truncate(window)
+        assert g.n == size
+        assert list(g.edges()) == sorted(
+            (min(x, y), max(x, y), w) for x, y, w in edges)
+        assert g.mu.tolist() == [1.0] * size
+        assert g.leak == leak
+        assert g.frontier == set(leak)
+        assert g.origin == 0
+
+
 def test_star_ball_grows_with_window():
     # B_1(hub) holds the hub plus every mid vertex, one per ray, so its
     # size tracks the number of rays and never stabilizes

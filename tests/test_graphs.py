@@ -87,12 +87,17 @@ def test_degree_and_total_measure():
 
 
 def test_leak_and_frontier():
-    g = WeightedGraph(3, [(0, 1, 1.0)], [1.0] * 3, frontier=(2,),
-                      leak={1: 0.25})
+    # the frontier is the leak's keys, a zero leak included
+    g = WeightedGraph(3, [(0, 1, 1.0)], [1.0] * 3, leak={1: 0.25, 2: 0.0})
     assert g.frontier == {1, 2}
-    assert g.leak == {1: 0.25}
+    assert g.leak == {1: 0.25, 2: 0.0}
+    assert g.origin == 0
+    assert WeightedGraph(3, [(0, 1, 1.0)], [1.0] * 3, origin=2).origin == 2
     with pytest.raises(InputError):
         WeightedGraph(2, [(0, 1, 1.0)], [1.0, 1.0], leak={0: -1.0})
+    for origin in (-1, 3):
+        with pytest.raises(InputError, match="origin out of range"):
+            WeightedGraph(3, [(0, 1, 1.0)], [1.0] * 3, origin=origin)
 
 
 def test_is_connected():
@@ -190,13 +195,12 @@ def test_line_truncation_shape():
     win = 6
     g = fam.truncate(win)
     assert g.n == 2 * win + 1
-    assert fam.model_to_id(0, win) == win
-    assert fam.model_to_id(-win, win) == 0
+    assert g.origin == win          # model coordinate x is vertex win + x
     # both outermost vertices leak the first dropped edge
     assert set(g.leak) == {0, 2 * win}
     assert g.leak[0] == g.leak[2 * win] == 1.0   # ex5.1 has w == 1
     # measure is symmetric in the model coordinate
-    assert g.mu[fam.model_to_id(-3, win)] == g.mu[fam.model_to_id(3, win)]
+    assert g.mu[g.origin - 3] == g.mu[g.origin + 3]
 
 
 def test_tail_ids():
@@ -205,10 +209,9 @@ def test_tail_ids():
     assert fam.tail_ids(end, 7, 10) == tuple(range(7, 10))
     lf = build_family("ex5.1")
     minus, plus = lf.ends()
-    assert lf.tail_ids(plus, 4, 6) == tuple(lf.model_to_id(x, 6)
-                                            for x in (4, 5, 6))
-    assert lf.tail_ids(minus, 4, 6) == tuple(lf.model_to_id(-x, 6)
-                                             for x in (6, 5, 4))
+    origin = lf.truncate(6).origin
+    assert lf.tail_ids(plus, 4, 6) == tuple(origin + x for x in (4, 5, 6))
+    assert lf.tail_ids(minus, 4, 6) == tuple(origin - x for x in (6, 5, 4))
     with pytest.raises(InputError):
         lf.tail_ids(end, 4, 6)
 
@@ -233,7 +236,7 @@ def test_edges_and_tails_follow_their_end(name):
     lengths = fam.canonical_lengths(g)
     per_end = {}
     for x, y, _ in g.edges():
-        a, b = g.labels[x], g.labels[y]
+        a, b = x - g.origin, y - g.origin
         edges, ks = per_end.setdefault(
             "plus" if max(a, b) > 0 else "minus", ([], []))
         edges.append((x, y))
@@ -243,7 +246,7 @@ def test_edges_and_tails_follow_their_end(name):
         assert [lengths.of(x, y) for x, y in edges] == want
     for end in fam.ends():
         sign = -1 if end.label == "minus" else +1
-        outward = {i: sign * g.labels[i] for i in range(g.n)}
+        outward = {i: sign * (i - g.origin) for i in range(g.n)}
         depth = max(outward.values())
         for k in range(depth + 1):
             want = tuple(i for i in range(g.n) if outward[i] >= k)
@@ -304,14 +307,23 @@ def test_ends_expose_rules():
     fam = build_family("ex5.3a")
     (end,) = fam.ends()
     assert end.label == "plus"
-    assert end.total_measure() == 2.0
+    assert end.mu_tail(0).value == 2.0
     assert end.res_upper == 1.0
     assert not end.mu_is_infinite()
-    assert end.has_boundary_point()
+    assert math.isfinite(end.sigma_tail(0).upper)
     # certified tail sums agree with the closed forms
     assert end.mu_tail(3).value == pytest.approx(2.0 ** -2, rel=1e-15)
     assert end.sigma_tail(0).value == pytest.approx(math.sqrt(2.0 / 3.0),
                                                     rel=1e-15)
+
+
+@pytest.mark.parametrize("name, params", [("ex5.2", {}),
+                                          ("ex5.6", {"alpha": 0.5})])
+def test_infinite_measure_is_a_tail_rule(name, params):
+    (end,) = build_family(name, params).ends()
+    assert end.mu_is_infinite()
+    with pytest.raises(InputError, match="measure tail is infinite"):
+        end.mu_tail(3)
 
 
 def test_line_ends_are_labeled():

@@ -344,6 +344,21 @@ def test_codim3_polarity_mechanism():
     assert vals[-1] == min(vals)
 
 
+@pytest.mark.parametrize("depth", [1, 0, -3])
+def test_codim_and_polarity_test_reject_shallow_depth(depth):
+    fam = build_family("codim3")
+    with pytest.raises(InputError, match="needs depth >= 2"):
+        minkowski_samples(fam, depth=depth)
+    with pytest.raises(InputError, match="needs depth >= 2"):
+        codim_polarity_test(fam, depth=depth)
+
+
+def test_codim_and_polarity_test_at_depth_two():
+    fam = build_family("codim3")
+    assert minkowski_samples(fam, depth=2).xs.tolist() == [1, 2]
+    assert [e.n for e in codim_polarity_test(fam, depth=2).entries] == [2]
+
+
 def test_polarity_test_needs_single_end():
     with pytest.raises(InputError):
         codim_polarity_test(build_family("ex5.1"), depth=10)
