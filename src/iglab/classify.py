@@ -101,25 +101,29 @@ def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
     xs = np.arange(window, dtype=float)
     w = np.asarray(w_fn(xs[:-1]), dtype=float)
     mu = np.asarray(mu_fn(xs), dtype=float)
-    u = np.empty(window)
-    u[0] = 1.0
+    # the recursion runs over Python floats; lam / w is an array division,
+    # so a zero or inf weight gives inf or nan, never ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_w = (lam / w).tolist()
+    mu_l = mu.tolist()
+    u = [1.0]
     s = 0.0
     for x in range(window - 1):
-        s += u[x] * mu[x]
-        u[x + 1] = u[x] + lam / w[x] * s
+        s += u[x] * mu_l[x]
+        u.append(u[x] + lam_w[x] * s)
+    u = np.array(u)
     inc = np.diff(u)
     # Verify the summed first-order form w(x) (u(x+1) - u(x)) =
     # lambda sum_{y<=x} u(y) mu(y) against an independently accumulated
     # right-hand side. (The raw three-term residual of (Delta+lambda)u is
     # cancellation-limited once w spans many decades, so it would measure
     # rounding, not correctness.)
-    res = 0.0
     scale = max(1.0, float(np.max(np.abs(u))))
-    um = u * mu
-    for x in range(window - 1):
-        rhs = lam * math.fsum(um[:x + 1]) / w[x]
-        res = max(res, abs(u[x + 1] - u[x] - rhs))
-    res /= scale
+    um = (u * mu).tolist()
+    sums = np.array([lam * math.fsum(um[:x + 1]) for x in range(window - 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(u[1:] - u[:-1] - sums / w)
+    res = max([0.0, *dev.tolist()]) / scale
     cum_mu = np.cumsum(mu[:-1])
     criterion = series_verdict(cum_mu / w)
     l2 = series_verdict(u * u * mu)

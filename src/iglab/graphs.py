@@ -460,6 +460,8 @@ class LinearFamily(GraphFamily):
     of the first; the root takes its measure from the last end. A
     realization of depth d holds vertices 0..d of every end, and each
     end's outermost vertex leaks the weight of edge d, the first one cut.
+    max_window never passes window_cap: at the default 2^20, realizing
+    the largest window and its canonical lengths stays under ~0.5 GB.
 
     Subclasses fix the window convention: the window minus the depth
     (_depth_offset) and the root's id (root_id, the truncation's origin).
@@ -470,7 +472,7 @@ class LinearFamily(GraphFamily):
 
     _depth_offset = 0
 
-    def __init__(self, name, ends, params=None, window_cap=1 << 24):
+    def __init__(self, name, ends, params=None, window_cap=1 << 20):
         self.name = name
         self.params = dict(params or {})
         self._ends = tuple(ends)
@@ -571,7 +573,7 @@ class RayFamily(LinearFamily):
     _depth_offset = 1
 
     def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
-                 window_cap=1 << 24, **tail):
+                 window_cap=1 << 20, **tail):
         end = End(w_fn, mu_fn, sigma_fn or default_sigma0_rule(w_fn, mu_fn),
                   **tail)
         super().__init__(name, (end,), params, window_cap)

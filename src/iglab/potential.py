@@ -17,14 +17,15 @@ a window M brackets the true value:
     Cap_M(tail)^2 <= Cap(tail)^2 <= Cap_M(tail)^2 + mu_tail(M),
 
 and an explicit admissible ramp (0 below N/2, linear up to 1 at N) gives
-a certified upper bound at any N without building a graph. Its mass
-term is bounded by the certified tail mu_tail(N/2 + 1); where that bound
-cannot move the ramp energy in floating point, the measure rule is not
-evaluated. The dyadic ramp grid stops at the first bound that is 0 (tails
-are nested, so Cap(tail_N) cannot grow again) or inf (the rules left float
-range). Verdicts use whichever side of the bracket can carry them:
-smallness claims (polar) run on certified upper bounds, positivity claims
-on the solver plateau.
+a certified upper bound at any N without building a graph. Its energy
+sums w in cache-sized blocks, in numpy's pairwise order (bit-equal to one
+np.sum). Its mass term is bounded by the certified tail mu_tail(N/2 + 1);
+where that bound cannot move the ramp energy in floating point, the
+measure rule is not evaluated. The dyadic ramp grid stops at the first
+bound that is 0 (tails are nested, so Cap(tail_N) cannot grow again) or
+inf (the rules left float range). Verdicts use whichever side of the
+bracket can carry them: smallness claims (polar) run on certified upper
+bounds, positivity claims on the solver plateau.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ POSITIVE_FLOOR = 1e-2
 # boundary_capacity's outer windows stop at this multiple of the largest
 # solver tail (each tail N starts at outer window 4N)
 OUTER_PER_TAIL = 16
+# the ramp's w sum evaluates w on this many points at a time (256 KB)
+W_BLOCK = 1 << 15
 
 
 @dataclass
@@ -200,23 +203,39 @@ class CapacityReport:
                 "polarity": self.polarity, "thresholds": self.thresholds}
 
 
+def _w_sum(end, a: int, b: int) -> float:
+    """sum_{k=a}^{b-1} w(k), bit-equal to one np.sum of w over [a, b).
+
+    numpy sums float64 pairwise, halving a power-of-two length >= 256 down
+    to 128-element leaves. So over W_BLOCK * 2^j points, the block sums
+    added in a balanced tree are that sum, and one block of w is held at a
+    time; any other span is one block. Callers set np.errstate."""
+    blocks, rem = divmod(b - a, W_BLOCK)
+    size = b - a if rem or blocks & (blocks - 1) else W_BLOCK
+    offsets = np.arange(size, dtype=float)      # + start: exact below 2^53
+    sums = [float(np.sum(np.asarray(end.w_fn(offsets + start), dtype=float)))
+            for start in range(a, b, size)]
+    while len(sums) > 1:
+        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def _ramp_upper(end, N: int) -> float:
     """||eta||_Q for the admissible ramp: 0 out to N/2, linear to 1 at N,
     constant 1 on the tail. A true upper bound for Cap(tail_N).
 
-    The squared norm is energy + mass + mu_tail(N). Since eta vanishes up
-    to N/2 and never exceeds 1, mass + mu_tail(N) <= mu_tail(N/2 + 1);
-    when adding that bound to the energy leaves the energy unchanged in
-    floating point, so does the full sum (rounding is monotone), and the
-    measure rule is not evaluated over the ramp."""
+    The squared norm is energy + mass + mu_tail(N); the energy's w sum is
+    blocked, bit-equal to one np.sum (_w_sum). Since eta vanishes up to N/2
+    and never exceeds 1, mass + mu_tail(N) <= mu_tail(N/2 + 1); when adding
+    that bound to the energy leaves the energy unchanged in floating point,
+    so does the full sum (rounding is monotone), and the measure rule is
+    not evaluated."""
     a, b = max(1, N // 2), N
     if b - a < 1:
         return math.inf
-    ks = np.arange(a, b, dtype=float)
     inc = 1.0 / (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.asarray(end.w_fn(ks), dtype=float)
-        en = float(np.sum(w)) * inc * inc
+        en = _w_sum(end, a, b) * inc * inc
     try:
         bound = end.mu_tail(a + 1).upper
         if en + bound == en:
@@ -224,6 +243,7 @@ def _ramp_upper(end, N: int) -> float:
         tail = end.mu_tail(b).upper
     except InputError:
         return math.inf
+    ks = np.arange(a, b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mu_ramp = np.asarray(end.mu_fn(ks[1:] if ks.size > 1 else ks),
                              dtype=float)
@@ -242,8 +262,9 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     Per end: solver values Cap_M(tail_N) on outer windows M >= 4N (M
     doubles until the value moves by < 1e-6 relatively, or until it would
     pass OUTER_PER_TAIL * solver_tail_max or the family's float range),
-    bracketed above by mu_tail(M); plus analytic ramp bounds extending
-    the tail grid beyond any buildable window. A ramp bound skips the measure rule when its certified mass
+    bracketed above by mu_tail(M) (each M is truncated once per call);
+    plus analytic ramp bounds extending the tail grid beyond any buildable
+    window. A ramp bound skips the measure rule when its certified mass
     bound mu_tail(N/2 + 1) cannot change it in floating point. The ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
@@ -268,6 +289,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     # one float-range probe serves every end of finite measure
     maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
               if any(not end.mu_is_infinite() for end in ends) else None)
+    truncations = {}                 # outer window -> graph, across ends
     sequences = []
     for end in ends:
         if end.mu_is_infinite():
@@ -293,8 +315,9 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
             m = 4 * n_tail
             prev = None
             while True:
-                g = fam.truncate(m)
-                r = equilibrium(g, fam.tail_ids(end, n_tail, m))
+                if m not in truncations:
+                    truncations[m] = fam.truncate(m)
+                r = equilibrium(truncations[m], fam.tail_ids(end, n_tail, m))
                 entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
                 entry.outer_window = m
                 stable = prev is not None and \

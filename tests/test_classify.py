@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iglab import completeness
-from iglab.classify import (BUDGETS, Budget, classify,
+from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
 from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
@@ -88,6 +88,43 @@ def test_lambda_solve_on_line_family_splits():
     sols = lambda_solve(build_family("ex5.3"), lam=1.0, window=60)
     assert set(sols) == {"minus", "plus"}
     assert sols["plus"].bounded == "bounded"
+
+
+def scalar_lambda_loops(w_fn, mu_fn, lam, window):
+    """The recursion and its residual as loops over numpy scalars."""
+    xs = np.arange(window, dtype=float)
+    w = np.asarray(w_fn(xs[:-1]), dtype=float)
+    mu = np.asarray(mu_fn(xs), dtype=float)
+    u = np.empty(window)
+    u[0] = 1.0
+    s = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in range(window - 1):
+            s += u[x] * mu[x]
+            u[x + 1] = u[x] + lam / w[x] * s
+        res = 0.0
+        scale = max(1.0, float(np.max(np.abs(u))))
+        um = u * mu
+        for x in range(window - 1):
+            rhs = lam * math.fsum(um[:x + 1]) / w[x]
+            res = max(res, abs(u[x + 1] - u[x] - rhs))
+    return u, res / scale
+
+
+def test_lambda_solve_matches_the_scalar_loops():
+    rays = [(end.w_fn, end.mu_fn) for _label, name, params, _check
+            in GOLDEN_RUNS for end in build_family(name, params).ends()]
+    ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    # a zero weight gives inf and an inf weight a flat step, never an error
+    rays += [(lambda x: np.where(np.asarray(x) == 3, 0.0, 1.0), ones),
+             (lambda x: np.where(np.asarray(x) == 3, np.inf, 1.0), ones)]
+    for w_fn, mu_fn in rays:
+        for lam, window in ((1.0, 40), (1.0, 200), (0.7, 200)):
+            u, res = scalar_lambda_loops(w_fn, mu_fn, lam, window)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sol = _ray_lambda_solve(w_fn, mu_fn, lam, window)
+            assert sol.u.tobytes() == u.tobytes()
+            assert float(sol.residual).hex() == float(res).hex()
 
 
 def test_lambda_solve_validation():

@@ -283,6 +283,12 @@ def test_max_window_below_the_smallest_window():
         line.max_window(0)
 
 
+def test_default_window_cap_fits_in_memory():
+    # ex5.2's rules stay finite far beyond any budget; the window cap, not
+    # the float range, must keep its largest window realizable
+    assert build_family("ex5.2").max_window(10 ** 9) == 2 ** 20
+
+
 def test_max_window_rules_invalid_at_depth_one():
     # w(0, 1) = 0: no window realizes a valid edge
     fam = RayFamily("dead-root",

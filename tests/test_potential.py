@@ -1,15 +1,22 @@
+import collections
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import iglab
 from iglab.errors import InputError
 from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import WeightedGraph
-from iglab.potential import (_ramp_upper, boundary_alternative_evidence,
-                             boundary_capacity, codim_polarity_test,
-                             equilibrium, minkowski_samples)
+from iglab.potential import (W_BLOCK, _ramp_upper, _w_sum,
+                             boundary_alternative_evidence, boundary_capacity,
+                             codim_polarity_test, equilibrium,
+                             minkowski_samples)
 
 from conftest import lstsq_capacity, make_random_graph
 
@@ -260,6 +267,90 @@ def test_ramp_mass_skip_is_exact():
                     (name, params, end.label, N)
                 checked += 1
     assert checked == 12 * 17      # 12 finite-measure ends, N = 4..2^18
+
+
+def one_array_w_sum(end, a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(np.asarray(end.w_fn(np.arange(a, b, dtype=float)),
+                                       dtype=float)))
+
+
+def test_blocked_w_sum_is_exact():
+    # the block sums added pairwise must be numpy's one-array pairwise sum,
+    # bit for bit, for spans below, at and above the block size
+    checked = 0
+    for _label, name, params, _check in GOLDEN_RUNS:
+        for end in build_family(name, params).ends():
+            if end.mu_is_infinite():
+                continue
+            for p in range(2, 23):
+                a, b = max(1, (1 << p) // 2), 1 << p
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _w_sum(end, a, b)
+                assert got == one_array_w_sum(end, a, b), \
+                    (name, params, end.label, b)
+                checked += 1
+    assert checked == 12 * 21      # 12 finite-measure ends, N = 4..2^22
+    assert W_BLOCK < 1 << 21        # the grid reaches the blocked path
+    # the golden w rules round alike in any order; uniform random weights
+    # at many offsets tell the pairwise tree from fsum or a running sum
+    table = np.random.default_rng(3).random(1 << 20)
+    end = types.SimpleNamespace(w_fn=lambda k: table[k.astype(np.int64)])
+    for blocks in (4, 8, 16):
+        for a in range(0, table.size - blocks * W_BLOCK + 1, 28693):
+            b = a + blocks * W_BLOCK
+            assert _w_sum(end, a, b) == one_array_w_sum(end, a, b), (a, b)
+    # spans that are not a power-of-two number of blocks: one array
+    (end,) = build_family("ex5.5").ends()
+    for a, b in ((7, 7 + 3 * W_BLOCK), (3, 3 + 2 * W_BLOCK + 5)):
+        assert _w_sum(end, a, b) == one_array_w_sum(end, a, b)
+
+
+RAMP_GRID_RSS = """
+import resource
+from iglab.gallery import build_family
+from iglab.potential import boundary_capacity
+fam = build_family("ex5.4")
+boundary_capacity(fam, 128, 1 << 12)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+boundary_capacity(fam, 128, 1 << 22)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KB on Linux")
+def test_ramp_grid_memory_is_cache_sized():
+    # ex5.4's ramp grid runs to 2^22 (w = 1/8 never stops it); one array
+    # of w over [2^21, 2^22) and its index array would take 32 MB
+    src = os.path.dirname(os.path.dirname(iglab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RAMP_GRID_RSS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 1024      # KB
+
+
+def test_boundary_capacity_truncates_each_window_once():
+    # ex5.1's two ends and all its tails share the outer windows 4N, 8N, ...
+    fam = build_family("ex5.1")
+    windows = []
+
+    def truncate(window):
+        windows.append(window)
+        return type(fam).truncate(fam, window)
+
+    fam.truncate = truncate
+    rep = boundary_capacity(fam, solver_tail_max=128, analytic_tail_max=128)
+    visited = set()
+    for seq in rep.per_end:
+        for e in seq.entries:
+            m = 4 * e.tail_start
+            while m <= e.outer_window:
+                visited.add(m)
+                m *= 2
+    assert len(rep.per_end) == 2 and len(visited) > 1
+    assert collections.Counter(windows) == collections.Counter(visited)
 
 
 def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
