@@ -16,9 +16,9 @@ from .metrics import (EdgeLengths, IntrinsicCertificate, PathMetric,
                       custom_lengths, discovered_jump_size, intrinsic_check,
                       natural_scaled, sigma0, sigma1, strongly_intrinsic_check)
 from .forms import (VertexFunction, caccioppoli_check, cutoff_eta, energy,
-                    form_report, gradient_pairing, gradient_sq,
-                    green_identity_check, laplacian, laplacian_all,
-                    leibniz_check, norm_sq, qnorm)
+                    form_report, gradient_pairing_all, gradient_sq_all,
+                    green_identity_check, laplacian_all, leibniz_check,
+                    norm_sq, qnorm)
 from .completeness import (boundary_end, find_geodesic, hopf_rinow_report,
                            lengths_for)
 from .potential import (boundary_alternative_evidence, boundary_capacity,

@@ -296,26 +296,15 @@ class ClassificationReport:
                         "with Delta applied pointwise; not computed here")
 
     def to_dict(self):
-        return {
-            "family": self.family, "params": self.params,
-            "sigma": self.sigma, "budget": self.budget,
-            "locally_finite": self.locally_finite,
-            "completeness": self.completeness,
-            "markov_unique": self.markov_unique.to_dict(),
-            "esa": self.esa.to_dict(),
-            "polarity": self.polarity,
-            "capacity": self.capacity.to_dict() if self.capacity else None,
-            "lambda": {k: v.to_dict() for k, v in
-                       self.lambda_solutions.items()},
-            "witness": self.witness.to_dict() if self.witness else None,
-            "deg_ball": self.deg_ball.to_dict() if self.deg_ball else None,
-            "codim": self.codim.to_dict() if self.codim is not None else None,
-            "boundary_alternative": (self.boundary_alternative.to_dict()
-                                     if self.boundary_alternative else None),
-            "consistency": self.consistency,
-            "notes": self.notes,
-            "domain_note": self.domain_note,
-        }
+        """Each field via its own to_dict(); lambda_solutions as "lambda"."""
+        out = {}
+        for key, val in vars(self).items():
+            if key == "lambda_solutions":
+                key, val = "lambda", {k: v.to_dict() for k, v in val.items()}
+            elif hasattr(val, "to_dict"):
+                val = val.to_dict()
+            out[key] = val
+        return out
 
 
 def classify(fam: GraphFamily, sigma="canonical",
@@ -328,35 +317,27 @@ def classify(fam: GraphFamily, sigma="canonical",
     completeness = _hopf_rinow(fam, sigma, scan).verdict
     deg_ball = _deg_ball(scan)
 
-    capacity = None
+    capacity = alt = witness = codim = None
     polarity = "inconclusive"
-    alt = None
+    lam_sols = {}
     if fam.ends():
         capacity = boundary_capacity(
             fam, solver_tail_max=bud.solver_tail_max,
             analytic_tail_max=bud.analytic_tail_max)
         polarity = capacity.polarity
         alt = boundary_alternative_evidence(capacity)
-    else:
-        notes.append("no linear ends: capacity diagnostics skipped")
-
-    lam_sols = {}
-    if fam.ends():
         lam_sols = lambda_solve(fam, 1.0, window=bud.lambda_window)
-
-    witness = None
-    if len(fam.ends()) == 2:
-        try:
-            witness = harmonic_witness_check(fam, window=bud.lambda_window)
-        except InputError as exc:
-            notes.append(f"witness skipped: {exc}")
-
-    codim = None
-    if fam.ends():
+        if len(fam.ends()) == 2:
+            try:
+                witness = harmonic_witness_check(fam, bud.lambda_window)
+            except InputError as exc:
+                notes.append(f"witness skipped: {exc}")
         try:
             codim = minkowski_samples(fam, depth=bud.codim_depth)
         except InputError as exc:
             notes.append(f"codim skipped: {exc}")
+    else:
+        notes.append("no linear ends: capacity diagnostics skipped")
 
     # -- essential self-adjointness -----------------------------------------
     esa = Verdict("inconclusive", "no applicable theorem or witness")

@@ -26,8 +26,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import (End, GraphFamily, WeightedGraph,
-                     combinatorial_neighborhood)
+from .graphs import End, GraphFamily, WeightedGraph
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
 
@@ -196,12 +195,12 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
         scan.windows.append(win)
         deg = g.degrees()
         for j, r in enumerate(scan.radii):
-            ball = np.flatnonzero(d <= r)
-            scan.sizes.setdefault(r, []).append(int(ball.size))
+            inside = d <= r
+            scan.sizes.setdefault(r, []).append(int(np.count_nonzero(inside)))
             if j % 2:
-                hood = list(combinatorial_neighborhood(g, ball.tolist()))
+                inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
                 scan.max_deg.setdefault(r, []).append(
-                    float(deg[hood].max()) if hood else 0.0)
+                    float(deg[inside].max()))
     return scan
 
 

@@ -8,11 +8,13 @@ For a function f on a weighted graph:
     laplacian  (Delta f)(x) = (1/mu(x)) sum_y w(x,y) (f(x) - f(y))
     norms      ||f||^2 = sum f^2 mu,   ||f||_Q = sqrt(Q(f) + ||f||^2)
 
-On a finite graph, Green's identity, the Leibniz rule and the Caccioppoli
-inequality are exact algebra; the check functions verify them to residual
-<= 1e-9 * scale with scale = max(|terms|, 1). On truncations of infinite
-graphs the values differ from the infinite-graph ones only through edges
-dropped at the frontier; form_report attaches the corresponding leak bound.
+laplacian_all, gradient_sq_all and gradient_pairing_all give one value per
+vertex, as an array. On a finite graph, Green's identity, the Leibniz rule
+and the Caccioppoli inequality are exact algebra; the check functions
+verify them to residual <= 1e-9 * scale with scale = max(|terms|, 1). On
+truncations of infinite graphs the values differ from the infinite-graph
+ones only through edges dropped at the frontier; form_report attaches the
+corresponding leak bound.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import WeightedGraph, combinatorial_neighborhood
-from .metrics import PathMetric
+from .metrics import PathMetric, _squares
 
 RESIDUAL_TOL = 1e-9
 
@@ -71,30 +73,13 @@ class VertexFunction:
 # The kernels below evaluate the per-vertex and per-edge formulas as array
 # expressions over the CSR entries, with the same operations in the same
 # order as the scalar formulas, and sum each row with math.fsum (see
-# WeightedGraph.row_fsum). Squares of single values use Python's float **
-# (libm pow), as the scalar formulas do: numpy's array power can differ
-# from it in the last bit.
-
-def _squares(values) -> np.ndarray:
-    return np.array([t ** 2 for t in np.asarray(values).tolist()])
-
+# WeightedGraph.row_fsum). Squares of single values use libm pow, as the
+# scalar formulas do (metrics._squares).
 
 def _diff(f: VertexFunction) -> np.ndarray:
     """f(x) - f(y) on every CSR entry (x, y)."""
     g = f.graph
     return f.values[g.rows] - f.values[g.indices]
-
-
-def _pairing_rows(f: VertexFunction, g: VertexFunction) -> np.ndarray:
-    """(grad f . grad g)(x) for every vertex x."""
-    gr = f.graph
-    return gr.row_fsum(gr.w * _diff(f) * _diff(g))
-
-
-def _gradient_sq_rows(f: VertexFunction) -> np.ndarray:
-    """|grad f|^2(x) for every vertex x."""
-    g = f.graph
-    return g.row_fsum(g.w * _squares(_diff(f)))
 
 
 def energy(f: VertexFunction) -> float:
@@ -112,14 +97,16 @@ def qnorm(f: VertexFunction) -> float:
     return math.sqrt(energy(f) + norm_sq(f))
 
 
-def gradient_sq(f: VertexFunction, x: int) -> float:
-    """|grad f|^2(x) = sum_y w(x,y)(f(x)-f(y))^2."""
-    return float(_gradient_sq_rows(f)[x])
+def gradient_sq_all(f: VertexFunction) -> np.ndarray:
+    """|grad f|^2(x) = sum_y w(x,y)(f(x)-f(y))^2 for every vertex x."""
+    g = f.graph
+    return g.row_fsum(g.w * _squares(_diff(f)))
 
 
-def gradient_pairing(f: VertexFunction, g: VertexFunction, x: int) -> float:
-    """(grad f . grad g)(x) = sum_y w (f(x)-f(y))(g(x)-g(y))."""
-    return float(_pairing_rows(f, g)[x])
+def gradient_pairing_all(f: VertexFunction, g: VertexFunction) -> np.ndarray:
+    """(grad f . grad g)(x) = sum_y w (f(x)-f(y))(g(x)-g(y)) at every x."""
+    gr = f.graph
+    return gr.row_fsum(gr.w * _diff(f) * _diff(g))
 
 
 def laplacian_all(f: VertexFunction) -> np.ndarray:
@@ -130,11 +117,6 @@ def laplacian_all(f: VertexFunction) -> np.ndarray:
     """
     g = f.graph
     return g.row_fsum(g.w * _diff(f)) / g.mu
-
-
-def laplacian(f: VertexFunction, x: int) -> float:
-    """(Delta f)(x), the entry at x of laplacian_all(f)."""
-    return float(laplacian_all(f)[x])
 
 
 def _touches(f: VertexFunction, g: WeightedGraph) -> bool:
@@ -189,8 +171,8 @@ class IdentityCheck:
     passed: bool
 
 
-def green_identity_check(u: VertexFunction, v: VertexFunction,
-                         tol: float = RESIDUAL_TOL) -> IdentityCheck:
+def green_identity_check(u: VertexFunction,
+                         v: VertexFunction) -> IdentityCheck:
     """sum (Delta u) v mu = sum u (Delta v) mu = 1/2 sum (grad u . grad v).
 
     Exact algebra on a finite graph, so it holds on truncations too.
@@ -198,40 +180,39 @@ def green_identity_check(u: VertexFunction, v: VertexFunction,
     g = u.graph
     a = math.fsum((laplacian_all(u) * v.values * g.mu).tolist())
     b = math.fsum((u.values * laplacian_all(v) * g.mu).tolist())
-    c = 0.5 * math.fsum(_pairing_rows(u, v).tolist())
+    c = 0.5 * math.fsum(gradient_pairing_all(u, v).tolist())
     sc = _scale(a, b, c)
     res = max(abs(a - b), abs(a - c), abs(b - c))
     return IdentityCheck("green", {"sum (Du)v mu": a, "sum u(Dv) mu": b,
                                    "half pairing": c},
-                         res, sc, res <= tol * sc)
+                         res, sc, res <= RESIDUAL_TOL * sc)
 
 
-def leibniz_check(f: VertexFunction, g: VertexFunction, h: VertexFunction,
-                  tol: float = RESIDUAL_TOL) -> IdentityCheck:
+def leibniz_check(f: VertexFunction, g: VertexFunction,
+                  h: VertexFunction) -> IdentityCheck:
     """sum grad(fg).grad h = sum f (grad g . grad h) + sum g (grad f . grad h),
     all three outer sums plain (unweighted) vertex sums."""
     fg = f * g
-    lhs = math.fsum(_pairing_rows(fg, h).tolist())
-    rhs = math.fsum((f.values * _pairing_rows(g, h)
-                     + g.values * _pairing_rows(f, h)).tolist())
+    lhs = math.fsum(gradient_pairing_all(fg, h).tolist())
+    rhs = math.fsum((f.values * gradient_pairing_all(g, h)
+                     + g.values * gradient_pairing_all(f, h)).tolist())
     sc = _scale(lhs, rhs)
     res = abs(lhs - rhs)
     return IdentityCheck("leibniz", {"lhs": lhs, "rhs": rhs},
-                         res, sc, res <= tol * sc)
+                         res, sc, res <= RESIDUAL_TOL * sc)
 
 
-def caccioppoli_check(u: VertexFunction, v: VertexFunction,
-                      tol: float = RESIDUAL_TOL) -> IdentityCheck:
+def caccioppoli_check(u: VertexFunction, v: VertexFunction) -> IdentityCheck:
     """-sum (Delta u) u v^2 mu <= 1/2 sum u^2 |grad v|^2 (slack >= 0)."""
     g = u.graph
     lhs = -math.fsum((laplacian_all(u) * u.values * _squares(v.values)
                       * g.mu).tolist())
-    rhs = 0.5 * math.fsum((_squares(u.values) * _gradient_sq_rows(v)).tolist())
+    rhs = 0.5 * math.fsum((_squares(u.values) * gradient_sq_all(v)).tolist())
     sc = _scale(lhs, rhs)
     slack = rhs - lhs
     return IdentityCheck("caccioppoli", {"lhs": lhs, "rhs": rhs,
                                          "slack": slack},
-                         min(slack, 0.0), sc, slack >= -tol * sc)
+                         min(slack, 0.0), sc, slack >= -RESIDUAL_TOL * sc)
 
 
 def cutoff_eta(metric: PathMetric, x0: int, r: float, R: float) -> VertexFunction:

@@ -563,7 +563,7 @@ class RunRecord:
     error: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":

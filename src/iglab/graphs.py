@@ -127,24 +127,10 @@ class WeightedGraph:
         fsum = math.fsum
         return np.array([fsum(vals[a:b]) for a, b in zip(ip, ip[1:])])
 
-    def row_sum(self, x: int) -> float:
-        """Cached sum_y w(x,y)."""
-        return float(self.row_sums[x])
-
-    def recomputed_row_sum(self, x: int) -> float:
-        return math.fsum(self.w[self.indptr[x]:self.indptr[x + 1]].tolist())
-
-    def degree(self, x: int) -> float:
-        """Weighted degree Deg(x) = row_sum(x) / mu(x)."""
-        return float(self.row_sums[x]) / float(self.mu[x])
-
     def degrees(self) -> np.ndarray:
         """Deg(x) for every vertex, as one array (inf where it overflows)."""
         with np.errstate(over="ignore"):
             return self.row_sums / self.mu
-
-    def combinatorial_degree(self, x: int) -> int:
-        return int(self.indptr[x + 1] - self.indptr[x])
 
     def edges(self):
         """Yield (x, y, w) once per edge with x < y, sorted."""
@@ -153,9 +139,6 @@ class WeightedGraph:
 
     def edge_count(self) -> int:
         return int(self.edge_u.size)
-
-    def total_measure(self) -> float:
-        return math.fsum(self.mu)
 
     def csr(self, values=None) -> sp.csr_matrix:
         """scipy CSR matrix on the edge pattern, holding per-entry values

@@ -142,11 +142,11 @@ def natural_scaled(g: WeightedGraph, K: float) -> EdgeLengths:
     """Constant lengths 1/sqrt(K). Requires Deg(x) <= K for all x."""
     if not K > 0:
         raise InputError("K must be positive")
-    worst = int(np.argmax(g.degrees()))
-    if g.degree(worst) > K * (1 + REL_TOL):
-        raise InputError(
-            f"natural metric needs Deg <= {K}; vertex {worst} has "
-            f"Deg = {g.degree(worst)}")
+    deg = g.degrees()
+    worst = int(np.argmax(deg))
+    if deg[worst] > K * (1 + REL_TOL):
+        raise InputError(f"natural metric needs Deg <= {K}; vertex {worst} "
+                         f"has Deg = {float(deg[worst])}")
     return EdgeLengths(g, np.full(g.edge_count(), 1.0 / math.sqrt(K)),
                        kind=f"natural:{K:g}")
 
@@ -241,27 +241,31 @@ class IntrinsicCertificate:
                 "tolerance": self.tolerance, "verdict": self.passed}
 
 
-def _certificate(g: WeightedGraph, entry_len: np.ndarray, kind: str,
-                 tol: float) -> IntrinsicCertificate:
-    """Slack 1 - (1/mu(x)) sum_y w(x,y) len(x,y)^2 from per-entry lengths."""
-    # Python's float ** (libm pow), as in the scalar formula
-    sq = np.array([t ** 2 for t in entry_len.tolist()])
-    slack = 1.0 - g.row_fsum(g.w * sq) / g.mu
+def _squares(values) -> np.ndarray:
+    """t ** 2 per value in libm pow, which numpy's power can miss by 1 ulp."""
+    return np.array([t ** 2 for t in np.asarray(values).tolist()])
+
+
+def _certificate(g: WeightedGraph, entry_len: np.ndarray,
+                 kind: str) -> IntrinsicCertificate:
+    """Slack 1 - (1/mu(x)) sum_y w(x,y) len(x,y)^2; passes at -REL_TOL."""
+    slack = 1.0 - g.row_fsum(g.w * _squares(entry_len)) / g.mu
     worst = int(np.argmin(slack))
     mn = float(slack[worst])
-    return IntrinsicCertificate(kind, slack, mn, worst, tol, mn >= -tol)
+    return IntrinsicCertificate(kind, slack, mn, worst, REL_TOL,
+                                mn >= -REL_TOL)
 
 
-def strongly_intrinsic_check(g: WeightedGraph, lengths: EdgeLengths,
-                             tol: float = REL_TOL) -> IntrinsicCertificate:
+def strongly_intrinsic_check(g: WeightedGraph,
+                             lengths: EdgeLengths) -> IntrinsicCertificate:
     """Certificate for (1/mu) sum w sigma^2 <= 1 using the lengths directly."""
     if not _same_pattern(g, lengths.graph):
         raise InputError("the lengths live on a different graph")
-    return _certificate(g, lengths.entry_values(), "strongly-intrinsic", tol)
+    return _certificate(g, lengths.entry_values(), "strongly-intrinsic")
 
 
-def intrinsic_check(g: WeightedGraph, metric: PathMetric,
-                    tol: float = REL_TOL) -> IntrinsicCertificate:
+def intrinsic_check(g: WeightedGraph,
+                    metric: PathMetric) -> IntrinsicCertificate:
     """Certificate with len = d_sigma (path distances) on the edges.
 
     d <= sigma edgewise, so strongly intrinsic implies intrinsic; tests
@@ -269,7 +273,7 @@ def intrinsic_check(g: WeightedGraph, metric: PathMetric,
     """
     if not _same_pattern(g, metric.graph):
         raise InputError("the metric lives on a different graph")
-    return _certificate(g, metric.edge_distances(), "intrinsic", tol)
+    return _certificate(g, metric.edge_distances(), "intrinsic")
 
 
 def _same_pattern(g: WeightedGraph, h: WeightedGraph) -> bool:

@@ -63,10 +63,6 @@ class EquilibriumResult:
     U: tuple
     bounds_ok: bool          # 0 <= e <= 1 within 1e-10
 
-    def to_dict(self):
-        return dict(cap=self.cap, cap_sq=self.cap_sq, residual=self.residual,
-                    bounds_ok=self.bounds_ok)
-
 
 def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     """Equilibrium potential of U: minimizes ||u||_Q^2 subject to u=1 on U.
@@ -197,10 +193,7 @@ class CapacityReport:
     thresholds: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"family": self.family,
-                "per_end": [s.to_dict() for s in self.per_end],
-                "boundary_regime": self.boundary_regime,
-                "polarity": self.polarity, "thresholds": self.thresholds}
+        return dict(vars(self), per_end=[s.to_dict() for s in self.per_end])
 
 
 def _w_sum(end, a: int, b: int) -> float:
@@ -222,7 +215,7 @@ def _w_sum(end, a: int, b: int) -> float:
 
 def _ramp_upper(end, N: int) -> float:
     """||eta||_Q for the admissible ramp: 0 out to N/2, linear to 1 at N,
-    constant 1 on the tail. A true upper bound for Cap(tail_N).
+    constant 1 on the tail. A true upper bound for Cap(tail_N), N >= 4.
 
     The squared norm is energy + mass + mu_tail(N); the energy's w sum is
     blocked, bit-equal to one np.sum (_w_sum). Since eta vanishes up to N/2
@@ -230,9 +223,7 @@ def _ramp_upper(end, N: int) -> float:
     that bound to the energy leaves the energy unchanged in floating point,
     so does the full sum (rounding is monotone), and the measure rule is
     not evaluated."""
-    a, b = max(1, N // 2), N
-    if b - a < 1:
-        return math.inf
+    a, b = N // 2, N
     inc = 1.0 / (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
         en = _w_sum(end, a, b) * inc * inc
@@ -243,12 +234,11 @@ def _ramp_upper(end, N: int) -> float:
         tail = end.mu_tail(b).upper
     except InputError:
         return math.inf
-    ks = np.arange(a, b, dtype=float)
+    ks = np.arange(a + 1, b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_ramp = np.asarray(end.mu_fn(ks[1:] if ks.size > 1 else ks),
-                             dtype=float)
-        prof = ((ks[1:] if ks.size > 1 else ks) - a) * inc
-        mass = float(np.sum(mu_ramp * prof * prof))
+        prof = (ks - a) * inc
+        mass = float(np.sum(np.asarray(end.mu_fn(ks), dtype=float)
+                            * prof * prof))
     total = en + mass + tail
     if not math.isfinite(total):
         return math.inf
@@ -454,15 +444,25 @@ def minkowski_samples(fam: GraphFamily, depth: int = 40) -> CodimEstimate:
     distances decrease outward), so mu(B_r) = mu_tail(x). Three codimension
     estimators are reported: pointwise ratios ln mu / ln r (the definition;
     a limsup proxy takes their max over the deepest quartile), two-point
-    local slopes, and a least-squares log-log fit.
+    local slopes, and a least-squares log-log fit. Sampling stops before
+    the first x where either tail underflows to 0 (its log is -inf), as
+    the ramp grid stops at a 0 bound; fewer than 2 samples raise InputError.
     """
     if depth < 2:
         raise InputError(f"codimension sampling needs depth >= 2, got {depth}")
     end = boundary_end(fam, "codimension sampling")
     if end.mu_is_infinite():
         raise InputError("measure of the space is infinite; mu(B_r) diverges")
-    xs = np.arange(1, depth + 1)
-    tails = [(end.sigma_tail(int(x)), end.mu_tail(int(x))) for x in xs]
+    tails = []
+    for x in range(1, depth + 1):
+        ts, tm = end.sigma_tail(x), end.mu_tail(x)
+        if not (ts.value > 0.0 and tm.value > 0.0):
+            break
+        tails.append((ts, tm))
+    if len(tails) < 2:
+        raise InputError("codimension sampling: fewer than 2 samples before "
+                         f"the tails underflow to 0 at x = {len(tails) + 1}")
+    xs = np.arange(1, len(tails) + 1)
     r = np.array([ts.value for ts, _ in tails])
     mb = np.array([tm.value for _, tm in tails])
     exact = all(ts.exact and tm.exact for ts, tm in tails)
@@ -501,12 +501,6 @@ class PolarityTestResult:
     decreasing: bool
     final_value: float
     fires: bool             # some value < 1e-3 (capacity upper bound)
-
-    def to_dict(self):
-        return {"family": self.family,
-                "entries": [vars(e) for e in self.entries],
-                "decreasing": self.decreasing,
-                "final_value": self.final_value, "fires": self.fires}
 
 
 def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult:

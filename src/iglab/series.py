@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TINY = np.finfo(float).tiny     # the smallest normal float
+TAIL_REL_TOL = 1e-13            # geometric_tail's relative remainder target
+TAIL_MAX_TERMS = 200000         # geometric_tail's term cap
+TAIL_DEPTH = 2000               # terms bounded_tail sums before its bound
+PLATEAU_REL = 1e-6              # plateau's last-quartile relative change
 
 
 @dataclass(frozen=True)
@@ -35,18 +39,17 @@ class TailSum:
         return max(self.value - self.bound, 0.0)
 
 
-def geometric_tail(term_fn, start: int, ratio_bound: float,
-                   rel_tol: float = 1e-13, max_terms: int = 200000) -> TailSum:
+def geometric_tail(term_fn, start: int, ratio_bound: float) -> TailSum:
     """Sum term_fn(start) + term_fn(start+1) + ... given a uniform ratio bound.
 
     ratio_bound must satisfy term(x+1) <= ratio_bound * term(x) for all
     x >= start with 0 < ratio_bound < 1; the remainder after the partial
     sum is then bounded by last_term * r / (1 - r). The sum stops at a
-    zero term, at the first remainder <= rel_tol * fsum(terms so far), or
-    after max_terms terms. The plain running sum of n nonnegative terms is
-    within n 2^-53 of the exact one, so fsum runs only where the remainder
-    is at most twice rel_tol times it, or where that product is subnormal
-    and loses the relative bound: elsewhere the fsum test cannot pass.
+    zero term, at the first remainder <= TAIL_REL_TOL * fsum(terms so
+    far), or after TAIL_MAX_TERMS terms. The plain running sum of n
+    nonnegative terms is within n 2^-53 of the exact one, so fsum runs only
+    where the remainder is at most twice TAIL_REL_TOL times it, or where
+    that product is subnormal and loses the relative bound.
     """
     if not 0.0 < ratio_bound < 1.0:
         raise ValueError("ratio_bound must lie in (0, 1)")
@@ -60,22 +63,21 @@ def geometric_tail(term_fn, start: int, ratio_bound: float,
         terms.append(t)
         running += t
         remainder = t * ratio_bound / (1.0 - ratio_bound)
-        scale = rel_tol * running
+        scale = TAIL_REL_TOL * running
         if t == 0.0 or remainder <= 2.0 * scale or scale < TINY:
             partial = math.fsum(terms)
-            if remainder <= rel_tol * partial or t == 0.0:
+            if remainder <= TAIL_REL_TOL * partial or t == 0.0:
                 return TailSum(partial, remainder, exact=False)
         x += 1
-        if x - start >= max_terms:
+        if x - start >= TAIL_MAX_TERMS:
             return TailSum(math.fsum(terms), remainder, exact=False)
 
 
-def bounded_tail(term_fn, start: int, remainder_fn,
-                 depth: int = 2000) -> TailSum:
-    """Partial sum to start+depth with a declared remainder bound beyond."""
-    xs = range(start, start + depth)
+def bounded_tail(term_fn, start: int, remainder_fn) -> TailSum:
+    """TAIL_DEPTH terms from start, plus a declared remainder bound."""
+    xs = range(start, start + TAIL_DEPTH)
     partial = math.fsum(float(term_fn(x)) for x in xs)
-    rem = float(remainder_fn(start + depth))
+    rem = float(remainder_fn(start + TAIL_DEPTH))
     return TailSum(partial, rem, exact=False)
 
 
@@ -85,14 +87,14 @@ def last_quartile(n: int) -> slice:
     return slice(n - k, n)
 
 
-def plateau(values, rel: float = 1e-6) -> bool:
-    """True if the last quartile of the sequence moves by < rel relatively."""
+def plateau(values) -> bool:
+    """True if the last quartile moves by < PLATEAU_REL relatively."""
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         return False
     tail = v[last_quartile(v.size)]
     scale = max(abs(tail[-1]), 1e-300)
-    return bool(np.max(np.abs(np.diff(tail))) < rel * scale)
+    return bool(np.max(np.abs(np.diff(tail))) < PLATEAU_REL * scale)
 
 
 def loglog_slope(xs, ys) -> float:
@@ -110,9 +112,6 @@ def loglog_slope(xs, ys) -> float:
 class SeriesVerdict:
     verdict: str            # "converged" | "diverged" | "inconclusive"
     partial: float          # last partial sum
-
-    def __bool__(self) -> bool:  # truthy iff converged
-        return self.verdict == "converged"
 
 
 def series_verdict(terms) -> SeriesVerdict:

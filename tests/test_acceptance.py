@@ -15,9 +15,9 @@ from conftest import (ACCEPTANCE_RESULTS, exhaustive_distances,
                       lstsq_capacity, make_random_graph, random_values)
 from iglab.classify import classify, harmonic_witness_check, lambda_solve
 from iglab.completeness import lengths_for
-from iglab.forms import (VertexFunction, _gradient_sq_rows,
-                         caccioppoli_check, cutoff_eta, energy,
-                         green_identity_check, leibniz_check)
+from iglab.forms import (VertexFunction, caccioppoli_check, cutoff_eta,
+                         energy, gradient_sq_all, green_identity_check,
+                         leibniz_check)
 from iglab.gallery import GOLDEN_RUNS, build_family, run_gallery
 from iglab.graphs import WeightedGraph
 from iglab.metrics import (PathMetric, sigma0, sigma1,
@@ -173,7 +173,7 @@ def test_criterion_07_intrinsic_certificates_and_cutoff_bound():
             R = r + rng.uniform(1e-3, 1.2 * ecc)
             eta = cutoff_eta(metric, x0, r, R)
             bound = 1.0 / (R - r) ** 2
-            grad = _gradient_sq_rows(eta)   # gradient_sq(eta, x) at every x
+            grad = gradient_sq_all(eta)
             for x in range(g.n):
                 # 1e-12 absolute for O(1) bounds, relative beyond: the
                 # bound is attained exactly at sigma_0-tight vertices,

@@ -166,6 +166,29 @@ def test_codim_shallow_depth_exit_2(capsys, depth):
     assert "needs depth >= 2" in err
 
 
+@pytest.mark.parametrize("depth", ["600", "2000"])
+def test_codim_stops_where_the_tails_underflow(capsys, depth):
+    # ex5.4's measure tail (4/3) 4^-x is 0.0 past x = 537: sampling stops
+    # there instead of fitting log 0 = -inf
+    code, out, err = run(capsys, "codim", "--family", "ex5.4",
+                         "--depth", depth)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["x"][-1] == 537 and min(doc["mu_ball"]) > 0.0
+    assert doc["codim"] == pytest.approx(2.0, abs=0.01)
+    assert math.isfinite(doc["fit_slope"])
+
+
+def test_classify_where_the_codim_tails_underflow(capsys):
+    # ex5.6 at alpha = 50: mu tail 2^(-99 x) / (1 - 2^-99) is 0.0 past x = 10
+    code, out, err = run(capsys, "classify", "--family", "ex5.6:alpha=50",
+                         "--budget", "quick")
+    assert code == 0 and err == ""
+    codim = json.loads(out)["codim"]
+    assert codim["x"][-1] == 10
+    assert math.isfinite(codim["codim"]) and math.isfinite(codim["fit_slope"])
+
+
 def test_window_cap_below_smallest_window_exit_2(capsys):
     # the rules of ex5.2 are valid; the message must blame the cap
     code, out, err = run(capsys, "complete", "report", "--family", "ex5.2",

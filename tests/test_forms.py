@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from iglab.errors import InputError
 from iglab.forms import (VertexFunction, caccioppoli_check, cutoff_eta,
-                         energy, form_report, gradient_pairing, gradient_sq,
-                         green_identity_check, laplacian, laplacian_all,
+                         energy, form_report, gradient_pairing_all,
+                         gradient_sq_all, green_identity_check, laplacian_all,
                          leibniz_check, norm_sq, qnorm)
 from iglab.gallery import build_family
 from iglab.graphs import WeightedGraph
@@ -64,8 +64,6 @@ def test_laplacian_hand_value():
     # Delta f(1) = (1 (1-0) + 1 (1-0)) / 2 = 1
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 2.0, 1.0])
     f = VertexFunction(g, [0.0, 1.0, 0.0])
-    assert laplacian(f, 1) == 1.0
-    assert laplacian(f, 0) == -1.0
     assert np.array_equal(laplacian_all(f), [-1.0, 1.0, -1.0])
 
 
@@ -73,10 +71,10 @@ def test_gradient_sq_and_pairing():
     g = path_graph(3, w=3.0)
     f = VertexFunction(g, [0.0, 2.0, 2.0])
     h = VertexFunction(g, [1.0, 0.0, 0.0])
-    assert gradient_sq(f, 1) == 3 * 4.0
-    assert gradient_pairing(f, h, 1) == 3 * (2 * -1) + 0.0
+    assert gradient_sq_all(f)[1] == 3 * 4.0
+    assert gradient_pairing_all(f, h)[1] == 3 * (2 * -1) + 0.0
     # polarization: 2 <grad f, grad f> = 2 |grad f|^2
-    assert gradient_pairing(f, f, 1) == gradient_sq(f, 1)
+    assert np.array_equal(gradient_pairing_all(f, f), gradient_sq_all(f))
 
 
 def test_form_report():
@@ -199,5 +197,4 @@ def test_cutoff_gradient_bound_random_pairs():
             R = r + rng.uniform(1e-3, 1.2 * ecc)
             eta = cutoff_eta(m, x0, r, R)
             bound = 1.0 / (R - r) ** 2
-            for x in range(g.n):
-                assert gradient_sq(eta, x) <= g.mu[x] * bound + 1e-12
+            assert np.all(gradient_sq_all(eta) <= g.mu * bound + 1e-12)

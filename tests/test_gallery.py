@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import iglab.gallery as gallery
@@ -61,7 +63,7 @@ def test_star_truncation_shape():
     # hub + 4 rays x 2 vertices
     assert g.n == 9
     metric = PathMetric(lengths_for(g, "sigma0", fam))
-    tips = [x for x in range(g.n) if g.combinatorial_degree(x) == 1]
+    tips = np.flatnonzero(np.diff(g.indptr) == 1).tolist()
     assert len(tips) == 4
     d = metric.distances_from(0)
     assert d[tips[0]] == pytest.approx(2.0, abs=1e-12)
@@ -142,6 +144,16 @@ def test_runrecord_roundtrip():
     other = RunRecord.from_json(rec.to_json())
     assert other == rec
     assert json.loads(rec.to_json())["schema_version"] == 2
+
+
+def test_record_json_is_the_asdict_text_for_quick_gallery_records():
+    # to_json dumps the fields as they are, without asdict's deep copy;
+    # the fields are plain data, so the text must not change
+    for rec in run_gallery(budget="quick").records:
+        text = rec.to_json()
+        assert text == json.dumps(dataclasses.asdict(rec), sort_keys=True,
+                                  indent=2)
+        assert RunRecord.from_json(text).to_json() == text
 
 
 def test_write_record_atomic(tmp_path):

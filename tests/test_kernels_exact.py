@@ -20,8 +20,9 @@ from scipy.sparse.csgraph import dijkstra
 
 import iglab.metrics as metrics
 from iglab.forms import (VertexFunction, caccioppoli_check, energy,
-                         gradient_pairing, gradient_sq, green_identity_check,
-                         laplacian, laplacian_all, leibniz_check, norm_sq)
+                         gradient_pairing_all, gradient_sq_all,
+                         green_identity_check, laplacian_all, leibniz_check,
+                         norm_sq)
 from iglab.graphs import WeightedGraph
 from iglab.metrics import (PathMetric, custom_lengths, intrinsic_check,
                            sigma0, sigma1, strongly_intrinsic_check)
@@ -253,16 +254,10 @@ def test_lengths_and_certificates_are_exact(g, r, funcs, U):
 def test_forms_and_identities_are_exact(g, r, funcs, U):
     f, h, k = (VertexFunction(g, vals) for vals in funcs)
     vf, vh, vk = funcs
-    assert same(laplacian_all(f),
-                [ref_laplacian(r, vf, x) for x in range(g.n)])
-    # the per-vertex forms are single entries of the row kernels (each call
-    # evaluates a whole kernel, so sample up to ~32 vertices)
-    xs = range(0, g.n, max(1, g.n // 32))
-    assert same([laplacian(f, x) for x in xs],
-                [ref_laplacian(r, vf, x) for x in xs])
-    assert same([gradient_sq(f, x) for x in xs],
-                [ref_gradient_sq(r, vf, x) for x in xs])
-    assert same([gradient_pairing(f, h, x) for x in xs],
+    xs = range(g.n)
+    assert same(laplacian_all(f), [ref_laplacian(r, vf, x) for x in xs])
+    assert same(gradient_sq_all(f), [ref_gradient_sq(r, vf, x) for x in xs])
+    assert same(gradient_pairing_all(f, h),
                 [ref_pairing(r, vf, vh, x) for x in xs])
     assert same(energy(f), ref_energy(r, vf))
     assert same(norm_sq(f), ref_norm_sq(r, vf))

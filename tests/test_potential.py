@@ -450,6 +450,13 @@ def test_codim_and_polarity_test_at_depth_two():
     assert [e.n for e in codim_polarity_test(fam, depth=2).entries] == [2]
 
 
+def test_codim_needs_two_samples_above_underflow():
+    # at alpha = 600 the boundary distance 2^-600 / (2^600 - 1) is 0.0
+    # already at x = 1
+    with pytest.raises(InputError, match="fewer than 2 samples"):
+        minkowski_samples(build_family("ex5.6", {"alpha": 600.0}), depth=40)
+
+
 def test_polarity_test_needs_single_end():
     with pytest.raises(InputError):
         codim_polarity_test(build_family("ex5.1"), depth=10)
