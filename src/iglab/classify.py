@@ -10,7 +10,8 @@ The diagnostics assembled here:
     which is positive and increasing for lambda > 0. Whether u stays
     bounded is equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf.
     A bounded solution that is square-summable with finite energy lies in
-    the maximal form domain and separates D(Q) from D(Q^max).
+    the maximal form domain and separates D(Q) from D(Q^max). The
+    recursion stops before u, u^2 mu or w (du)^2 leaves float range.
 
   * harmonic_witness_check: on a line with constant weights, h(x) = x is
     harmonic; if sum x^2 sqrt(mu(x)) < inf then h is square-summable while
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .completeness import BallScan, _ball_scan, _hopf_rinow
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, laplacian_all
 from .graphs import GraphFamily
 from .potential import (CapacityReport, boundary_alternative_evidence,
@@ -77,7 +78,7 @@ def resolve_budget(budget) -> Budget:
 @dataclass
 class LambdaSolution:
     lam: float
-    window: int
+    window: int                   # vertices kept: the cut of _ray_lambda_solve
     u: np.ndarray
     residual: float               # sup defect of the summed first-order form
     increasing: bool
@@ -98,6 +99,10 @@ class LambdaSolution:
 
 
 def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
+    """The recursion on vertices 0..window-1, cut before the first x where
+    u(x), u(x)^2 mu(x) or w(x-1) (u(x) - u(x-1))^2 is not finite; the
+    solution's window is the number of vertices kept. Raises
+    NumericalError when fewer than 2 remain."""
     xs = np.arange(window, dtype=float)
     w = np.asarray(w_fn(xs[:-1]), dtype=float)
     mu = np.asarray(mu_fn(xs), dtype=float)
@@ -112,7 +117,20 @@ def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
         s += u[x] * mu_l[x]
         u.append(u[x] + lam_w[x] * s)
     u = np.array(u)
-    inc = np.diff(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = np.diff(u)
+        l2_terms = u * u * mu
+        en_terms = w * inc * inc
+    bad = ~(np.isfinite(u) & np.isfinite(l2_terms))
+    bad[1:] |= ~np.isfinite(en_terms)
+    if bad.any():
+        window = int(np.argmax(bad))
+        if window < 2:
+            raise NumericalError(
+                f"lambda recursion leaves float range at x = {window}")
+        u, mu, l2_terms = u[:window], mu[:window], l2_terms[:window]
+        edges = slice(window - 1)
+        w, inc, en_terms = w[edges], inc[edges], en_terms[edges]
     # Verify the summed first-order form w(x) (u(x+1) - u(x)) =
     # lambda sum_{y<=x} u(y) mu(y) against an independently accumulated
     # right-hand side. (The raw three-term residual of (Delta+lambda)u is
@@ -126,8 +144,8 @@ def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
     res = max([0.0, *dev.tolist()]) / scale
     cum_mu = np.cumsum(mu[:-1])
     criterion = series_verdict(cum_mu / w)
-    l2 = series_verdict(u * u * mu)
-    en = series_verdict(w * inc * inc)
+    l2 = series_verdict(l2_terms)
+    en = series_verdict(en_terms)
     if criterion.verdict == "converged" or plateau(u):
         bounded = "bounded"
     elif criterion.verdict == "diverged" and not plateau(u):

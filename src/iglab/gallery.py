@@ -218,6 +218,8 @@ class StarFamily(GraphFamily):
     Joins weigh 2^-n, inner edges inner_w(n) over an integer array n;
     with_extra adds a vertex joined to every tip like the hub. window = N
     rays realized (N <= ray_cap); the hub and the extra vertex leak 2^-N.
+    Each window is built once and kept for the life of the family, as
+    for LinearFamily.
     Not locally finite in the limit (the hub meets every ray), so
     completeness dichotomies do not apply; these families exist to exhibit
     limit phenomena of the truncation sequence.
@@ -231,9 +233,13 @@ class StarFamily(GraphFamily):
         self.inner_w = inner_w
         self._ray_cap = ray_cap
         self.with_extra = with_extra
+        self._windows = {}               # window -> its realization
 
     def truncate(self, window: int) -> WeightedGraph:
         n_rays = int(window)
+        g = self._windows.get(n_rays)
+        if g is not None:
+            return g
         if n_rays < 2:
             raise InputError("window must be at least 2 rays")
         if n_rays > self._ray_cap:
@@ -250,7 +256,9 @@ class StarFamily(GraphFamily):
             leak[size] = leak[0]
             size += 1
         edges = np.concatenate([np.column_stack(b) for b in blocks])
-        return WeightedGraph(size, edges, np.ones(size), leak=leak)
+        g = self._windows[n_rays] = WeightedGraph(size, edges, np.ones(size),
+                                                  leak=leak)
+        return g
 
     def canonical_lengths(self, g: WeightedGraph):
         return sigma0(g)

@@ -19,9 +19,12 @@ vectorized pass:
     mu, row_sums             the measure and sum_y w(x, y) per vertex
 
 Kernels on a graph compute one value per entry as an array expression and
-sum each row with math.fsum over a slice of one list (row_fsum). fsum is
-correctly rounded, so a row sum does not depend on the order of the
-entries.
+sum each row as math.fsum would (row_fsum). fsum is correctly rounded, so
+a row sum does not depend on the order of the entries.
+
+A graph owns its arrays and they are read-only: mu is a copy of the
+caller's, leak is a read-only mapping, and a write to any of them raises.
+So one graph can be handed to every caller.
 
 An infinite ray or line is a root vertex plus one or two End records.
 An End holds the rules of one linear end (weight, measure and canonical
@@ -31,13 +34,21 @@ inf marks an infinite series. The family realizes itself on finite
 windows via truncate(). A truncation carries the id of the model origin
 (origin) and the edge mass each frontier vertex lost to the cut (leak),
 which downstream modules use for leak bounds.
+
+Each family builds each window once, and each End evaluates each tail
+rule once per index: both keep a memo that lives as long as the family
+(or End) object does. The gallery and the CLI build one family per run,
+so one classification realizes every window and every tail once, and
+the ball scan, the capacity solves, the witness and the golden claims
+share them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,17 +65,18 @@ class WeightedGraph:
     arrays described in the module docstring; an edge's two entries hold
     the same float, so weight(x, y) and weight(y, x) agree bit for bit.
     leak and origin are the truncation metadata of the module docstring.
+    Every array is read-only and leak is a read-only mapping.
     """
 
     __slots__ = ("n", "mu", "indptr", "indices", "w", "rows", "edge_u",
                  "edge_v", "edge_w", "edge_of", "frontier", "leak", "origin",
-                 "row_sums")
+                 "row_sums", "_short_rows")
 
     def __init__(self, n, edges, mu, leak=None, origin=0):
         if n <= 0:
             raise InputError("graph needs at least one vertex")
         self.n = int(n)
-        self.mu = np.asarray(mu, dtype=float)
+        self.mu = np.array(mu, dtype=float)      # a copy: never the caller's
         if self.mu.shape != (self.n,):
             raise InputError(f"mu must have length {self.n}")
         if not ((self.mu > 0.0) & (self.mu < math.inf)).all():
@@ -72,15 +84,20 @@ class WeightedGraph:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         self._store(*_valid_edges(self.n, np.asarray(edges, dtype=float)))
-        self.leak = {int(k): float(v) for k, v in (leak or {}).items()}
-        for x, v in self.leak.items():
+        leak = {int(k): float(v) for k, v in (leak or {}).items()}
+        for x, v in leak.items():
             if not 0 <= x < self.n or v < 0.0:
                 raise InputError("invalid leak entry")
-        self.frontier = frozenset(self.leak)
+        self.leak = MappingProxyType(leak)
+        self.frontier = frozenset(leak)
         self.origin = int(origin)
         if not 0 <= self.origin < self.n:
             raise InputError("origin out of range")
         self.row_sums = self.row_fsum(self.w)
+        for a in (self.mu, self.indptr, self.indices, self.w, self.rows,
+                  self.edge_u, self.edge_v, self.edge_w, self.edge_of,
+                  self.row_sums):
+            a.flags.writeable = False
 
     def _store(self, u, v, w) -> None:
         """Build the CSR arrays from edges u < v with w > 0, sorted."""
@@ -94,6 +111,7 @@ class WeightedGraph:
         self.edge_of = entry % max(m, 1)
         self.w = w[self.edge_of]
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self._short_rows = int(np.diff(self.indptr).max()) <= 2
 
     # -- basic accessors -------------------------------------------------
 
@@ -121,11 +139,25 @@ class WeightedGraph:
 
     def row_fsum(self, values) -> np.ndarray:
         """math.fsum of per-entry values over each row. fsum is correctly
-        rounded, so each row sum does not depend on the entry order."""
-        vals = np.asarray(values, dtype=float).tolist()
-        ip = self.indptr.tolist()
-        fsum = math.fsum
-        return np.array([fsum(vals[a:b]) for a, b in zip(ip, ip[1:])])
+        rounded, so each row sum does not depend on the entry order.
+
+        When every row has at most two entries (rays and lines), one
+        bincount gives the same sums: it adds a row's entries to 0.0 in
+        turn, and 0.0 + a + b is the correctly rounded a + b, with -0.0
+        turned into 0.0 as fsum does. Rows whose sum is not finite are
+        summed again by fsum, which keeps its OverflowError and ValueError.
+        """
+        if not self._short_rows:
+            vals = np.asarray(values, dtype=float).tolist()
+            ip = self.indptr.tolist()
+            fsum = math.fsum
+            return np.array([fsum(vals[a:b]) for a, b in zip(ip, ip[1:])])
+        vals = np.asarray(values, dtype=float)
+        out = np.bincount(self.rows, weights=vals, minlength=self.n) + 0.0
+        ip = self.indptr
+        for x in np.flatnonzero(~np.isfinite(out)).tolist():
+            out[x] = math.fsum(vals[ip[x]:ip[x + 1]].tolist())
+        return out
 
     def degrees(self) -> np.ndarray:
         """Deg(x) for every vertex, as one array (inf where it overflows)."""
@@ -357,6 +389,10 @@ class End:
     bound on the tail resistance sum_{k>=1} 1/w(k), or None. label names
     the end in reports ('plus', or 'minus' for the left end of a line).
     Ends compare by identity.
+
+    sigma_tail, mu_tail and mu_is_infinite share one memo: each tail rule
+    runs once per index k for the life of the End, and a rule that raises
+    is not remembered. A copy made with dataclasses.replace starts empty.
     """
 
     w_fn: Callable
@@ -366,19 +402,28 @@ class End:
     mu_tail_fn: Callable | None = None
     res_upper: float | None = None
     label: str = "plus"
+    _tails: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _tail(self, rule, k) -> TailSum:
+        """rule(k) as a TailSum, from the (rule, k) memo."""
+        key = (rule, k)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = _tail_sum(rule(k))
+        return tail
 
     def sigma_tail(self, k: int) -> TailSum:
         """sum_{j >= k} sigma(j): remaining length beyond vertex k."""
         if self.sigma_tail_fn is None:
             raise InputError(
                 f"end {self.label}: no tail data for the edge lengths")
-        return _tail_sum(self.sigma_tail_fn(k))
+        return self._tail(self.sigma_tail_fn, k)
 
     def mu_tail(self, k: int) -> TailSum:
         """sum_{j >= k} mu(j); raises if the measure tail is infinite."""
         if self.mu_tail_fn is None:
             raise InputError(f"end {self.label}: no tail data for the measure")
-        tail = _tail_sum(self.mu_tail_fn(k))
+        tail = self._tail(self.mu_tail_fn, k)
         if math.isinf(tail.value):
             raise InputError(f"end {self.label}: measure tail is infinite")
         return tail
@@ -386,7 +431,7 @@ class End:
     def mu_is_infinite(self) -> bool:
         """Whether the measure tail rule declares infinite measure."""
         return (self.mu_tail_fn is not None
-                and math.isinf(_tail_sum(self.mu_tail_fn(0)).value))
+                and math.isinf(self._tail(self.mu_tail_fn, 0).value))
 
 
 def _tail_sum(t) -> TailSum:
@@ -445,6 +490,8 @@ class LinearFamily(GraphFamily):
     end's outermost vertex leaks the weight of edge d, the first one cut.
     max_window never passes window_cap: at the default 2^20, realizing
     the largest window and its canonical lengths stays under ~0.5 GB.
+    The family builds each window once and keeps it for its own life;
+    every later truncate(window) returns that same read-only graph.
 
     Subclasses fix the window convention: the window minus the depth
     (_depth_offset) and the root's id (root_id, the truncation's origin).
@@ -460,6 +507,7 @@ class LinearFamily(GraphFamily):
         self.params = dict(params or {})
         self._ends = tuple(ends)
         self._window_cap = window_cap
+        self._windows = {}               # window -> its realization
 
     def ends(self):
         return self._ends
@@ -480,6 +528,9 @@ class LinearFamily(GraphFamily):
         raise InputError(f"end {end.label!r} is not an end of {self.name}")
 
     def _realize(self, window: int) -> WeightedGraph:
+        g = self._windows.get(int(window))
+        if g is not None:
+            return g
         depth = self._depth(window)
         if depth < 1:
             raise InputError(
@@ -501,8 +552,10 @@ class LinearFamily(GraphFamily):
             leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
             ids = root + sign * ks
             edges.append(np.column_stack((ids[:-1], ids[1:], w)))
-        return WeightedGraph(root + depth + 1, np.concatenate(edges), mu,
-                             leak=leak, origin=root)
+        g = self._windows[int(window)] = WeightedGraph(
+            root + depth + 1, np.concatenate(edges), mu, leak=leak,
+            origin=root)
+        return g
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths

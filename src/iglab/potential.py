@@ -26,6 +26,11 @@ bound that is 0 (tails are nested, so Cap(tail_N) cannot grow again) or
 inf (the rules left float range). Verdicts use whichever side of the
 bracket can carry them: smallness claims (polar) run on certified upper
 bounds, positivity claims on the solver plateau.
+
+The solver's outer windows are the family's truncations, which the
+family builds once and keeps for its life, so the tails and ends of one
+boundary_capacity call, and the other stages of one classification,
+share them; the certified tails come from each End's own memo.
 """
 
 from __future__ import annotations
@@ -252,7 +257,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     Per end: solver values Cap_M(tail_N) on outer windows M >= 4N (M
     doubles until the value moves by < 1e-6 relatively, or until it would
     pass OUTER_PER_TAIL * solver_tail_max or the family's float range),
-    bracketed above by mu_tail(M) (each M is truncated once per call);
+    bracketed above by mu_tail(M);
     plus analytic ramp bounds extending the tail grid beyond any buildable
     window. A ramp bound skips the measure rule when its certified mass
     bound mu_tail(N/2 + 1) cannot change it in floating point. The ramp
@@ -279,7 +284,6 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     # one float-range probe serves every end of finite measure
     maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
               if any(not end.mu_is_infinite() for end in ends) else None)
-    truncations = {}                 # outer window -> graph, across ends
     sequences = []
     for end in ends:
         if end.mu_is_infinite():
@@ -305,9 +309,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
             m = 4 * n_tail
             prev = None
             while True:
-                if m not in truncations:
-                    truncations[m] = fam.truncate(m)
-                r = equilibrium(truncations[m], fam.tail_ids(end, n_tail, m))
+                r = equilibrium(fam.truncate(m), fam.tail_ids(end, n_tail, m))
                 entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
                 entry.outer_window = m
                 stable = prev is not None and \

@@ -10,7 +10,7 @@ from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
 from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
-from iglab.errors import InputError
+from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import RayFamily
 
@@ -91,20 +91,28 @@ def test_lambda_solve_on_line_family_splits():
 
 
 def scalar_lambda_loops(w_fn, mu_fn, lam, window):
-    """The recursion and its residual as loops over numpy scalars."""
+    """The recursion and its residual as loops over numpy scalars, cut
+    before the first x where u, u^2 mu or w (du)^2 is not finite."""
     xs = np.arange(window, dtype=float)
     w = np.asarray(w_fn(xs[:-1]), dtype=float)
     mu = np.asarray(mu_fn(xs), dtype=float)
     u = np.empty(window)
     u[0] = 1.0
     s = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for x in range(window - 1):
             s += u[x] * mu[x]
             u[x + 1] = u[x] + lam / w[x] * s
+        for x in range(window):
+            du = u[x] - u[x - 1] if x else 0.0
+            if not (np.isfinite(u[x]) and np.isfinite(u[x] * u[x] * mu[x])
+                    and (x == 0 or np.isfinite(w[x - 1] * du * du))):
+                window = x
+                u = u[:window]
+                break
         res = 0.0
         scale = max(1.0, float(np.max(np.abs(u))))
-        um = u * mu
+        um = u * mu[:window]
         for x in range(window - 1):
             rhs = lam * math.fsum(um[:x + 1]) / w[x]
             res = max(res, abs(u[x + 1] - u[x] - rhs))
@@ -115,14 +123,18 @@ def test_lambda_solve_matches_the_scalar_loops():
     rays = [(end.w_fn, end.mu_fn) for _label, name, params, _check
             in GOLDEN_RUNS for end in build_family(name, params).ends()]
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    # a zero weight gives inf and an inf weight a flat step, never an error
+    # a zero weight gives inf and an inf weight a flat step of infinite
+    # energy, never an error: both cut the recursion at x = 4; so does ex5.6
+    # alpha = 0.3, whose u^2 mu overflows at x = 51
     rays += [(lambda x: np.where(np.asarray(x) == 3, 0.0, 1.0), ones),
-             (lambda x: np.where(np.asarray(x) == 3, np.inf, 1.0), ones)]
+             (lambda x: np.where(np.asarray(x) == 3, np.inf, 1.0), ones),
+             *[(end.w_fn, end.mu_fn) for end in
+               build_family("ex5.6", {"alpha": 0.3}).ends()]]
     for w_fn, mu_fn in rays:
         for lam, window in ((1.0, 40), (1.0, 200), (0.7, 200)):
             u, res = scalar_lambda_loops(w_fn, mu_fn, lam, window)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sol = _ray_lambda_solve(w_fn, mu_fn, lam, window)
+            sol = _ray_lambda_solve(w_fn, mu_fn, lam, window)
+            assert sol.window == u.size
             assert sol.u.tobytes() == u.tobytes()
             assert float(sol.residual).hex() == float(res).hex()
 
@@ -132,6 +144,10 @@ def test_lambda_solve_validation():
         lambda_solve(unit_ray(), lam=0.0)
     with pytest.raises(InputError):
         lambda_solve(build_family("a5.1"))
+    # w(0) = 0 sends u(1) to inf: no two vertices to judge the series on
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    with pytest.raises(NumericalError, match="x = 1"):
+        _ray_lambda_solve(zero, lambda x: zero(x) + 1.0, 1.0, 40)
 
 
 # -- harmonic witness -------------------------------------------------------------

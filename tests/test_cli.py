@@ -189,6 +189,22 @@ def test_classify_where_the_codim_tails_underflow(capsys):
     assert math.isfinite(codim["codim"]) and math.isfinite(codim["fit_slope"])
 
 
+@pytest.mark.parametrize("alpha, window", [("0.1", 36), ("0.3", 51)])
+def test_classify_where_the_lambda_recursion_overflows(capsys, alpha, window):
+    # ex5.6 at small alpha: mu = 2^((1 - 2 alpha) x) grows, and u^2 mu leaves
+    # float range inside the standard lambda window 200, so the recursion
+    # stops there and the ray keeps its infinite-measure ESA evidence
+    code, out, err = run(capsys, "classify", "--family",
+                         f"ex5.6:alpha={alpha}")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    sol = doc["lambda"]["plus"]
+    assert sol["window"] == window and sol["increasing"] is True
+    assert math.isfinite(sol["u_last"]) and sol["residual"] < 1e-12
+    assert doc["esa"]["value"] == "yes (evidence)"
+    assert doc["markov_unique"]["value"] == "yes"
+
+
 def test_window_cap_below_smallest_window_exit_2(capsys):
     # the rules of ex5.2 are valid; the message must blame the cap
     code, out, err = run(capsys, "complete", "report", "--family", "ex5.2",

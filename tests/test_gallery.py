@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -246,6 +247,45 @@ def test_run_gallery_records_input_error_and_carries_on(monkeypatch,
     with pytest.raises(InputError, match="nosuch"):
         run_gallery(select=["nosuch"], out_dir=str(tmp_path / "none"))
     assert not (tmp_path / "none").exists()
+
+
+def test_standard_gallery_realizes_each_window_and_tail_once(monkeypatch):
+    # every truncate call for one (family, window) returns the one graph the
+    # family built, and every tail rule runs once per (end, rule, k), over a
+    # whole standard gallery with its golden claims
+    graphs = collections.defaultdict(set)
+    tails = collections.Counter()
+    families = []
+
+    def counted(end, attr, rule):
+        def tail(k):
+            tails[(id(end), attr, k)] += 1
+            return rule(k)
+        return tail
+
+    def build(name, params=None):
+        fam = build_family(name, params)
+        families.append(fam)                 # keeps every id() unique
+        for end in fam.ends():
+            for attr in ("sigma_tail_fn", "mu_tail_fn"):
+                rule = getattr(end, attr)
+                if rule is not None:
+                    setattr(end, attr, counted(end, attr, rule))
+        truncate = fam.truncate
+
+        def realize(window):
+            g = truncate(window)
+            graphs[(id(fam), window)].add(g)
+            return g
+        fam.truncate = realize
+        return fam
+
+    monkeypatch.setattr(gallery, "build_family", build)
+    res = run_gallery(budget="standard")
+    assert res.exit_code == 0, res.summary_lines()
+    assert len(families) == len(GOLDEN_RUNS) and graphs and tails
+    assert all(len(gs) == 1 for gs in graphs.values())
+    assert set(tails.values()) == {1}
 
 
 def _verdicts(record):

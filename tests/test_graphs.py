@@ -78,6 +78,61 @@ def test_row_sums_cached_and_recomputed_agree():
             assert g.row_sums[x] == math.fsum(row)
 
 
+def fsum_rows(g, vals):
+    """The per-row math.fsum reference of WeightedGraph.row_fsum."""
+    ip = g.indptr.tolist()
+    return np.array([math.fsum(vals[a:b].tolist())
+                     for a, b in zip(ip, ip[1:])])
+
+
+def test_row_fsum_on_short_rows_is_fsum():
+    # a path 0..9 and two isolated vertices: rows of 2, 1 and 0 entries,
+    # summed by the short-row bincount; a star hub row takes the fsum loop
+    rng = np.random.default_rng(5)
+    path = WeightedGraph(12, [(x, x + 1, 1.0) for x in range(9)], [1.0] * 12)
+    star = WeightedGraph(4, [(0, y, 1.0) for y in range(1, 4)], [1.0] * 4)
+    for g in (path, star):
+        k = g.w.size
+        first = g.indptr[:-1][np.diff(g.indptr) > 0]   # first entry per row
+        cases = [rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k),
+                 np.full(k, -0.0), np.zeros(k)]
+        for special in (-0.0, math.inf, -math.inf, math.nan):
+            vals = rng.standard_normal(k)
+            vals[first[::2]] = special
+            cases.append(vals)
+        x = rng.standard_normal(k)
+        cases.append(np.where(np.arange(k) % 2, -x, x))  # cancelling pairs
+        # (1 + u) + u rounds to 1 with u = 2^-53; the exact sum does not
+        cases.append(np.resize([1.0, 2.0 ** -53, 2.0 ** -53], k))
+        for vals in cases:
+            assert g.row_fsum(vals).tobytes() == fsum_rows(g, vals).tobytes()
+        for a, b, err in ((1e308, 1e308, OverflowError),
+                          (math.inf, -math.inf, ValueError)):
+            vals = np.zeros(k)
+            start = g.indptr[1 if g is path else 0]  # a row of 2 or 3
+            vals[start:start + 2] = a, b
+            with pytest.raises(err):
+                fsum_rows(g, vals)
+            with pytest.raises(err):
+                g.row_fsum(vals)
+
+
+def test_graph_arrays_are_read_only():
+    # a truncation is handed to every caller, so no caller may write to it;
+    # the measure the caller passed is copied and stays the caller's
+    mu = np.ones(3)
+    g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 4.0)], mu, leak={2: 1.0})
+    assert mu.flags.writeable and not np.shares_memory(mu, g.mu)
+    mu[0] = 5.0
+    assert g.mu[0] == 1.0
+    for name in ("mu", "indptr", "indices", "w", "rows", "edge_u", "edge_v",
+                 "edge_w", "edge_of", "row_sums"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 0.0
+    with pytest.raises(TypeError):
+        g.leak[2] = 0.0
+
+
 def test_degree_and_total_measure():
     g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 4.0)], [0.5, 1.0, 2.0])
     assert g.degrees().tolist() == [4.0, 6.0, 2.0]    # 2 / 0.5, 6 / 1, 4 / 2

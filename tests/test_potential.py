@@ -333,12 +333,14 @@ def test_ramp_grid_memory_is_cache_sized():
 
 def test_boundary_capacity_truncates_each_window_once():
     # ex5.1's two ends and all its tails share the outer windows 4N, 8N, ...
+    # and the family realizes each of them once: every call returns one graph
     fam = build_family("ex5.1")
-    windows = []
+    graphs = collections.defaultdict(list)
 
     def truncate(window):
-        windows.append(window)
-        return type(fam).truncate(fam, window)
+        g = type(fam).truncate(fam, window)
+        graphs[window].append(g)
+        return g
 
     fam.truncate = truncate
     rep = boundary_capacity(fam, solver_tail_max=128, analytic_tail_max=128)
@@ -350,7 +352,9 @@ def test_boundary_capacity_truncates_each_window_once():
                 visited.add(m)
                 m *= 2
     assert len(rep.per_end) == 2 and len(visited) > 1
-    assert collections.Counter(windows) == collections.Counter(visited)
+    assert set(graphs) == visited
+    assert any(len(gs) > 1 for gs in graphs.values())
+    assert all(g is gs[0] for gs in graphs.values() for g in gs)
 
 
 def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
