@@ -56,7 +56,10 @@ def _resolve_family(spec: str):
             if not eq:
                 raise InputError(f"bad inline parameter {item!r} "
                                  "(expected key=value)")
-            params[key.strip()] = _cast(val.strip())
+            key = key.strip()
+            if key in params:
+                raise InputError(f"repeated parameter {key!r}")
+            params[key] = _cast(val.strip())
     return build_family(name.strip(), params)
 
 

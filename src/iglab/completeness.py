@@ -220,17 +220,19 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
 def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
     stabilized = {r: len(s) >= 4 and len(set(s[-4:])) == 1
                   for r, s in scan.sizes.items()}
+    canonical = sigma == "canonical"    # what the sigma tail rules sum
     end_lengths = []
     for end in fam.ends():
-        try:
+        ts = None
+        if canonical and end.sigma_tail_fn is not None:
             ts = end.sigma_tail(0)
-            finite = math.isfinite(ts.upper)
-        except InputError:
-            ts, finite = None, None
-        end_lengths.append((end.label, ts, finite))
+        end_lengths.append((end.label, ts, ts and math.isfinite(ts.upper)))
     n_finite = sum(1 for _, _, fin in end_lengths if fin)
 
     notes = []
+    if end_lengths and not canonical:
+        notes.append("end lengths are certified only for canonical sigma, "
+                     f"not {sigma}")
     if not fam.locally_finite:
         verdict = "inapplicable (not locally finite)"
         notes.append("completeness dichotomy needs local finiteness; "

@@ -1,7 +1,7 @@
 """Family catalog, golden-claim checks, and reproducible gallery runs.
 
-REGISTRY maps each family name, as the CLI takes it, to its builder, a
-function params -> family:
+REGISTRY maps each family name, as the CLI takes it, to its builder,
+whose keyword parameters are the family's parameters:
 
   ex5.1   line, w == 1, mu(x) = 2^-|x| (1+x^2)^-p (default p=4): polar
           two-point boundary, harmonic witness refutes ESA, Markov unique
@@ -63,9 +63,9 @@ def _ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _build_ex51(params):
-    p = float(params.get("p", 4.0))
-    if p <= 0:
+def _build_ex51(p=4.0):
+    p = float(p)
+    if not p > 0:
         raise InputError("ex5.1: p must be positive")
 
     def mu_of(a):
@@ -87,9 +87,7 @@ def _build_ex51(params):
     return LineFamily("ex5.1", side, side, params={"p": p})
 
 
-def _build_ex52(params):
-    _no_params("ex5.2", params)
-
+def _build_ex52():
     def w_fn(x):
         x = np.asarray(x, dtype=float)
         return (x + 1.0) ** 4
@@ -106,8 +104,7 @@ def _build_ex52(params):
                      mu_tail_fn=lambda k: math.inf)
 
 
-def _build_ex53a(params):
-    _no_params("ex5.3a", params)
+def _build_ex53a():
     inv_sqrt6 = 6.0 ** -0.5
     return RayFamily(
         "ex5.3a",
@@ -119,15 +116,13 @@ def _build_ex53a(params):
         res_upper=1.0, window_cap=1000)
 
 
-def _build_ex53(params):
-    _no_params("ex5.3", params)
-    (minus,) = _build_ex52({}).ends()
-    (plus,) = _build_ex53a({}).ends()
+def _build_ex53():
+    (minus,) = _build_ex52().ends()
+    (plus,) = _build_ex53a().ends()
     return LineFamily("ex5.3", minus, plus)
 
 
-def _build_ex54(params):
-    _no_params("ex5.4", params)
+def _build_ex54():
     fam = RayFamily(
         "ex5.4",
         w_fn=lambda x: np.full_like(np.asarray(x, dtype=float), 0.125),
@@ -139,9 +134,7 @@ def _build_ex54(params):
     return fam
 
 
-def _build_ex55(params):
-    _no_params("ex5.5", params)
-
+def _build_ex55():
     def mu_tail(k):
         # sum_{y>=k} (y+1)^2 4^-y = 4^-k ((4/3)(k+1)^2 + (8/9)(k+1) + 20/27)
         return 4.0 ** -k * ((4.0 / 3.0) * (k + 1) ** 2
@@ -161,17 +154,16 @@ def _build_ex55(params):
     return fam
 
 
-def _build_ex56(params):
-    allowed = {"alpha", "case"}
-    extra = set(params) - allowed
-    if extra:
-        raise InputError(f"ex5.6: unknown parameters {sorted(extra)}")
-    alpha = float(params.get("alpha", 1.0))
-    case = int(params.get("case", 1))
-    if alpha <= 0:
+def _build_ex56(alpha=1.0, case=1):
+    alpha = float(alpha)
+    if not alpha > 0:
         raise InputError("ex5.6: alpha must be positive")
+    if 2.0 ** min(alpha, 1.0) == 1.0:   # the length tail divides by 2^alpha - 1
+        raise InputError(f"ex5.6: alpha {alpha} is too small: 2^alpha "
+                         "rounds to 1")
     if case not in (1, 2):
         raise InputError("ex5.6: case must be 1 or 2")
+    case = int(case)
     beta = 2.0 * alpha - 1.0   # mu decay exponent
     res_upper = None
     if case == 1:
@@ -194,8 +186,7 @@ def _build_ex56(params):
     return fam
 
 
-def _build_codim3(params):
-    _no_params("codim3", params)
+def _build_codim3():
     fam = RayFamily(
         "codim3",
         w_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float) / 16.0,
@@ -207,19 +198,12 @@ def _build_codim3(params):
     return fam
 
 
-def _no_params(name, params):
-    if params:
-        raise InputError(f"{name}: takes no parameters, got {sorted(params)}")
-
-
 class StarFamily(GraphFamily):
     """Hub 0 joined to the tip 2n of every 2-edge ray (2n-1, 2n), mu == 1.
 
     Joins weigh 2^-n, inner edges inner_w(n) over an integer array n;
     with_extra adds a vertex joined to every tip like the hub. window = N
-    rays realized (N <= ray_cap); the hub and the extra vertex leak 2^-N.
-    Each window is built once and kept for the life of the family, as
-    for LinearFamily.
+    rays realized; the hub and the extra vertex leak 2^-N.
     Not locally finite in the limit (the hub meets every ray), so
     completeness dichotomies do not apply; these families exist to exhibit
     limit phenomena of the truncation sequence.
@@ -227,23 +211,15 @@ class StarFamily(GraphFamily):
 
     locally_finite = False
 
-    def __init__(self, name, inner_w, ray_cap, with_extra=False):
-        self.name = name
-        self.params = {}
+    def __init__(self, name, inner_w, window_cap, with_extra=False):
+        super().__init__(name, {}, window_cap)
         self.inner_w = inner_w
-        self._ray_cap = ray_cap
         self.with_extra = with_extra
-        self._windows = {}               # window -> its realization
 
     def truncate(self, window: int) -> WeightedGraph:
-        n_rays = int(window)
-        g = self._windows.get(n_rays)
-        if g is not None:
-            return g
-        if n_rays < 2:
-            raise InputError("window must be at least 2 rays")
-        if n_rays > self._ray_cap:
-            raise InputError(f"{self.name}: window beyond float range")
+        return self._window(window)
+
+    def _build(self, n_rays: int) -> WeightedGraph:
         n = np.arange(1, n_rays + 1)
         tips = 2 * n
         join = np.ldexp(1.0, -n)         # 2^-n, exact
@@ -256,15 +232,10 @@ class StarFamily(GraphFamily):
             leak[size] = leak[0]
             size += 1
         edges = np.concatenate([np.column_stack(b) for b in blocks])
-        g = self._windows[n_rays] = WeightedGraph(size, edges, np.ones(size),
-                                                  leak=leak)
-        return g
+        return WeightedGraph(size, edges, np.ones(size), leak=leak)
 
     def canonical_lengths(self, g: WeightedGraph):
         return sigma0(g)
-
-    def max_window(self, cap: int) -> int:
-        return min(int(cap), self._ray_cap)
 
     def extra_id(self, window: int) -> int:
         if not self.with_extra:
@@ -273,24 +244,21 @@ class StarFamily(GraphFamily):
 
 
 # inner edge weights 1 - 2^-n, 4^n and 2^n, each exact in float64
-def _build_a51(params):
-    _no_params("a5.1", params)
+def _build_a51():
     return StarFamily("a5.1", lambda n: 1.0 - np.ldexp(1.0, -n), 1000)
 
 
-def _build_a53(params):
-    _no_params("a5.3", params)
+def _build_a53():
     return StarFamily("a5.3", lambda n: np.ldexp(1.0, 2 * n), 500,
                       with_extra=True)
 
 
-def _build_a54(params):
-    _no_params("a5.4", params)
+def _build_a54():
     return StarFamily("a5.4", lambda n: np.ldexp(1.0, n), 1000)
 
 
 def _build_unsupported(which):
-    def build(params):
+    def build(**params):
         raise UnsupportedFamilyError(
             f"{which} requires an end-space model beyond single linear ends; "
             "not implemented")
@@ -321,7 +289,7 @@ def build_family(name: str, params: dict | None = None) -> GraphFamily:
         raise InputError(
             f"unknown family {name!r} (known: {sorted(REGISTRY)})") from None
     try:
-        return build(dict(params or {}))
+        return build(**(params or {}))
     except InputError:
         raise
     except (TypeError, ValueError) as exc:

@@ -299,8 +299,9 @@ def load_path(path) -> WeightedGraph:
 #     family ex5.6
 #     alpha 1.0
 #     case 2
-# 'family' is required; remaining keys are parsed as int, then float,
-# then kept as strings, and passed to the registry constructor.
+# 'family' is required and each key appears once; remaining keys are
+# parsed as int, then float, then kept as strings, and passed to the
+# registry builder.
 
 def load_family_config(path):
     try:
@@ -318,6 +319,8 @@ def load_family_config(path):
         if len(parts) != 2:
             raise InputError(f"bad config line {ln}: {raw.rstrip()!r}")
         key, val = parts[0], parts[1].strip()
+        if key in params or (key == "family" and name is not None):
+            raise InputError(f"repeated key {key!r} on config line {ln}")
         if key == "family":
             name = val
         else:
@@ -357,13 +360,41 @@ def _validate_window(name, w, mu):
 
 class GraphFamily:
     """Base class: a countable weighted graph given by rules, realized on
-    finite windows. Subclasses set name and params and define truncate(),
-    canonical_lengths(), max_window() and, given linear ends, ends()."""
+    finite windows. A subclass defines _build(window), truncate(),
+    canonical_lengths() and, given linear ends, ends(). truncate() goes
+    through _window(), the one way from a window to a graph: a window
+    outside [smallest_window, window_cap] raises InputError before any
+    rule runs, and any other is built once and kept for the family's life.
+    """
 
-    name: str
-    params: dict
     locally_finite = True
     codim_closed_form: float | None = None  # boundary codimension, if known
+    smallest_window = 2
+
+    def __init__(self, name, params, window_cap):
+        self.name = name
+        self.params = dict(params or {})
+        self.window_cap = window_cap
+        self._windows = {}               # window -> its realization
+
+    def _window(self, window: int) -> WeightedGraph:
+        window = int(window)
+        g = self._windows.get(window)
+        if g is None:
+            if not self.smallest_window <= window <= self.window_cap:
+                raise InputError(
+                    f"{self.name}: window {window} is not between the "
+                    f"smallest window {self.smallest_window} and the window "
+                    f"cap {self.window_cap}")
+            g = self._windows[window] = self._build(window)
+        return g
+
+    def max_window(self, cap: int) -> int:
+        """cap clamped to window_cap; InputError below the smallest window."""
+        if int(cap) < self.smallest_window:
+            raise InputError(f"{self.name}: window cap {int(cap)} is below "
+                             f"the smallest window {self.smallest_window}")
+        return min(int(cap), self.window_cap)
 
     def ends(self):
         """End descriptors (empty when the family has no linear ends)."""
@@ -488,32 +519,27 @@ class LinearFamily(GraphFamily):
     of the first; the root takes its measure from the last end. A
     realization of depth d holds vertices 0..d of every end, and each
     end's outermost vertex leaks the weight of edge d, the first one cut.
-    max_window never passes window_cap: at the default 2^20, realizing
-    the largest window and its canonical lengths stays under ~0.5 GB.
-    The family builds each window once and keeps it for its own life;
-    every later truncate(window) returns that same read-only graph.
+    At the default window_cap 2^20, realizing the largest window and its
+    canonical lengths stays under ~0.5 GB.
 
-    Subclasses fix the window convention: the window minus the depth
-    (_depth_offset) and the root's id (root_id, the truncation's origin).
-    They also define truncate() and canonical_lengths() in their own
-    bodies, as one-line delegations, because per-class instrumentation
+    Subclasses fix the window convention: the smallest window, which
+    realizes depth 1, and the root's id (root_id, the truncation's
+    origin). They also define truncate() and canonical_lengths() in their
+    own bodies, as one-line delegations, because per-class instrumentation
     (perfbench/tracing.py) looks these methods up in each class's namespace.
     """
 
-    _depth_offset = 0
+    smallest_window = 1
 
     def __init__(self, name, ends, params=None, window_cap=1 << 20):
-        self.name = name
-        self.params = dict(params or {})
+        super().__init__(name, params, window_cap)
         self._ends = tuple(ends)
-        self._window_cap = window_cap
-        self._windows = {}               # window -> its realization
 
     def ends(self):
         return self._ends
 
     def _depth(self, window: int) -> int:
-        return int(window) - self._depth_offset
+        return int(window) + 1 - self.smallest_window
 
     def root_id(self, window: int) -> int:
         """Id of the root inside truncate(window)."""
@@ -527,14 +553,8 @@ class LinearFamily(GraphFamily):
             return -1
         raise InputError(f"end {end.label!r} is not an end of {self.name}")
 
-    def _realize(self, window: int) -> WeightedGraph:
-        g = self._windows.get(int(window))
-        if g is not None:
-            return g
+    def _build(self, window: int) -> WeightedGraph:
         depth = self._depth(window)
-        if depth < 1:
-            raise InputError(
-                f"window must be at least {1 + self._depth_offset}")
         root = self.root_id(window)
         ks = np.arange(depth + 1.0)
         mu = np.empty(root + depth + 1)
@@ -552,10 +572,8 @@ class LinearFamily(GraphFamily):
             leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
             ids = root + sign * ks
             edges.append(np.column_stack((ids[:-1], ids[1:], w)))
-        g = self._windows[int(window)] = WeightedGraph(
-            root + depth + 1, np.concatenate(edges), mu, leak=leak,
-            origin=root)
-        return g
+        return WeightedGraph(root + depth + 1, np.concatenate(edges), mu,
+                             leak=leak, origin=root)
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
@@ -571,22 +589,15 @@ class LinearFamily(GraphFamily):
         return EdgeLengths(g, lengths, kind="canonical")
 
     def max_window(self, cap: int) -> int:
-        """Largest window <= cap whose realization and canonical lengths
-        read only finite, positive rule values.
-
-        Raises InputError when cap is below the smallest window (depth 1),
-        and FamilyDefinitionError when the rules fail at depth 1.
+        """GraphFamily.max_window, lowered to the largest window whose
+        realization and canonical lengths read only finite, positive rule
+        values. Raises FamilyDefinitionError when the rules fail at depth 1.
         """
-        smallest = 1 + self._depth_offset
-        if int(cap) < smallest:
-            raise InputError(f"{self.name}: window cap {int(cap)} is below "
-                             f"the smallest window {smallest}")
-        hi = self._depth(min(int(cap), self._window_cap))
-        window = _probe_depth(self._ends, hi) + self._depth_offset
-        if window < smallest:
+        depth = _probe_depth(self._ends, self._depth(super().max_window(cap)))
+        if depth < 1:
             raise FamilyDefinitionError(
                 f"{self.name}: rules invalid near the origin")
-        return window
+        return depth - 1 + self.smallest_window
 
     def tail_ids(self, end: End, start: int, window: int):
         """Ids of the end's vertices k >= start inside truncate(window)."""
@@ -606,7 +617,7 @@ class RayFamily(LinearFamily):
     depth N-1: vertices 0..N-1 with the root at id 0.
     """
 
-    _depth_offset = 1
+    smallest_window = 2
 
     def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
                  window_cap=1 << 20, **tail):
@@ -615,7 +626,7 @@ class RayFamily(LinearFamily):
         super().__init__(name, (end,), params, window_cap)
 
     def truncate(self, window: int) -> WeightedGraph:
-        return self._realize(window)
+        return self._window(window)
 
     def canonical_lengths(self, g: WeightedGraph):
         return self._canonical_lengths(g)
@@ -639,7 +650,7 @@ class LineFamily(LinearFamily):
         return int(window)
 
     def truncate(self, window: int) -> WeightedGraph:
-        return self._realize(window)
+        return self._window(window)
 
     def canonical_lengths(self, g: WeightedGraph):
         return self._canonical_lengths(g)

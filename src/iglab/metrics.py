@@ -162,10 +162,9 @@ class PathMetric:
     """Path pseudo metric induced by edge lengths, via Dijkstra.
 
     The lengths are held once as a CSR matrix on the graph's own pattern.
-    Single-source distance arrays are memoized per source. The memo is a
-    plain dict written once per source; Dijkstra is deterministic, so
-    concurrent readers always observe identical values. Disconnected
-    pairs get d = inf.
+    Single-source distance arrays are memoized per source for the life of
+    the metric: every call for one source returns the same read-only
+    array. Disconnected pairs get d = inf.
     """
 
     def __init__(self, lengths: EdgeLengths):
@@ -179,6 +178,7 @@ class PathMetric:
         dist = self._memo.get(src)
         if dist is None:
             dist = self._memo[src] = dijkstra(self._csr, indices=src)
+            dist.flags.writeable = False
         return dist
 
     def distance(self, x: int, y: int) -> float:

@@ -214,6 +214,39 @@ def test_window_cap_below_smallest_window_exit_2(capsys):
     assert "rules invalid" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("ex5.6:alpha=1e-300", "alpha 1e-300 is too small"),
+    ("ex5.6:case=1.5", "case must be 1 or 2"),
+    ("ex5.6:alpha=1,alpha=2", "repeated parameter 'alpha'"),
+    ("ex5.1:alpha=2", "unexpected keyword argument 'alpha'"),
+])
+def test_coerced_or_dropped_parameters_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "classify", "--family", spec)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("family ex5.6\nalpha 1\nalpha 2\n", "repeated key 'alpha' on config "
+                                         "line 3"),
+    ("family ex5.6\nfamily ex5.1\n", "repeated key 'family' on config "
+                                      "line 2"),
+])
+def test_config_with_a_repeated_key_exit_2(capsys, tmp_path, text, line):
+    cfg = tmp_path / "fam.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "classify", "--family", str(cfg))
+    assert code == 2 and out == ""
+    assert line in err
+
+
+def test_window_above_the_cap_exit_2(capsys):
+    code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",
+                         "--window", "30000000")
+    assert code == 2 and out == ""
+    assert "window cap 1000" in err
+
+
 def test_sigma_only_where_it_is_read():
     parser = cli.build_parser()
     for argv in (["metric", "check"], ["complete", "report"], ["classify"]):

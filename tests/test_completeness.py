@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import iglab
+from iglab.classify import classify
 from iglab.completeness import (_prefixes_realize_distance,
                                 _restricted_prefix_len, boundary_end,
                                 find_geodesic, hopf_rinow_report, lengths_for)
@@ -199,6 +200,21 @@ def test_hopf_rinow_end_length_certificates():
     # exact geometric tail: bound 0, value sqrt(2/3)
     assert ts.value == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
     assert ts.bound <= 1e-15
+
+
+def test_end_lengths_only_for_canonical_sigma():
+    # w = mu = 1 at alpha = 1/2, so the natural:2 lengths are the constant
+    # 1/sqrt 2 and the ray is infinitely long; the canonical tail rule
+    # (total length 2.414) must not stand in for them
+    fam = build_family("ex5.6", {"alpha": 0.5})
+    rep = hopf_rinow_report(fam, "natural:2", n_max=64)
+    assert rep.end_lengths == [("plus", None, None)]
+    assert rep.verdict != "incomplete-evidence"
+    assert "certified only for canonical sigma" in " ".join(rep.notes)
+    assert classify(fam, "natural:2").completeness == rep.verdict
+    rep = hopf_rinow_report(fam, "canonical", n_max=64)
+    assert rep.verdict == "incomplete-evidence"
+    assert rep.end_lengths[0][1].value == pytest.approx(1.0 + math.sqrt(2.0))
 
 
 def test_hopf_rinow_star_is_inapplicable():

@@ -46,6 +46,57 @@ def test_build_family_rejects_bad_params():
         build_family("ex5.1", {"p": 0.0})
 
 
+@pytest.mark.parametrize("name", sorted(set(REGISTRY) - set(UNSUPPORTED)))
+def test_every_supported_family_rejects_an_unknown_parameter(name):
+    # a builder's signature declares its parameters; none is dropped
+    with pytest.raises(InputError, match="nosuch"):
+        build_family(name, {"nosuch": 1})
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"alpha": 1e-300}, "alpha 1e-300 is too small"),   # 2^alpha - 1 == 0
+    ({"alpha": float("nan")}, "alpha must be positive"),
+    ({"case": 1.5}, "case must be 1 or 2"),
+    ({"case": "2"}, "case must be 1 or 2"),
+])
+def test_ex56_rejects_what_it_would_coerce(params, message):
+    with pytest.raises(InputError, match=message):
+        build_family("ex5.6", params)
+
+
+@pytest.mark.parametrize("name, cap", [("ex5.3a", 1000), ("a5.3", 500),
+                                       ("ex5.1", 2 ** 20)])
+def test_window_above_the_cap_raises_before_any_rule_runs(name, cap):
+    fam = build_family(name)
+    calls = collections.Counter()
+
+    def counted(attr, rule):
+        def wrapped(x):
+            calls[attr] += 1
+            return rule(x)
+        return wrapped
+
+    for end in fam.ends():
+        end.w_fn = counted("w_fn", end.w_fn)
+        end.mu_fn = counted("mu_fn", end.mu_fn)
+    if hasattr(fam, "inner_w"):
+        fam.inner_w = counted("inner_w", fam.inner_w)
+    with pytest.raises(InputError, match=rf"window cap {cap}\b"):
+        fam.truncate(cap + 1)
+    assert not calls
+    fam.truncate(2)                 # the wrappers do count
+    assert calls
+
+
+def test_star_max_window_below_the_smallest_window():
+    fam = build_family("a5.1")
+    assert fam.max_window(2) == 2
+    assert fam.max_window(10 ** 9) == 1000
+    with pytest.raises(InputError, match="window cap 1 is below the "
+                                         "smallest window 2"):
+        fam.max_window(1)
+
+
 def test_every_supported_family_truncates():
     for name in REGISTRY:
         if name in UNSUPPORTED:

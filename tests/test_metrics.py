@@ -119,6 +119,10 @@ def test_distances_on_weighted_cycle():
     assert m.distance(0, 0) == 0.0
     d = m.distances_from(0)
     assert d[3] == 1.0
+    # the memoized array is shared by every caller, so it is read-only
+    assert m.distances_from(0) is d
+    with pytest.raises(ValueError):
+        d[3] = 0.0
 
 
 def test_unreachable_vertex_is_infinite():
