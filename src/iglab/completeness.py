@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import End, GraphFamily, WeightedGraph
+from .graphs import End, GraphFamily, WeightedGraph, vertex_id
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
 
@@ -34,8 +34,6 @@ from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
 def lengths_for(g: WeightedGraph, choice, family: GraphFamily | None = None
                 ) -> EdgeLengths:
     """Resolve a sigma choice: 'sigma0', 'sigma1', 'natural:K', 'canonical'."""
-    if isinstance(choice, EdgeLengths):
-        return choice
     if choice == "canonical":
         if family is None:
             raise InputError("canonical lengths need a family")
@@ -69,8 +67,7 @@ def find_geodesic(metric: PathMetric, origin: int, n: int) -> Geodesic:
     and so does every prefix; this is checked and reported in `verified`.
     """
     g = metric.graph
-    if not 0 <= origin < g.n:
-        raise InputError("origin out of range")
+    origin = vertex_id(g, origin)
     hops = dijkstra(metric._csr, unweighted=True, indices=origin)
     sphere = np.flatnonzero(hops == n)
     if not sphere.size:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, combinatorial_neighborhood
+from .graphs import WeightedGraph, combinatorial_neighborhood, vertex_mask
 from .metrics import PathMetric, _squares
 
 RESIDUAL_TOL = 1e-9
@@ -46,15 +46,13 @@ class VertexFunction:
 
     @classmethod
     def indicator(cls, graph, ids):
-        v = np.zeros(graph.n)
-        v[list(ids)] = 1.0
-        return cls(graph, v)
+        return cls(graph, vertex_mask(graph, ids).astype(float))
 
     @classmethod
     def from_dict(cls, graph, d, default=0.0):
         v = np.full(graph.n, float(default))
-        for x, val in d.items():
-            v[x] = val
+        vertex_mask(graph, d)                 # the keys must be vertex ids
+        v[list(d)] = list(d.values())
         return cls(graph, v)
 
     def support(self) -> tuple:

@@ -37,6 +37,7 @@ inapplicable.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -289,11 +290,14 @@ def build_family(name: str, params: dict | None = None) -> GraphFamily:
         raise InputError(
             f"unknown family {name!r} (known: {sorted(REGISTRY)})") from None
     try:
+        inspect.signature(build).bind(**(params or {}))  # keys checked first
         return build(**(params or {}))
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad parameters for family {name!r}: {exc}") from exc
+        names = ", ".join(inspect.signature(build).parameters) or "none"
+        raise InputError(f"bad parameters for family {name!r}: {exc} "
+                         f"(parameters: {names})") from exc
 
 
 # -- golden claims -----------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A weighted graph here is a finite symmetric edge-weight structure w >= 0
 with zero diagonal together with a strictly positive vertex measure mu.
-The weighted degree is Deg(x) = (1/mu(x)) * sum_y w(x,y).
+The weighted degree is Deg(x) = (1/mu(x)) * sum_y w(x,y). Vertex ids are
+integers in 0..n-1; vertex_mask and vertex_id raise InputError on others.
 
 Storage. A WeightedGraph keeps its edges once, as arrays built in one
 vectorized pass:
@@ -223,18 +224,31 @@ def _check_edges(n: int, e: np.ndarray) -> None:
             stored.add(pair)
 
 
-def vertex_set(g: WeightedGraph, ids) -> tuple:
-    """Normalize an iterable of vertex ids: sorted, unique, validated."""
-    out = sorted(set(int(v) for v in ids))
-    if out and (out[0] < 0 or out[-1] >= g.n):
-        raise InputError("vertex id out of range")
-    return tuple(out)
+def vertex_mask(g: WeightedGraph, ids) -> np.ndarray:
+    """The vertex ids `ids`, any iterable, as a boolean mask over 0..n-1."""
+    try:
+        a = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    except (TypeError, ValueError):       # not an iterable of scalars
+        a = np.asarray(None)
+    if a.size and (a.ndim != 1 or a.dtype.kind not in "iu"
+                   or a.min() < 0 or a.max() >= g.n):
+        raise InputError(f"vertex ids must be integers in 0..{g.n - 1}")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[a.astype(int)] = True
+    return mask
+
+
+def vertex_id(g: WeightedGraph, x) -> int:
+    """One vertex id, checked as vertex_mask checks each of its ids."""
+    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+            or not 0 <= x < g.n):
+        raise InputError(f"vertex id {x!r} is not an integer in 0..{g.n - 1}")
+    return int(x)
 
 
 def combinatorial_neighborhood(g: WeightedGraph, ids) -> tuple:
     """n(K) = K together with every vertex adjacent to K."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(vertex_set(g, ids))] = True
+    inside = vertex_mask(g, ids)
     inside[g.indices[inside[g.rows]]] = True
     return tuple(np.flatnonzero(inside).tolist())
 

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, vertex_id
 
 # Relative tolerance, with no absolute floor, used whenever two metric
 # quantities are compared: distances can lie far below any fixed floor.
@@ -58,54 +58,24 @@ def close(a: float, b: float) -> bool:
 
 
 class EdgeLengths:
-    """Positive lengths on the edges of a graph.
+    """Positive lengths on the edges of a graph, in one form: `values`,
+    one length per edge aligned with graph.edges(). custom_lengths builds
+    that array from a dict or a callable."""
 
-    `values` holds one length per edge, aligned with graph.edges(). The
-    lengths come either as that array or as a dict {(x, y): s} keyed in
-    either orientation.
-    """
-
-    def __init__(self, graph: WeightedGraph, lengths, kind: str):
-        self.graph = graph
-        self.kind = kind
+    def __init__(self, graph: WeightedGraph, values, kind: str):
+        self.graph, self.kind = graph, kind
         m = graph.edge_count()
-        if isinstance(lengths, dict):
-            values = np.full(m, np.nan)
-            given = np.zeros(m, dtype=bool)
-            for (x, y), s in lengths.items():
-                try:
-                    k = graph.edge_index(x, y)
-                except KeyError:
-                    raise InputError(
-                        f"length given for non-edge ({x},{y})") from None
-                if not math.isfinite(s) or s <= 0.0:
-                    raise InputError(
-                        f"edge ({x},{y}): length must be positive")
-                values[k] = s
-                given[k] = True
-            if not given.all():
-                k = int(np.argmin(given))
-                raise InputError("missing lengths, e.g. for edge "
-                                 f"{(int(graph.edge_u[k]), int(graph.edge_v[k]))}")
-        else:
-            values = np.array(lengths, dtype=float)
-            if values.shape != (m,):
-                raise InputError(f"need one length per edge ({m})")
-            bad = ~(np.isfinite(values) & (values > 0.0))
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InputError(f"edge ({graph.edge_u[k]},{graph.edge_v[k]})"
-                                 ": length must be positive")
-        self.values = values
+        self.values = np.array(values, dtype=float)
+        if self.values.shape != (m,):
+            raise InputError(f"need one length per edge ({m})")
+        bad = ~(np.isfinite(self.values) & (self.values > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InputError(f"edge ({graph.edge_u[k]},{graph.edge_v[k]})"
+                             ": length must be positive")
 
     def of(self, x: int, y: int) -> float:
         return float(self.values[self.graph.edge_index(x, y)])
-
-    def items(self):
-        """((x, y), s) per edge, x < y, in edges() order."""
-        g = self.graph
-        return zip(zip(g.edge_u.tolist(), g.edge_v.tolist()),
-                   self.values.tolist())
 
     def entry_values(self) -> np.ndarray:
         """The lengths on the graph's CSR entries (both directions)."""
@@ -152,10 +122,25 @@ def natural_scaled(g: WeightedGraph, K: float) -> EdgeLengths:
 
 
 def custom_lengths(g: WeightedGraph, spec, kind: str = "custom") -> EdgeLengths:
-    """Lengths from a dict {(x,y): s} or a callable s = spec(x, y)."""
+    """Lengths from a callable s = spec(x, y), or from a dict {(x,y): s}
+    keyed in either orientation that gives every edge one length."""
     if callable(spec):
-        spec = {(x, y): spec(x, y) for x, y, _ in g.edges()}
-    return EdgeLengths(g, spec, kind=kind)
+        return EdgeLengths(g, [spec(x, y) for x, y, _ in g.edges()], kind)
+    values = np.full(g.edge_count(), np.nan)
+    for (x, y), s in spec.items():
+        try:
+            k = g.edge_index(x, y)
+        except KeyError:
+            raise InputError(f"length given for non-edge ({x},{y})") from None
+        if not math.isfinite(s) or s <= 0.0:
+            raise InputError(f"edge ({x},{y}): length must be positive")
+        values[k] = s
+    missing = np.isnan(values)
+    if missing.any():
+        k = int(np.argmax(missing))
+        raise InputError("missing lengths, e.g. for edge "
+                         f"{(int(g.edge_u[k]), int(g.edge_v[k]))}")
+    return EdgeLengths(g, values, kind)
 
 
 class PathMetric:
@@ -175,6 +160,7 @@ class PathMetric:
         self._memo: dict[int, np.ndarray] = {}
 
     def distances_from(self, src: int) -> np.ndarray:
+        src = vertex_id(self.graph, src)
         dist = self._memo.get(src)
         if dist is None:
             dist = self._memo[src] = dijkstra(self._csr, indices=src)
@@ -182,9 +168,8 @@ class PathMetric:
         return dist
 
     def distance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        return float(self.distances_from(x)[y])
+        x, y = vertex_id(self.graph, x), vertex_id(self.graph, y)
+        return 0.0 if x == y else float(self.distances_from(x)[y])
 
     def edge_distances(self) -> np.ndarray:
         """d(x, y) for every CSR entry (x, y) of the graph, searched from x.
@@ -209,8 +194,7 @@ class PathMetric:
 
     def ball(self, x0: int, r: float) -> tuple:
         """Closed ball {y : d(x0, y) <= r} as a sorted vertex tuple."""
-        d = self.distances_from(x0)
-        return tuple(int(v) for v in np.flatnonzero(d <= r))
+        return tuple(np.flatnonzero(self.distances_from(x0) <= r).tolist())
 
     def eccentricity(self, x0: int) -> float:
         d = self.distances_from(x0)

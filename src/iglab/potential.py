@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
-from .graphs import GraphFamily, WeightedGraph, vertex_set
+from .graphs import GraphFamily, WeightedGraph, vertex_mask
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
@@ -65,7 +65,7 @@ class EquilibriumResult:
     cap: float
     cap_sq: float
     residual: float          # normalized sup-norm residual of the system
-    U: tuple
+    U: tuple                 # the ids of U, sorted
     bounds_ok: bool          # 0 <= e <= 1 within 1e-10
 
 
@@ -76,13 +76,12 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     equilibration; raises NumericalError if the row-normalized residual
     of the solution exceeds 1e-6 (it is ~1e-15 in practice).
     """
-    U = vertex_set(g, U)
-    if not U:
+    in_u = vertex_mask(g, U)
+    if not in_u.any():
         raise InputError("U must be nonempty")
-    in_u = np.zeros(g.n, dtype=bool)
-    in_u[list(U)] = True
     free = np.flatnonzero(~in_u)
     values = np.ones(g.n)
+    res = 0.0
     if free.size:
         n_free = free.size
         idx = -np.ones(g.n, dtype=int)
@@ -125,14 +124,13 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
             raise NumericalError(
                 f"equilibrium solve failed (row residual {res:.3e})")
         values[free] = sol
-    else:
-        res = 0.0
     e = VertexFunction(g, values)
     lo, hi = float(values.min()), float(values.max())
     bounds_ok = lo >= -1e-10 and hi <= 1.0 + 1e-10
     en = energy(e)
     n2 = norm_sq(e)
-    return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res, U, bounds_ok)
+    return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res,
+                             tuple(np.flatnonzero(in_u).tolist()), bounds_ok)
 
 
 def _csr(data, rows, cols, n: int) -> sp.csr_matrix:

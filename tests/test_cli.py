@@ -226,6 +226,17 @@ def test_coerced_or_dropped_parameters_exit_2(capsys, spec, message):
     assert message in err
 
 
+@pytest.mark.parametrize("spec, names", [("ex5.1:alpha=2", "(parameters: p)"),
+                                          ("ex5.2:p=1", "(parameters: none)"),
+                                          ("ex5.6:p=1",
+                                           "(parameters: alpha, case)")])
+def test_unknown_parameter_names_the_family_parameters(capsys, spec, names):
+    code, out, err = run(capsys, "classify", "--family", spec)
+    assert code == 2 and out == ""
+    assert f"family '{spec.split(':')[0]}'" in err and names in err
+    assert "_build" not in err
+
+
 @pytest.mark.parametrize("text, line", [
     ("family ex5.6\nalpha 1\nalpha 2\n", "repeated key 'alpha' on config "
                                          "line 3"),

@@ -35,6 +35,26 @@ def test_vertex_function_constructors():
     assert VertexFunction.indicator(g, [1]).support() == (1,)
 
 
+@pytest.mark.parametrize("ids", [[-1], [3], [1.5], [True], ["0"]],
+                         ids=repr)
+def test_indicator_and_from_dict_reject_other_ids(ids):
+    # -1 used to mark, and set, the last vertex; 3 raised IndexError
+    g = path_graph(3)
+    with pytest.raises(InputError, match="vertex ids"):
+        VertexFunction.indicator(g, ids)
+    with pytest.raises(InputError, match="vertex ids"):
+        VertexFunction.from_dict(g, {ids[0]: 5.0})
+
+
+def test_indicator_and_from_dict_of_no_vertex():
+    g = path_graph(3)
+    assert not VertexFunction.indicator(g, set()).values.any()
+    assert VertexFunction.from_dict(g, {}, default=2.0).values.tolist() \
+        == [2.0] * 3
+    f = VertexFunction.from_dict(g, {np.int64(2): 7, 0: 0.5})
+    assert f.values.tolist() == [0.5, 0.0, 7.0]
+
+
 def test_vertex_function_length_mismatch():
     g = path_graph(3)
     with pytest.raises(InputError):

@@ -1,8 +1,11 @@
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +54,44 @@ def test_every_supported_family_rejects_an_unknown_parameter(name):
     # a builder's signature declares its parameters; none is dropped
     with pytest.raises(InputError, match="nosuch"):
         build_family(name, {"nosuch": 1})
+
+
+def _readme_family_rows():
+    """(families, parameter names, window cap) per row of the README's
+    "Family registry" table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Family registry", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        names = set(re.findall(r"`([A-Za-z_]\w*)", cells[1]))
+        base, power = re.match(r"(\d+)(?:\^(\d+))?", cells[2]).groups()
+        cap = int(base) ** int(power or 1)
+        rows.append((re.findall(r"`([^`]+)`", cells[0]), names, cap))
+    return rows
+
+
+def _supported(name):
+    try:
+        build_family(name)
+    except UnsupportedFamilyError:
+        return False
+    return True
+
+
+def test_readme_family_table_matches_the_registry():
+    rows = _readme_family_rows()
+    listed = [name for families, _, _ in rows for name in families]
+    assert len(listed) == len(set(listed))
+    assert set(listed) <= set(REGISTRY)
+    assert set(listed) == {name for name in REGISTRY if _supported(name)}
+    for families, names, cap in rows:
+        for name in families:
+            assert names == set(inspect.signature(REGISTRY[name]).parameters)
+            assert build_family(name).window_cap == cap, name
 
 
 @pytest.mark.parametrize("params, message", [

@@ -8,7 +8,7 @@ from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import REGISTRY, build_family
 from iglab.graphs import (RayFamily, WeightedGraph, combinatorial_neighborhood,
                           dumps, dump_path, load_family_config, load_path,
-                          loads, vertex_set)
+                          loads, vertex_id, vertex_mask)
 
 from conftest import make_random_graph
 
@@ -162,11 +162,47 @@ def test_is_connected():
 
 def test_vertex_set_and_neighborhood():
     g = path_graph(5)
-    assert vertex_set(g, [3, 1, 3]) == (1, 3)
+    assert np.flatnonzero(vertex_mask(g, [3, 1, 3])).tolist() == [1, 3]
     with pytest.raises(InputError):
-        vertex_set(g, [7])
+        vertex_mask(g, [7])
     assert combinatorial_neighborhood(g, (2,)) == (1, 2, 3)
     assert combinatorial_neighborhood(g, (0, 4)) == (0, 1, 3, 4)
+
+
+def test_vertex_mask_takes_any_iterable_of_integer_ids():
+    g = path_graph(5)
+    want = [False, True, False, True, False]
+    for ids in ([3, 1], (1, 3), {3, 1}, range(1, 4, 2), np.array([3, 1]),
+                np.array([1, 3], dtype=np.uint8), iter([1, 3]), [1, 3, 3]):
+        mask = vertex_mask(g, ids)
+        assert mask.dtype == bool and mask.tolist() == want
+    for empty in ([], (), set(), range(0), np.array([], dtype=int)):
+        assert not vertex_mask(g, empty).any()
+    # a fresh mask per call: a caller may write to it
+    mask = vertex_mask(g, [0])
+    mask[4] = True
+    assert vertex_mask(g, [0]).tolist() == [True] + [False] * 4
+
+
+@pytest.mark.parametrize("ids", [
+    [-1], [5], [0, 5], [1.5], [1.0], np.array([0.0, 1.0]),
+    np.array([True, False, True, False, False]), [True], ["1"], "12",
+    np.array([[0, 1]]), 3, None, [[0], [1, 2]],
+], ids=repr)
+def test_vertex_mask_rejects_other_ids(ids):
+    with pytest.raises(InputError, match=r"integers in 0\.\.4"):
+        vertex_mask(path_graph(5), ids)
+    with pytest.raises(InputError):
+        combinatorial_neighborhood(path_graph(5), ids)
+
+
+def test_vertex_id_has_the_mask_contract():
+    g = path_graph(5)
+    assert vertex_id(g, 4) == 4 and type(vertex_id(g, np.int32(2))) is int
+    for x in (-1, 5, 1.5, 1.0, True, np.bool_(False), "1", None, [1],
+              np.array([1]), np.float64(2.0)):
+        with pytest.raises(InputError, match=r"integer in 0\.\.4"):
+            vertex_id(g, x)
 
 
 # -- interchange format -------------------------------------------------------

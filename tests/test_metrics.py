@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iglab.errors import InputError
+from iglab.forms import cutoff_eta
 from iglab.graphs import WeightedGraph
 from iglab.metrics import (EdgeLengths, PathMetric, custom_lengths,
                            discovered_jump_size, intrinsic_check,
@@ -177,4 +178,67 @@ def test_intrinsic_check_on_path_metric():
 def test_edge_lengths_validation():
     g = path_graph(3)
     with pytest.raises(InputError):
-        EdgeLengths(g, {(0, 1): 1.0, (1, 2): float("nan")}, kind="x")
+        custom_lengths(g, {(0, 1): 1.0, (1, 2): float("nan")}, kind="x")
+    with pytest.raises(InputError, match=r"edge \(1,2\): length must be"):
+        EdgeLengths(g, [1.0, float("nan")], kind="x")
+    with pytest.raises(InputError, match="one length per edge"):
+        EdgeLengths(g, [1.0], kind="x")
+
+
+def _dict_built_values(g, spec):
+    """The per-edge array the dict form of EdgeLengths used to build."""
+    values = np.full(g.edge_count(), np.nan)
+    for (x, y), s in spec.items():
+        values[g.edge_index(x, y)] = s
+    return values
+
+
+def test_custom_lengths_from_a_dict_or_a_callable_is_byte_equal():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        g = make_random_graph(rng)
+        lengths = rng.uniform(1e-3, 3.0, size=g.edge_count())
+        # each edge keyed in a random orientation
+        spec = {((x, y) if rng.random() < 0.5 else (y, x)): s
+                for (x, y, _), s in zip(g.edges(), lengths.tolist())}
+        want = _dict_built_values(g, spec).tobytes()
+        assert custom_lengths(g, spec).values.tobytes() == want
+        fn = lambda x, y: spec.get((x, y), spec.get((y, x)))
+        from_fn = custom_lengths(g, fn, kind="k")
+        assert from_fn.values.tobytes() == want and from_fn.kind == "k"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0},
+     "length given for non-edge (0,2)"),
+    ({(0, 1): 1.0, (2, 1): -1.0}, "edge (2,1): length must be positive"),
+    ({(1, 0): 1.0}, "missing lengths, e.g. for edge (1, 2)"),
+    (lambda x, y: 1.0 - x, "edge (1,2): length must be positive"),
+])
+def test_custom_lengths_errors_keep_their_messages(spec, message):
+    with pytest.raises(InputError) as err:
+        custom_lengths(path_graph(3), spec)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1.5, True, "0", np.float64(1.0),
+                                 None, [0]], ids=repr)
+def test_single_vertex_ids_are_checked(bad):
+    # at -1 the metric used to answer for vertex 3 and memoize it under -1;
+    # 1.5 answered for vertex 1, and 4 raised scipy's ValueError
+    m = PathMetric(sigma0(path_graph(4)))
+    calls = [lambda: m.distances_from(bad), lambda: m.distance(0, bad),
+             lambda: m.distance(bad, 0), lambda: m.ball(bad, 1.0),
+             lambda: m.eccentricity(bad),
+             lambda: cutoff_eta(m, bad, 0.1, 1.0)]
+    for call in calls:
+        with pytest.raises(InputError, match=r"integer in 0\.\.3"):
+            call()
+
+
+def test_distances_are_memoized_per_vertex_id():
+    m = PathMetric(sigma0(path_graph(4)))
+    d = m.distances_from(2)
+    assert m.distances_from(np.int64(2)) is d
+    assert m.distances_from(np.uint8(2)) is d
+    assert m.distance(np.int32(3), 3) == 0.0

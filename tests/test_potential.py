@@ -67,6 +67,30 @@ def test_equilibrium_empty_U():
         equilibrium(path_graph(3), [])
 
 
+@pytest.mark.parametrize("U", [[-1], [3], [1.5], [0, 1.0],
+                               np.array([True, False, False])], ids=repr)
+def test_equilibrium_rejects_other_ids(U):
+    # [-1] used to solve for the last vertex, [1.5] for vertex 1
+    with pytest.raises(InputError, match="vertex ids"):
+        equilibrium(path_graph(3), U)
+
+
+@pytest.mark.parametrize("U", [(), set(), range(0), np.array([], dtype=int)],
+                         ids=repr)
+def test_equilibrium_of_no_vertex(U):
+    with pytest.raises(InputError, match="U must be nonempty"):
+        equilibrium(path_graph(3), U)
+
+
+def test_equilibrium_reports_U_sorted_once():
+    g = path_graph(5)
+    res = equilibrium(g, np.array([4, 1, 4]))
+    assert res.U == (1, 4) and all(type(x) is int for x in res.U)
+    same = equilibrium(g, {1, 4})
+    assert same.cap_sq == res.cap_sq
+    assert np.array_equal(same.e.values, res.e.values)
+
+
 def test_equilibrium_matches_dense_lstsq():
     rng = np.random.default_rng(2024)
     for _ in range(300):
