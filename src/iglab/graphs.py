@@ -117,23 +117,27 @@ class WeightedGraph:
     # -- basic accessors -------------------------------------------------
 
     def _entry(self, x: int, y: int) -> int:
-        """CSR position of the entry (x, y), or -1 when it is not an edge."""
+        """CSR position of the entry (x, y), or -1 when it is not an edge.
+        x and y are checked by vertex_id."""
+        x, y = vertex_id(self, x), vertex_id(self, y)
         a, b = self.indptr[x], self.indptr[x + 1]
         k = a + int(np.searchsorted(self.indices[a:b], y))
         return k if k < b and self.indices[k] == y else -1
 
     def neighbors(self, x: int) -> dict:
         """{y: w(x, y)} over the neighbors of x, in increasing order."""
+        x = vertex_id(self, x)
         a, b = self.indptr[x], self.indptr[x + 1]
         return dict(zip(self.indices[a:b].tolist(), self.w[a:b].tolist()))
 
     def weight(self, x: int, y: int) -> float:
+        """w(x, y), 0.0 when x and y are vertices but not an edge."""
         k = self._entry(x, y)
         return float(self.w[k]) if k >= 0 else 0.0
 
     def edge_index(self, x: int, y: int) -> int:
         """Position of the edge {x, y} in edges(); KeyError if absent."""
-        k = self._entry(x, y) if 0 <= x < self.n and 0 <= y < self.n else -1
+        k = self._entry(x, y)
         if k < 0:
             raise KeyError((x, y))
         return int(self.edge_of[k])
@@ -437,7 +441,9 @@ class End:
 
     sigma_tail, mu_tail and mu_is_infinite share one memo: each tail rule
     runs once per index k for the life of the End, and a rule that raises
-    is not remembered. A copy made with dataclasses.replace starts empty.
+    is not remembered. A copy made with dataclasses.replace starts empty;
+    a line's two ends share one memo, which is keyed by (rule, k), so ends
+    that hold the same rule evaluate it once per index between them.
     """
 
     w_fn: Callable
@@ -533,6 +539,7 @@ class LinearFamily(GraphFamily):
     of the first; the root takes its measure from the last end. A
     realization of depth d holds vertices 0..d of every end, and each
     end's outermost vertex leaks the weight of edge d, the first one cut.
+    The ends of a line share one tail memo (see End).
     At the default window_cap 2^20, realizing the largest window and its
     canonical lengths stays under ~0.5 GB.
 
@@ -652,13 +659,14 @@ class LineFamily(LinearFamily):
     Both ends are given in outward coordinates: plus.w_fn(k) = w(k, k+1)
     and minus.w_fn(k) = w(-k-1, -k) for k >= 0, minus.mu_fn(k) = mu(-k)
     for k >= 1; mu(0) comes from plus.mu_fn. The family holds copies
-    labeled 'minus' and 'plus'. Window N realizes depth N: the window
-    [-N, N] with id(x) = x + N.
+    labeled 'minus' and 'plus', with one tail memo between them. Window N
+    realizes depth N: the window [-N, N] with id(x) = x + N.
     """
 
     def __init__(self, name, minus: End, plus: End, params=None):
-        super().__init__(name, (replace(minus, label="minus"),
-                                replace(plus, label="plus")), params)
+        ends = (replace(minus, label="minus"), replace(plus, label="plus"))
+        ends[1]._tails = ends[0]._tails
+        super().__init__(name, ends, params)
 
     def root_id(self, window: int) -> int:
         return int(window)

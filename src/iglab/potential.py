@@ -30,7 +30,17 @@ bounds, positivity claims on the solver plateau.
 The solver's outer windows are the family's truncations, which the
 family builds once and keeps for its life, so the tails and ends of one
 boundary_capacity call, and the other stages of one classification,
-share them; the certified tails come from each End's own memo.
+share them; the certified tails come from each End's own memo. Every
+outer window is still realized, but a tail is solved once: on a ray the
+vertices off the tail, their edges and their measure are the same in
+every window, and e is exactly 1 on the tail, so a larger window adds
+w * 0.0 to the energy per tail edge and mu to the mass per tail vertex.
+A window reuses the solve when those free-block bytes match the solved
+window's, and its Cap_M^2 is the solved energy plus the fsum of the free
+mass terms and the window's tail measure (fsum is correctly rounded, so
+this is the solve's own value, bit for bit); on a line the other end
+grows with the window and each window is solved. Ends with the same rules
+(a line built from one End twice) share their ramp bounds within a call.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
 from .graphs import GraphFamily, WeightedGraph, vertex_mask
+from .metrics import _squares
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
@@ -67,6 +78,7 @@ class EquilibriumResult:
     residual: float          # normalized sup-norm residual of the system
     U: tuple                 # the ids of U, sorted
     bounds_ok: bool          # 0 <= e <= 1 within 1e-10
+    energy: float            # Q(e), the energy part of cap_sq
 
 
 def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
@@ -74,7 +86,14 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
 
     The free-vertex system is solved directly after symmetric diagonal
     equilibration; raises NumericalError if the row-normalized residual
-    of the solution exceeds 1e-6 (it is ~1e-15 in practice).
+    of the solution exceeds 1e-6 (it is ~1e-15 in practice). One matrix
+    is built, the equilibrated one the solver factors; the residual
+    A e - b is formed from the unscaled entries, each row's products
+    added to 0.0 in stored order, as a CSR matrix-vector product does.
+    e is 1 on U, so only the edges that touch a free vertex carry energy,
+    and the mass is fsum(e^2 mu off U, mu on U): both are the form
+    kernels' energy(e) and norm_sq(e), bit for bit (fsum is correctly
+    rounded).
     """
     in_u = vertex_mask(g, U)
     if not in_u.any():
@@ -94,13 +113,12 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
         b = np.bincount(idx[g.rows[to_u]], weights=g.w[to_u],
                         minlength=n_free)
         diag = g.row_sums[free] + g.mu[free]
-        # A in canonical CSR form: rows in order, columns sorted
+        # A in canonical CSR order: rows in order, columns sorted
         r = np.concatenate((np.arange(n_free), idx[g.rows[inner]]))
         c = np.concatenate((np.arange(n_free), idx[g.indices[inner]]))
         order = np.argsort(r * n_free + c)
         r, c = r[order], c[order]
         a = np.concatenate((diag, -g.w[inner]))[order]
-        A = _csr(a, r, c, n_free)
         # Symmetric diagonal equilibration: the scaled matrix has unit
         # diagonal and off-diagonal entries in (-1, 0], so weights spanning
         # hundreds of orders of magnitude cannot overflow the factorization.
@@ -116,27 +134,42 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
         d = 1.0 / np.sqrt(diag)
         a_s = d[r] * a * d[c]
         keep = a_s != 0.0
-        ys = spla.spsolve(_csr(a_s[keep], r[keep], c[keep], n_free), d * b)
+        indptr = np.searchsorted(r[keep], np.arange(n_free + 1))
+        ys = spla.spsolve(sp.csr_matrix((a_s[keep], c[keep], indptr),
+                                        shape=(n_free, n_free)), d * b)
         sol = d * ys + 0.0
         # residual of each row's equation relative to its diagonal weight
-        res = float(np.max(np.abs(A @ sol - b) / diag)) if b.size else 0.0
+        ax = np.bincount(r, weights=a * sol[c], minlength=n_free)
+        res = float(np.max(np.abs(ax - b) / diag))
         if not np.all(np.isfinite(sol)) or res > 1e-6:
             raise NumericalError(
                 f"equilibrium solve failed (row residual {res:.3e})")
         values[free] = sol
-    e = VertexFunction(g, values)
+    touch = ~(in_u[g.edge_u] & in_u[g.edge_v])
+    en = math.fsum((g.edge_w[touch] * _squares(
+        values[g.edge_u[touch]] - values[g.edge_v[touch]])).tolist())
+    cap_sq = _cap_sq(en, _squares(values[free]) * g.mu[free], g.mu[in_u])
     lo, hi = float(values.min()), float(values.max())
     bounds_ok = lo >= -1e-10 and hi <= 1.0 + 1e-10
-    en = energy(e)
-    n2 = norm_sq(e)
-    return EquilibriumResult(e, math.sqrt(en + n2), en + n2, res,
-                             tuple(np.flatnonzero(in_u).tolist()), bounds_ok)
+    return EquilibriumResult(VertexFunction(g, values), math.sqrt(cap_sq),
+                             cap_sq, res, tuple(np.flatnonzero(in_u).tolist()),
+                             bounds_ok, en)
 
 
-def _csr(data, rows, cols, n: int) -> sp.csr_matrix:
-    """n x n CSR matrix from entries already sorted by (row, column)."""
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+def _cap_sq(energy: float, free_mass: np.ndarray, mu_u: np.ndarray) -> float:
+    """||e||_Q^2 from Q(e), the mass terms e^2 mu off U, and mu on U."""
+    return energy + math.fsum(np.concatenate((free_mass, mu_u)).tolist())
+
+
+def _free_block(g: WeightedGraph, in_u: np.ndarray) -> tuple:
+    """What the free system of U (the mask in_u) reads from g: the free
+    ids, their mu and row sums, and the columns and weights of their rows.
+    Where two graphs agree on these, the potential is the same off U and
+    so is its energy; only the mass of U can differ."""
+    free = np.flatnonzero(~in_u)
+    rows = ~in_u[g.rows]
+    return tuple(a.tobytes() for a in (free, g.mu[free], g.row_sums[free],
+                                       g.indices[rows], g.w[rows]))
 
 
 # -- boundary capacity -------------------------------------------------------
@@ -282,6 +315,16 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     # one float-range probe serves every end of finite measure
     maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
               if any(not end.mu_is_infinite() for end in ends) else None)
+    ramps = {}
+
+    def ramp_upper(end, n):
+        # ends with the same rules (a line's two copies of one End) have the
+        # same ramp bounds: each is computed once per call
+        key = (end.w_fn, end.mu_fn, end.mu_tail_fn, n)
+        if key not in ramps:
+            ramps[key] = _ramp_upper(end, n)
+        return ramps[key]
+
     sequences = []
     for end in ends:
         if end.mu_is_infinite():
@@ -305,14 +348,28 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                 break
             entry = CapacityEntry(n_tail)
             m = 4 * n_tail
-            prev = None
+            prev = solved_block = None
             while True:
-                r = equilibrium(fam.truncate(m), fam.tail_ids(end, n_tail, m))
-                entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
+                g = fam.truncate(m)
+                tail = np.array(fam.tail_ids(end, n_tail, m))
+                in_u = vertex_mask(g, tail)
+                block = _free_block(g, in_u)
+                if block == solved_block:
+                    # the free system is the one already solved: only the
+                    # tail's mass changes, and e is exactly 1 there
+                    cap_sq = _cap_sq(solved_energy, solved_mass, g.mu[in_u])
+                else:
+                    r = equilibrium(g, tail)
+                    free = ~in_u
+                    solved_block, solved_energy = block, r.energy
+                    solved_mass = _squares(r.e.values[free]) * g.mu[free]
+                    cap_sq = r.cap_sq
+                cap = math.sqrt(cap_sq)
+                entry.solver_cap, entry.solver_cap_sq = cap, cap_sq
                 entry.outer_window = m
                 stable = prev is not None and \
-                    abs(r.cap - prev) <= 1e-6 * max(abs(r.cap), 1e-300)
-                prev = r.cap
+                    abs(cap - prev) <= 1e-6 * max(abs(cap), 1e-300)
+                prev = cap
                 if stable:
                     break
                 if 2 * m > maxwin:
@@ -321,12 +378,12 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                 m *= 2
             entry.bracket_upper = math.sqrt(
                 entry.solver_cap_sq + end.mu_tail(entry.outer_window).upper)
-            entry.ramp_upper = _ramp_upper(end, n_tail)
+            entry.ramp_upper = ramp_upper(end, n_tail)
             entries.append(entry)
             n_tail *= 2
         analytic_note = None
         while n_tail <= analytic_tail_max:
-            ramp = _ramp_upper(end, n_tail)
+            ramp = ramp_upper(end, n_tail)
             entries.append(CapacityEntry(n_tail, ramp_upper=ramp))
             if ramp in (0.0, math.inf):
                 why = ("is 0, and Cap(tail_N) does not increase with N"

@@ -205,6 +205,32 @@ def test_vertex_id_has_the_mask_contract():
             vertex_id(g, x)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 7, 1.5, True, np.float64(1.0), "0",
+                                 None], ids=repr)
+def test_single_id_accessors_check_their_ids(bad):
+    # -1 used to wrap in indptr (neighbors {} and weight 0.0), 4 raised
+    # IndexError, 1.5 passed the range test of edge_index and then raised
+    # IndexError, True raised TypeError
+    g = path_graph(4)
+    calls = [lambda: g.neighbors(bad), lambda: g.weight(bad, 2),
+             lambda: g.weight(1, bad), lambda: g.edge_index(bad, 2),
+             lambda: g.edge_index(1, bad)]
+    for call in calls:
+        with pytest.raises(InputError, match=r"integer in 0\.\.3"):
+            call()
+
+
+def test_valid_ids_that_are_not_an_edge_keep_their_answers():
+    g = path_graph(4)
+    assert g.weight(0, 2) == g.weight(1, 1) == 0.0
+    assert g.weight(np.int64(2), 1) == 1.0
+    assert g.neighbors(np.int32(3)) == {2: 1.0}
+    for x, y in ((0, 2), (1, 1), (3, 0)):
+        with pytest.raises(KeyError):
+            g.edge_index(x, y)
+    assert g.edge_index(2, 1) == 1
+
+
 # -- interchange format -------------------------------------------------------
 
 def test_roundtrip_bit_identical():

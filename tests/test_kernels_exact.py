@@ -277,6 +277,35 @@ def test_equilibrium_is_exact(g, r, funcs, U):
     assert same(eq.e.values, values)
 
 
+def gallery_tails():
+    """(graph, U) as boundary_capacity solves them: a tail from N covering
+    most of an outer window 4N..16N of a ray, or of one end of a line."""
+    from iglab.gallery import build_family
+    out = []
+    for name, tail, window in (("ex5.4", 16, 64), ("ex5.5", 8, 128),
+                               ("ex5.3a", 32, 128), ("codim3", 4, 64),
+                               ("ex5.1", 16, 64), ("ex5.3", 8, 128)):
+        fam = build_family(name)
+        g = fam.truncate(window)
+        out += [(g, fam.tail_ids(end, tail, window)) for end in fam.ends()]
+    return out
+
+
+TAILS = gallery_tails()
+
+
+@pytest.mark.parametrize("g, U", TAILS,
+                         ids=[f"tail{i}-n{g.n}-u{len(U)}"
+                              for i, (g, U) in enumerate(TAILS)])
+def test_equilibrium_on_gallery_tails_is_exact(g, U):
+    assert len(U) > g.n // 4
+    eq = equilibrium(g, U)
+    cap, cap_sq, res, values = ref_equilibrium(Ref(g.n, g.edges(), g.mu), U)
+    assert same([eq.cap, eq.cap_sq, eq.residual], [cap, cap_sq, res])
+    assert same(eq.e.values, values)
+    assert same(eq.energy, ref_energy(Ref(g.n, g.edges(), g.mu), values))
+
+
 # -- the bounded multi-source search ------------------------------------------
 
 def test_distance_equal_to_the_search_limit_is_found():

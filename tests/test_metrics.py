@@ -221,6 +221,14 @@ def test_custom_lengths_errors_keep_their_messages(spec, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key", [(1.5, 2), (-1, 2), (1, 7), (True, 1)],
+                         ids=repr)
+def test_custom_lengths_rejects_keys_that_are_not_vertex_ids(key):
+    # (1.5, 2) used to raise IndexError and (-1, 2) to set edge (2, 3)
+    with pytest.raises(InputError, match=r"integer in 0\.\.3"):
+        custom_lengths(path_graph(4), {key: 1.0})
+
+
 @pytest.mark.parametrize("bad", [-1, 4, 1.5, True, "0", np.float64(1.0),
                                  None, [0]], ids=repr)
 def test_single_vertex_ids_are_checked(bad):

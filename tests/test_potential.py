@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,8 +13,11 @@ import iglab
 from iglab.errors import InputError
 from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
-from iglab.graphs import WeightedGraph
-from iglab.potential import (W_BLOCK, _ramp_upper, _w_sum,
+import iglab.potential as potential
+from iglab.gallery import run_gallery
+from iglab.graphs import RayFamily, WeightedGraph
+from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, CapacityEntry,
+                             _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
                              codim_polarity_test, equilibrium,
                              minkowski_samples)
@@ -379,6 +383,169 @@ def test_boundary_capacity_truncates_each_window_once():
     assert set(graphs) == visited
     assert any(len(gs) > 1 for gs in graphs.values())
     assert all(g is gs[0] for gs in graphs.values() for g in gs)
+
+
+# -- one solve per ray tail, against one solve per window ------------------------
+
+def reference_entries(fam, end, solver_tail_max, analytic_tail_max):
+    """The entries of one end as boundary_capacity built them with one
+    equilibrium solve per (tail, outer window) pair, its loop as written
+    before solves were shared between windows."""
+    maxwin = fam.max_window(OUTER_PER_TAIL * solver_tail_max)
+    entries = []
+    n_tail = 4
+    while n_tail <= min(solver_tail_max, maxwin // 4):
+        w_near = float(np.asarray(end.w_fn(np.float64(n_tail))))
+        if w_near * np.finfo(float).eps ** 2 > 1e-12:
+            break
+        entry = CapacityEntry(n_tail)
+        m = 4 * n_tail
+        prev = None
+        while True:
+            r = equilibrium(fam.truncate(m), fam.tail_ids(end, n_tail, m))
+            entry.solver_cap, entry.solver_cap_sq = r.cap, r.cap_sq
+            entry.outer_window = m
+            stable = prev is not None and \
+                abs(r.cap - prev) <= 1e-6 * max(abs(r.cap), 1e-300)
+            prev = r.cap
+            if stable:
+                break
+            if 2 * m > maxwin:
+                entry.outer_capped = True
+                break
+            m *= 2
+        entry.bracket_upper = math.sqrt(
+            entry.solver_cap_sq + end.mu_tail(entry.outer_window).upper)
+        entry.ramp_upper = _ramp_upper(end, n_tail)
+        entries.append(entry)
+        n_tail *= 2
+    while n_tail <= analytic_tail_max:
+        ramp = _ramp_upper(end, n_tail)
+        entries.append(CapacityEntry(n_tail, ramp_upper=ramp))
+        if ramp in (0.0, math.inf):
+            break
+        n_tail *= 2
+    return entries
+
+
+def bits(entry):
+    """Every field of a CapacityEntry, floats by their exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(entry))
+
+
+def count_solves(monkeypatch):
+    calls = []
+
+    def counted(g, U):
+        calls.append(g.n)
+        return equilibrium(g, U)
+
+    monkeypatch.setattr(potential, "equilibrium", counted)
+    return calls
+
+
+def assert_matches_reference(fam, solver_tail_max, analytic_tail_max=1 << 12):
+    rep = boundary_capacity(fam, solver_tail_max, analytic_tail_max)
+    for end, seq in zip(fam.ends(), rep.per_end):
+        if end.mu_is_infinite():
+            assert seq.entries == []
+            continue
+        want = reference_entries(fam, end, solver_tail_max,
+                                 analytic_tail_max)
+        assert [bits(e) for e in seq.entries] == [bits(e) for e in want], \
+            (fam.describe(), end.label)
+        assert any(e.solver_cap is not None for e in want)
+
+
+SHORTCUT_CASES = (
+    [(name, params, 128) for _label, name, params, _check in GOLDEN_RUNS
+     if build_family(name, params).ends()]
+    + [("ex5.6", {"alpha": a, "case": c}, 128)
+       for a in (0.6, 1.5, 3.0) for c in (1, 2)]
+    + [(name, {}, 256) for name in ("ex5.4", "ex5.5", "codim3")])
+
+
+@pytest.mark.parametrize(
+    "name, params, solver_tail_max", SHORTCUT_CASES,
+    ids=[f"{n}-{'-'.join(f'{k}{v}' for k, v in p.items())}-{t}"
+         for n, p, t in SHORTCUT_CASES])
+def test_ray_tails_solved_once_match_a_solve_per_window(name, params,
+                                                        solver_tail_max):
+    assert_matches_reference(build_family(name, params), solver_tail_max)
+
+
+class DriftingRay(RayFamily):
+    """ex5.4's rules, except that the root edge weighs (1 + drift(window))
+    times its rule, so windows with different drifts differ in the free
+    block of every tail."""
+
+    def __init__(self, drift):
+        (end,) = build_family("ex5.4").ends()
+        super().__init__("drifting", end.w_fn, end.mu_fn,
+                         sigma_fn=end.sigma_fn, mu_tail_fn=end.mu_tail_fn,
+                         window_cap=520)
+        self.drift = drift
+
+    def _build(self, window):
+        g = super()._build(window)
+        w = g.edge_w.copy()
+        w[0] *= 1.0 + self.drift(window)
+        return WeightedGraph(g.n, np.column_stack((g.edge_u, g.edge_v, w)),
+                             g.mu, leak=g.leak, origin=g.origin)
+
+
+@pytest.mark.parametrize("drift, shared", [
+    (lambda window: 1.0 / window, False),
+    (lambda window: float(window >= 64), True)], ids=["every", "from-64"])
+def test_a_free_block_that_changes_is_solved_again(monkeypatch, drift, shared):
+    fam = DriftingRay(drift)
+    calls = count_solves(monkeypatch)
+    assert_matches_reference(fam, 128)
+    calls.clear()
+    rep = boundary_capacity(fam, 128, 1 << 12)
+    entries = [e for e in rep.per_end[0].entries if e.solver_cap is not None]
+    windows = sum((e.outer_window // (4 * e.tail_start)).bit_length()
+                  for e in entries)
+    # a root edge that drifts in every window is solved in every window;
+    # one that changes once is solved again where it changes
+    assert len(entries) < windows
+    assert (len(calls) < windows) is shared
+    assert len(calls) > len(entries)
+
+
+def test_standard_gallery_solve_count(monkeypatch):
+    # 141 solves at one per (tail, outer window) pair; a ray's tail is
+    # solved once unless its free block changes, and the lines (ex5.1,
+    # ex5.3) still solve every window
+    calls = count_solves(monkeypatch)
+    assert run_gallery(budget="standard").exit_code == 0
+    assert len(calls) == 91
+
+
+def test_line_ends_share_ramp_bounds_and_tails(monkeypatch):
+    # ex5.1's ends are copies of one End: each ramp bound is computed once
+    fam = build_family("ex5.1")
+    minus, plus = fam.ends()
+    seen = []
+
+    def counted(end, n):
+        seen.append((end.label, n))
+        return _ramp_upper(end, n)
+
+    monkeypatch.setattr(potential, "_ramp_upper", counted)
+    rep = boundary_capacity(fam, **STANDARD)
+    tails = [e.tail_start for e in rep.per_end[0].entries]
+    assert [n for _, n in seen] == tails
+    assert [e.ramp_upper for e in rep.per_end[0].entries] == \
+        [e.ramp_upper for e in rep.per_end[1].entries]
+    # and one tail memo: a rule runs once per index for both ends
+    assert minus._tails is plus._tails
+    ks = []
+    rule = plus.mu_tail_fn
+    minus.mu_tail_fn = plus.mu_tail_fn = lambda k: ks.append(k) or rule(k)
+    assert minus.mu_tail(1 << 30) is plus.mu_tail(1 << 30)
+    assert ks == [1 << 30]
 
 
 def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
