@@ -90,10 +90,6 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
     is built, the equilibrated one the solver factors; the residual
     A e - b is formed from the unscaled entries, each row's products
     added to 0.0 in stored order, as a CSR matrix-vector product does.
-    e is 1 on U, so only the edges that touch a free vertex carry energy,
-    and the mass is fsum(e^2 mu off U, mu on U): both are the form
-    kernels' energy(e) and norm_sq(e), bit for bit (fsum is correctly
-    rounded).
     """
     in_u = vertex_mask(g, U)
     if not in_u.any():
@@ -145,31 +141,26 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
             raise NumericalError(
                 f"equilibrium solve failed (row residual {res:.3e})")
         values[free] = sol
-    touch = ~(in_u[g.edge_u] & in_u[g.edge_v])
-    en = math.fsum((g.edge_w[touch] * _squares(
-        values[g.edge_u[touch]] - values[g.edge_v[touch]])).tolist())
-    cap_sq = _cap_sq(en, _squares(values[free]) * g.mu[free], g.mu[in_u])
+    e = VertexFunction(g, values)
     lo, hi = float(values.min()), float(values.max())
     bounds_ok = lo >= -1e-10 and hi <= 1.0 + 1e-10
-    return EquilibriumResult(VertexFunction(g, values), math.sqrt(cap_sq),
-                             cap_sq, res, tuple(np.flatnonzero(in_u).tolist()),
-                             bounds_ok, en)
-
-
-def _cap_sq(energy: float, free_mass: np.ndarray, mu_u: np.ndarray) -> float:
-    """||e||_Q^2 from Q(e), the mass terms e^2 mu off U, and mu on U."""
-    return energy + math.fsum(np.concatenate((free_mass, mu_u)).tolist())
+    en = energy(e)
+    cap_sq = en + norm_sq(e)
+    return EquilibriumResult(e, math.sqrt(cap_sq), cap_sq, res,
+                             tuple(np.flatnonzero(in_u).tolist()), bounds_ok,
+                             en)
 
 
 def _free_block(g: WeightedGraph, in_u: np.ndarray) -> tuple:
     """What the free system of U (the mask in_u) reads from g: the free
-    ids, their mu and row sums, and the columns and weights of their rows.
-    Where two graphs agree on these, the potential is the same off U and
-    so is its energy; only the mass of U can differ."""
+    ids, their mu and row sums, and the row, column and weight of each
+    entry of their rows. Where two graphs agree on these, the potential
+    is the same off U and so is its energy; only the mass of U can differ."""
     free = np.flatnonzero(~in_u)
     rows = ~in_u[g.rows]
     return tuple(a.tobytes() for a in (free, g.mu[free], g.row_sums[free],
-                                       g.indices[rows], g.w[rows]))
+                                       g.rows[rows], g.indices[rows],
+                                       g.w[rows]))
 
 
 # -- boundary capacity -------------------------------------------------------
@@ -357,7 +348,8 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                 if block == solved_block:
                     # the free system is the one already solved: only the
                     # tail's mass changes, and e is exactly 1 there
-                    cap_sq = _cap_sq(solved_energy, solved_mass, g.mu[in_u])
+                    cap_sq = solved_energy + math.fsum(np.concatenate(
+                        (solved_mass, g.mu[in_u])).tolist())
                 else:
                     r = equilibrium(g, tail)
                     free = ~in_u

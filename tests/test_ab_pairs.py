@@ -22,7 +22,6 @@ PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
 
 def test_quartiles_are_inclusive():
     assert ab.quartiles(PARENT) == pytest.approx((1.225, 1.45, 1.675))
-    assert ab.quartiles([2.0]) == (2.0, 2.0, 2.0)
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_iqr():
@@ -53,4 +52,12 @@ def test_pairs_must_match():
     with pytest.raises(ValueError):
         ab.judge(PARENT, PARENT[:-1])
     with pytest.raises(ValueError):
-        ab.judge([], [])
+        ab.judge([1.0], [0.5])
+
+
+def test_one_pair_is_refused_before_any_run(capsys):
+    # the claim rule needs a spread of the parent's runs
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["parent", "change", "--workload", "w", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
 from iglab.gallery import run_gallery
-from iglab.graphs import RayFamily, WeightedGraph
+from iglab.graphs import RayFamily, WeightedGraph, vertex_mask
 from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, CapacityEntry,
                              _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
@@ -512,6 +512,52 @@ def test_a_free_block_that_changes_is_solved_again(monkeypatch, drift, shared):
     assert len(entries) < windows
     assert (len(calls) < windows) is shared
     assert len(calls) > len(entries)
+
+
+TINY = 1e-20      # below half an ulp of 1/8, so no row sum sees it
+
+
+class RewiredRay(RayFamily):
+    """ex5.4's rules on 0-1-2, 3-5, 4-5, 5-6-..., plus a tiny edge from 4
+    to 3 in windows 2^odd and to 2 in windows 2^even. For tail 4 the free
+    rows read the same columns, weights and rounded row sums in every
+    window (1 | 0 2 | 1 | 4 5, or 1 | 0 2 | 1 4 | 5); only where row 2
+    ends differs."""
+
+    def __init__(self):
+        (end,) = build_family("ex5.4").ends()
+        super().__init__("rewired", end.w_fn, end.mu_fn,
+                         sigma_fn=end.sigma_fn, mu_tail_fn=end.mu_tail_fn,
+                         window_cap=520)
+
+    def _build(self, window):
+        g = super()._build(window)
+        chain = [(u, v, w) for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+                 if u not in (2, 3)]
+        x = 3 if window.bit_length() % 2 == 0 else 2
+        return WeightedGraph(g.n, chain + [(3, 5, 0.125), (x, 4, TINY)],
+                             g.mu, leak=g.leak, origin=g.origin)
+
+
+def test_a_free_edge_moved_between_rows_is_solved_again(monkeypatch):
+    fam = RewiredRay()
+    a, b = fam.truncate(16), fam.truncate(32)
+    in_a, in_b = (vertex_mask(g, range(4, g.n)) for g in (a, b))
+    ra, rb = ~in_a[a.rows], ~in_b[b.rows]
+    assert np.array_equal(a.indices[ra], b.indices[rb])
+    assert np.array_equal(a.w[ra], b.w[rb])
+    assert np.array_equal(a.row_sums[:4], b.row_sums[:4])
+    assert not np.array_equal(a.rows[ra], b.rows[rb])
+    calls = count_solves(monkeypatch)
+    assert_matches_reference(fam, 128)
+    calls.clear()
+    rep = boundary_capacity(fam, 128, 1 << 12)
+    entries = [e for e in rep.per_end[0].entries if e.solver_cap is not None]
+    windows = sum((e.outer_window // (4 * e.tail_start)).bit_length()
+                  for e in entries)
+    # the free block changes in every window, so every window is solved
+    assert entries[0].outer_window > 16
+    assert len(calls) == windows
 
 
 def test_standard_gallery_solve_count(monkeypatch):

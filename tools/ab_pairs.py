@@ -1,12 +1,12 @@
 """Alternating A/B pairs of the benchmark, judged by the claim rule.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload NAME
-        [--pairs 10] [--seconds 50] [--seed 1000] [--trace 0] [--json PATH]
+        [--pairs 10] [--seconds 50] [--seed 1000]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of this repository (a git
 clone or `git archive` of each commit). Pair i runs
 ``python3 perfbench/run.py --workload NAME --seed SEED+i --seconds S
---trace T`` once in each checkout, one run after the other; the parent runs
+--trace 0`` once in each checkout, one run after the other; the parent runs
 first in even pairs and the change first in odd ones, so host drift does
 not favour one side. Each run's metrics are read from the JSON line that
 run.py prints last.
@@ -31,20 +31,18 @@ from pathlib import Path
 WIN_SHARE = 0.9
 
 
-def run_bench(checkout, workload, seed, seconds, trace):
-    """One perfbench run in `checkout`; returns its final JSON object."""
+def run_bench(checkout, workload, seed, seconds):
+    """One untraced perfbench run in `checkout`; returns its final JSON
+    object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values):
-    """(q1, median, q3), inclusive method; one value is all three."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
+    """(q1, median, q3), inclusive method."""
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -52,8 +50,9 @@ def quartiles(values):
 def judge(parent, change, better="lower", bound=None):
     """The claim rule over paired runs: parent[i] and change[i] ran as
     pair i. Returns a dict of the summary numbers and verdicts."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need one parent and one change value per pair")
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need one parent and one change value per pair, "
+                         "and at least two pairs")
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -89,11 +88,9 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--seed", type=int, default=1000,
                     help="seed of the first pair; pair i uses seed + i")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--json", help="also write every run and verdict here")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
 
     specs = metric_specs(args.parent)
     runs = {"parent": [], "change": []}
@@ -101,7 +98,7 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             res = run_bench(getattr(args, side), args.workload, args.seed + i,
-                            args.seconds, args.trace)
+                            args.seconds)
             runs[side].append(res)
             print(f"pair {i} {side:6s} seed {args.seed + i}: "
                   f"pass_s {res['metrics'].get('pass_s', {}).get('value')} "
@@ -109,17 +106,15 @@ def main(argv=None):
 
     names = [n for n in runs["parent"][0]["metrics"]
              if all(n in r["metrics"] for r in runs["change"])]
-    verdicts = {}
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"seeds {args.seed}..{args.seed + args.pairs - 1}, "
-          f"trace {args.trace}")
+          f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':40s} {'parent median [q1, q3]':>32s} "
           f"{'change median [q1, q3]':>32s}  wins  gap>IQR  verdict")
     for name in names:
         better, bound = specs.get(name, ("lower", None))
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
-        v = verdicts[name] = judge(p, c, better, bound)
+        v = judge(p, c, better, bound)
         verdict = "gain" if v["gain"] else "no gain"
         if bound is not None and not v["within_bound"]:
             verdict += f", worse by {v['worse_frac']:.1%} > bound {bound:g}"
@@ -131,10 +126,6 @@ def main(argv=None):
                  for side, rs in runs.items()}
     print(f"failed ops: parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"args": vars(args), "runs": runs, "verdicts": verdicts},
-            indent=1))
     return 0
 
 
