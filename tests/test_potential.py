@@ -495,25 +495,6 @@ class DriftingRay(RayFamily):
                              g.mu, leak=g.leak, origin=g.origin)
 
 
-@pytest.mark.parametrize("drift, shared", [
-    (lambda window: 1.0 / window, False),
-    (lambda window: float(window >= 64), True)], ids=["every", "from-64"])
-def test_a_free_block_that_changes_is_solved_again(monkeypatch, drift, shared):
-    fam = DriftingRay(drift)
-    calls = count_solves(monkeypatch)
-    assert_matches_reference(fam, 128)
-    calls.clear()
-    rep = boundary_capacity(fam, 128, 1 << 12)
-    entries = [e for e in rep.per_end[0].entries if e.solver_cap is not None]
-    windows = sum((e.outer_window // (4 * e.tail_start)).bit_length()
-                  for e in entries)
-    # a root edge that drifts in every window is solved in every window;
-    # one that changes once is solved again where it changes
-    assert len(entries) < windows
-    assert (len(calls) < windows) is shared
-    assert len(calls) > len(entries)
-
-
 TINY = 1e-20      # below half an ulp of 1/8, so no row sum sees it
 
 
@@ -539,7 +520,7 @@ class RewiredRay(RayFamily):
                              g.mu, leak=g.leak, origin=g.origin)
 
 
-def test_a_free_edge_moved_between_rows_is_solved_again(monkeypatch):
+def test_rewired_ray_differs_only_where_a_row_ends():
     fam = RewiredRay()
     a, b = fam.truncate(16), fam.truncate(32)
     in_a, in_b = (vertex_mask(g, range(4, g.n)) for g in (a, b))
@@ -548,6 +529,14 @@ def test_a_free_edge_moved_between_rows_is_solved_again(monkeypatch):
     assert np.array_equal(a.w[ra], b.w[rb])
     assert np.array_equal(a.row_sums[:4], b.row_sums[:4])
     assert not np.array_equal(a.rows[ra], b.rows[rb])
+
+
+@pytest.mark.parametrize("make, shared", [
+    (lambda: DriftingRay(lambda window: 1.0 / window), False),
+    (lambda: DriftingRay(lambda window: float(window >= 64)), True),
+    (RewiredRay, False)], ids=["every", "from-64", "row-end"])
+def test_a_free_block_that_changes_is_solved_again(monkeypatch, make, shared):
+    fam = make()
     calls = count_solves(monkeypatch)
     assert_matches_reference(fam, 128)
     calls.clear()
@@ -555,9 +544,12 @@ def test_a_free_edge_moved_between_rows_is_solved_again(monkeypatch):
     entries = [e for e in rep.per_end[0].entries if e.solver_cap is not None]
     windows = sum((e.outer_window // (4 * e.tail_start)).bit_length()
                   for e in entries)
-    # the free block changes in every window, so every window is solved
-    assert entries[0].outer_window > 16
-    assert len(calls) == windows
+    # a free block that changes in every window (a drifting root edge, or
+    # an edge moved between two free rows) is solved in every window; one
+    # that changes once is solved again where it changes
+    assert len(entries) < windows
+    assert (len(calls) < windows) is shared
+    assert len(calls) > len(entries)
 
 
 def test_standard_gallery_solve_count(monkeypatch):
