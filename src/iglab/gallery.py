@@ -543,7 +543,8 @@ class RunRecord:
     error: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2)
+        # compact: without an indent, json encodes with its C encoder
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":

@@ -11,36 +11,36 @@ and Cap(U) = ||e||_Q. The free-vertex system is symmetric positive
 definite and sparse.
 
 For the ideal boundary of a ray (or line) family, Cap(boundary) is the
-limit of Cap(tail_N) over the neighborhood basis of tails. Truncating to
-a window M brackets the true value:
+limit of Cap(tail_N) over the neighborhood basis of tails. On a linear end
+no system is solved: e is 1 on the tail, which adds only its measure, and
+the free vertices form a ladder of series conductances w with shunts mu to
+ground (Doyle and Snell, Random Walks and Electric Networks, 1984). With
+the free vertices 0..N-1 counted from the far end of the chain,
 
-    Cap_M(tail)^2 <= Cap(tail)^2 <= Cap_M(tail)^2 + mu_tail(M),
+    G_0 = mu(0),   G_x = mu(x) + 1/(1/w(x-1) + 1/G_(x-1)),
+    cond(N) = 1/(1/w(N-1) + 1/G_(N-1)) = Q(e) + sum_{x<N} e(x)^2 mu(x),
 
-and an explicit admissible ramp (0 below N/2, linear up to 1 at N) gives
-a certified upper bound at any N without building a graph. Its energy
-sums w in cache-sized blocks, in numpy's pairwise order (bit-equal to one
-np.sum). Its mass term is bounded by the certified tail mu_tail(N/2 + 1);
-where that bound cannot move the ramp energy in floating point, the
-measure rule is not evaluated. The dyadic ramp grid stops at the first
-bound that is 0 (tails are nested, so Cap(tail_N) cannot grow again) or
-inf (the rules left float range). Verdicts use whichever side of the
-bracket can carry them: smallness claims (polar) run on certified upper
-bounds, positivity claims on the solver plateau.
+and one sweep gives cond(N) for every N along it. Each step adds or
+inverts positive numbers, so there is no cancellation: the relative error
+grows by a few ulps per step. On a ray the free vertices of tail_N are
+0..N-1 in every window, so Cap(tail_N)^2 = cond(N) + mu_tail(N) exactly:
+it is the limit of the window values cond(N) + sum_{N<=x<=d} mu(x). On a
+line they run from the other end's outermost vertex through the root, so
+each outer window M has its own sweep, and brackets the true value:
 
-The solver's outer windows are the family's truncations, which the
-family builds once and keeps for its life, so the tails and ends of one
-boundary_capacity call, and the other stages of one classification,
-share them; the certified tails come from each End's own memo. Every
-outer window is still realized, but a tail is solved once: on a ray the
-vertices off the tail, their edges and their measure are the same in
-every window, and e is exactly 1 on the tail, so a larger window adds
-w * 0.0 to the energy per tail edge and mu to the mass per tail vertex.
-A window reuses the solve when those free-block bytes match the solved
-window's, and its Cap_M^2 is the solved energy plus the fsum of the free
-mass terms and the window's tail measure (fsum is correctly rounded, so
-this is the solve's own value, bit for bit); on a line the other end
-grows with the window and each window is solved. Ends with the same rules
-(a line built from one End twice) share their ramp bounds within a call.
+    Cap_M(tail)^2 <= Cap(tail)^2 <= Cap_M(tail)^2 + mu_tail(M).
+
+A realization's leak (the weight of the first edge cut) is not a term of
+the window's form, only bookkeeping for form_report's bounds: the cut end
+of a window is a free vertex, and the sweep starts there with its measure.
+
+An explicit admissible ramp (0 below N/2, linear up to 1 at N) gives a
+certified upper bound at any N (_ramp_upper). The dyadic ramp grid stops
+at the first bound that is 0 (tails are nested, so Cap(tail_N) cannot
+grow again) or inf (the rules left float range). Smallness claims (polar)
+run on certified upper bounds, positivity claims on the plateau of the
+ladder values. Ends with the same rules (a line built from one End twice)
+share their ramp bounds and sweeps.
 """
 
 from __future__ import annotations
@@ -56,15 +56,14 @@ from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
 from .graphs import GraphFamily, WeightedGraph, vertex_mask
-from .metrics import _squares
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
 POLAR_SLOPE = -0.2
 PLATEAU_CHANGE = 1e-4
 POSITIVE_FLOOR = 1e-2
-# boundary_capacity's outer windows stop at this multiple of the largest
-# solver tail (each tail N starts at outer window 4N)
+# boundary_capacity's outer windows on a line stop at this multiple of the
+# largest solver tail (each tail N starts at outer window 4N)
 OUTER_PER_TAIL = 16
 # the ramp's w sum evaluates w on this many points at a time (256 KB)
 W_BLOCK = 1 << 15
@@ -151,18 +150,6 @@ def equilibrium(g: WeightedGraph, U) -> EquilibriumResult:
                              en)
 
 
-def _free_block(g: WeightedGraph, in_u: np.ndarray) -> tuple:
-    """What the free system of U (the mask in_u) reads from g: the free
-    ids, their mu and row sums, and the row, column and weight of each
-    entry of their rows. Where two graphs agree on these, the potential
-    is the same off U and so is its energy; only the mass of U can differ."""
-    free = np.flatnonzero(~in_u)
-    rows = ~in_u[g.rows]
-    return tuple(a.tobytes() for a in (free, g.mu[free], g.row_sums[free],
-                                       g.rows[rows], g.indices[rows],
-                                       g.w[rows]))
-
-
 # -- boundary capacity -------------------------------------------------------
 
 @dataclass
@@ -170,7 +157,7 @@ class CapacityEntry:
     tail_start: int
     solver_cap: float | None = None
     solver_cap_sq: float | None = None
-    outer_window: int | None = None
+    outer_window: int | None = None      # on a line; a ray has none
     outer_capped: bool = False
     bracket_upper: float | None = None   # sqrt(cap^2 + mu_tail(outer))
     ramp_upper: float | None = None      # explicit admissible ramp
@@ -272,26 +259,55 @@ def _ramp_upper(end, N: int) -> float:
     return math.sqrt(total)
 
 
+def _end_ladder(ends, end, depth: int):
+    """The sweep (module docstring) for the tails of `end` in a
+    realization of depth `depth` of the family with these ends: cond(N)
+    for N = 1..depth, indexed N - 1, and the end's mu on 0..depth, as
+    Python floats. A line's chain runs from the other end's outermost
+    vertex in to the root (whose measure is the plus end's) and out along
+    `end`; a ray's starts at the root. Each rule is evaluated on one
+    array, as a realization of this depth does."""
+    def rules(e):
+        ks = np.arange(depth + 1.0)
+        return (np.asarray(e.w_fn(ks[:-1]), dtype=float).tolist(),
+                np.asarray(e.mu_fn(ks), dtype=float).tolist())
+
+    w, mu = rules(end)
+    chain, skip = (w, mu), 0
+    if len(ends) == 2:
+        minus, plus = ends
+        w_o, mu_o = rules(minus if end is plus else plus)
+        root = (mu if end is plus else mu_o)[0]
+        chain, skip = (w_o[::-1] + w, mu_o[:0:-1] + [root] + mu[1:]), depth
+    conds, cond = [], 0.0
+    for wx, mx in zip(*chain):          # cond(x + 1) from G_x = mx + cond(x)
+        cond = 1.0 / (1.0 / wx + 1.0 / (mx + cond))
+        conds.append(cond)
+    return conds[skip:], mu
+
+
 def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                       analytic_tail_max: int = 1 << 22) -> CapacityReport:
     """Tail-capacity sequences for every end, with regime verdicts.
 
-    Per end: solver values Cap_M(tail_N) on outer windows M >= 4N (M
-    doubles until the value moves by < 1e-6 relatively, or until it would
-    pass OUTER_PER_TAIL * solver_tail_max or the family's float range),
-    bracketed above by mu_tail(M);
-    plus analytic ramp bounds extending the tail grid beyond any buildable
-    window. A ramp bound skips the measure rule when its certified mass
-    bound mu_tail(N/2 + 1) cannot change it in floating point. The ramp
+    Per end, ladder values (module docstring) on the tails N = 4, 8, ...
+    up to solver_tail_max and a quarter of the largest window in float
+    range; no graph is built. A ray's entries are the infinite ray's
+    values from one sweep, bracketed above by the certified mu_tail(N). A
+    line's are Cap_M(tail_N) on outer windows M >= 4N (M doubles until the
+    value moves by < 1e-6 relatively, or until it would pass
+    OUTER_PER_TAIL * solver_tail_max or the family's float range),
+    bracketed above by mu_tail(M), from one sweep per window and end.
+    Analytic ramp bounds extend the tail grid beyond any window; the ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
     diagnostics["analytic_stopped"] names the tail and the reason.
     Regime rules:
 
-      infinite:        the end has infinite measure (no solving needed)
+      infinite:        the end has infinite measure (no sweep needed)
       positive-finite: the end carries a finite tail-resistance bound, so
                        Cap >= (1/mu(1) + sum 1/w)^(-1/2) > 0 certified;
-                       or, as weaker evidence, the solver caps plateau
+                       or, as weaker evidence, the ladder caps plateau
                        (last-quartile relative change < 1e-4) above 0.01
       zero:            running-min certified upper bound drops below 1e-3
                        with log-log slope < -0.2 over the last 4 entries
@@ -306,15 +322,19 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     # one float-range probe serves every end of finite measure
     maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
               if any(not end.mu_is_infinite() for end in ends) else None)
-    ramps = {}
+    memo = {}
+
+    def once(key, fn, *args):
+        # once per call, keyed by an end's rules, so the two copies of one
+        # End on a line share each ramp bound and each window's sweep (a
+        # sweep reads both ends' rules, the same ones in that case)
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
 
     def ramp_upper(end, n):
-        # ends with the same rules (a line's two copies of one End) have the
-        # same ramp bounds: each is computed once per call
-        key = (end.w_fn, end.mu_fn, end.mu_tail_fn, n)
-        if key not in ramps:
-            ramps[key] = _ramp_upper(end, n)
-        return ramps[key]
+        return once((end.w_fn, end.mu_fn, end.mu_tail_fn, n), _ramp_upper,
+                    end, n)
 
     sequences = []
     for end in ends:
@@ -326,53 +346,33 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                                       "capacity"}))
             continue
         entries = []
-        noise_note = None
-        n_tail = 4
-        while n_tail <= min(solver_tail_max, maxwin // 4):
-            # the equilibrium potential is ~1 near the tail, so its
-            # increments there are invisible below w(N) eps^2: stop the
-            # solver grid before representability noise pollutes the energy
-            w_near = float(np.asarray(end.w_fn(np.float64(n_tail))))
-            if w_near * np.finfo(float).eps ** 2 > 1e-12:
-                noise_note = (f"solver grid stopped at tail {n_tail}: energy "
-                              "increments below float64 resolution")
-                break
-            entry = CapacityEntry(n_tail)
-            m = 4 * n_tail
-            prev = solved_block = None
-            while True:
-                g = fam.truncate(m)
-                tail = np.array(fam.tail_ids(end, n_tail, m))
-                in_u = vertex_mask(g, tail)
-                block = _free_block(g, in_u)
-                if block == solved_block:
-                    # the free system is the one already solved: only the
-                    # tail's mass changes, and e is exactly 1 there
-                    cap_sq = solved_energy + math.fsum(np.concatenate(
-                        (solved_mass, g.mu[in_u])).tolist())
-                else:
-                    r = equilibrium(g, tail)
-                    free = ~in_u
-                    solved_block, solved_energy = block, r.energy
-                    solved_mass = _squares(r.e.values[free]) * g.mu[free]
-                    cap_sq = r.cap_sq
-                cap = math.sqrt(cap_sq)
-                entry.solver_cap, entry.solver_cap_sq = cap, cap_sq
-                entry.outer_window = m
-                stable = prev is not None and \
-                    abs(cap - prev) <= 1e-6 * max(abs(cap), 1e-300)
-                prev = cap
-                if stable:
-                    break
-                if 2 * m > maxwin:
-                    entry.outer_capped = True
-                    break
-                m *= 2
-            entry.bracket_upper = math.sqrt(
-                entry.solver_cap_sq + end.mu_tail(entry.outer_window).upper)
-            entry.ramp_upper = ramp_upper(end, n_tail)
-            entries.append(entry)
-            n_tail *= 2
+        tails = [1 << p for p in
+                 range(2, min(solver_tail_max, maxwin // 4).bit_length())]
+        if len(ends) == 1 and tails:
+            # a ray: one sweep, and each value is the infinite ray's
+            ray, _mu = _end_ladder(ends, end, tails[-1])
+        for n in tails:
+            if len(ends) == 1:
+                tail = end.mu_tail(n)
+                m, stable, cap_sq = None, True, ray[n - 1] + tail.value
+                upper_sq = ray[n - 1] + tail.upper
+            else:
+                m, prev = 4 * n, None
+                while True:
+                    conds, mu = once((end.w_fn, end.mu_fn, m), _end_ladder,
+                                     ends, end, fam._depth(m))
+                    cap_sq = conds[n - 1] + math.fsum(mu[n:])
+                    cap = math.sqrt(cap_sq)
+                    stable = prev is not None and \
+                        abs(cap - prev) <= 1e-6 * max(cap, 1e-300)
+                    if stable or 2 * m > maxwin:
+                        break
+                    prev, m = cap, 2 * m
+                upper_sq = cap_sq + end.mu_tail(m).upper
+            entries.append(CapacityEntry(
+                n, math.sqrt(cap_sq), cap_sq, m, not stable,
+                math.sqrt(upper_sq), ramp_upper(end, n)))
+        n_tail = 4 << len(tails)
         analytic_note = None
         while n_tail <= analytic_tail_max:
             ramp = ramp_upper(end, n_tail)
@@ -389,8 +389,6 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
         uppers = [e.certified_upper for e in entries]
         cummin = list(np.minimum.accumulate(uppers)) if uppers else []
         diag = {}
-        if noise_note:
-            diag["solver_stopped"] = noise_note
         if analytic_note:
             diag["analytic_stopped"] = analytic_note
         lower = None

@@ -1,6 +1,7 @@
 """The claim rule of tools/ab_pairs.py on hand-made paired runs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -61,3 +62,36 @@ def test_one_pair_is_refused_before_any_run(capsys):
         ab.main(["parent", "change", "--workload", "w", "--pairs", "1"])
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_bench_out_writes_the_printed_verdicts(tmp_path, monkeypatch):
+    # stand-in runs: the change halves pass_s in every pair; each run says
+    # which side and seed it was
+    def fake_run(checkout, workload, seed, seconds):
+        value = (1.0 if checkout == "parent" else 0.5) + seed / 1000
+        return {"metrics": {"pass_s": {"value": value, "unit": "s"}},
+                "failed": 0, "attempted": 7,
+                "env": {"side": checkout, "seed": seed}}
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    monkeypatch.setattr(ab, "metric_specs",
+                        lambda checkout: {"pass_s": ("lower", 0.25)})
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
+    assert ab.main(["parent", "change", "--workload", "w", "--pairs", "4",
+                    "--seconds", "2", "--seed", "10",
+                    "--bench-out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["workloads"]["other"] == {"kept": True}
+    rec = data["workloads"]["w"]
+    assert (rec["pairs"], rec["seconds"], rec["seeds"]) == (4, 2.0,
+                                                            [10, 11, 12, 13])
+    assert rec["env"] == {"parent": {"side": "parent", "seed": 10},
+                          "change": {"side": "change", "seed": 10}}
+    assert rec["failed"] == {"parent": 0, "change": 0}
+    assert rec["attempted"] == {"parent": 28, "change": 28}
+    want = ab.judge([1.0 + s / 1000 for s in range(10, 14)],
+                    [0.5 + s / 1000 for s in range(10, 14)], "lower", 0.25)
+    assert rec["metrics"]["pass_s"] == json.loads(json.dumps(want))
+    assert rec["metrics"]["pass_s"]["gain"] and rec["metrics"]["pass_s"][
+        "wins"] == 4

@@ -244,8 +244,7 @@ def test_record_json_is_the_asdict_text_for_quick_gallery_records():
     # the fields are plain data, so the text must not change
     for rec in run_gallery(budget="quick").records:
         text = rec.to_json()
-        assert text == json.dumps(dataclasses.asdict(rec), sort_keys=True,
-                                  indent=2)
+        assert text == json.dumps(dataclasses.asdict(rec), sort_keys=True)
         assert RunRecord.from_json(text).to_json() == text
 
 

@@ -1,7 +1,7 @@
 """Alternating A/B pairs of the benchmark, judged by the claim rule.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload NAME
-        [--pairs 10] [--seconds 50] [--seed 1000]
+        [--pairs 10] [--seconds 50] [--seed 1000] [--bench-out PATH]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of this repository (a git
 clone or `git archive` of each commit). Pair i runs
@@ -19,6 +19,13 @@ gap exceeds that range. For the end-to-end metrics it also says whether
 the change's median is worse than the parent's by more than the bound
 BENCHMARK.json fixes. Which way is better, and the bounds, come from the
 parent's BENCHMARK.json. Standard library only.
+
+--bench-out PATH also writes what it prints as JSON, under the workload's
+name in PATH's "workloads": per metric the judge() dict (each side's
+(q1, median, q3), wins, losses, gap, parent IQR and verdicts), the
+seeds, the failed and attempted ops, and each side's environment line
+from its first run.py run. Workloads already in PATH stay, so one file
+holds the A/B of every workload.
 """
 
 import argparse
@@ -33,12 +40,16 @@ WIN_SHARE = 0.9
 
 def run_bench(checkout, workload, seed, seconds):
     """One untraced perfbench run in `checkout`; returns its final JSON
-    object."""
+    object, with the run's environment line under "env"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    res = json.loads(lines[-1])
+    res["env"] = next((json.loads(line.split("env ", 1)[1]) for line in lines
+                       if line.startswith("  env ")), None)
+    return res
 
 
 def quartiles(values):
@@ -79,6 +90,15 @@ def metric_specs(checkout):
     return out
 
 
+def write_bench(path, workload, record):
+    """Put record under workload in the JSON file at path, keeping the
+    other workloads there."""
+    path = Path(path)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault("workloads", {})[workload] = record
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -88,6 +108,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--seed", type=int, default=1000,
                     help="seed of the first pair; pair i uses seed + i")
+    ap.add_argument("--bench-out", metavar="PATH",
+                    help="also write the verdicts as JSON to PATH")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -110,11 +132,12 @@ def main(argv=None):
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':40s} {'parent median [q1, q3]':>32s} "
           f"{'change median [q1, q3]':>32s}  wins  gap>IQR  verdict")
+    verdicts = {}
     for name in names:
         better, bound = specs.get(name, ("lower", None))
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
-        v = judge(p, c, better, bound)
+        v = verdicts[name] = judge(p, c, better, bound)
         verdict = "gain" if v["gain"] else "no gain"
         if bound is not None and not v["within_bound"]:
             verdict += f", worse by {v['worse_frac']:.1%} > bound {bound:g}"
@@ -126,6 +149,12 @@ def main(argv=None):
                  for side, rs in runs.items()}
     print(f"failed ops: parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
+    if args.bench_out:
+        write_bench(args.bench_out, args.workload, {
+            "pairs": args.pairs, "seconds": args.seconds,
+            "seeds": list(range(args.seed, args.seed + args.pairs)),
+            "env": {side: rs[0]["env"] for side, rs in runs.items()},
+            "failed": failed, "attempted": attempted, "metrics": verdicts})
     return 0
 
 
