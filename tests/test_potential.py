@@ -401,10 +401,10 @@ def window_caps(fam, end, solver_tail_max):
 
 
 def exact_ladder(w, mu):
-    """The ladder sweep in exact rational arithmetic on the same float inputs: each
-    cond(N) as an integer pair (p, q), cond = p / q. Fraction would reduce
-    by a gcd at every step, which is most of its cost on these chains, so
-    the pairs are only stripped of common factors of 2."""
+    """The ladder sweep in exact rational arithmetic on the same floats:
+    each cond(N) as an integer pair (p, q), cond = p / q. Fraction would
+    reduce by a gcd at every step, which is most of its cost on these
+    chains, so the pairs are only stripped of common factors of 2."""
     out, p, q = [], 0, 1
     for wx, mx in zip(w, mu):
         wn, wd = wx.as_integer_ratio()
