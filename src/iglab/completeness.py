@@ -7,6 +7,15 @@ we can only gather evidence: ball sizes that stabilize as the window
 grows, and the total edge length of each ray end (a finite total length
 means the end is a Cauchy boundary point, so the graph is incomplete).
 
+The ball scan takes its distances from one of two sources. A ray or
+line with canonical sigma needs no graph: on a chain the only path from
+the root to an end's k-th vertex runs along the end, so Dijkstra's
+distance there is the (k-1)-th distance plus one length, added outward,
+which is np.cumsum of the lengths bit for bit. The lengths, weights and
+measures are read as the window's realization reads them
+(graphs._end_rules), so degrees are bit-equal too. Stars, and every
+other sigma choice, realize each window and run Dijkstra on it.
+
 Geodesics are searched with the metric's own Dijkstra kernel
 (scipy.sparse.csgraph): hop counts give the combinatorial ball, and its
 induced submatrix gives the distances restricted to that ball.
@@ -26,7 +35,8 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import End, GraphFamily, WeightedGraph, vertex_id
+from .graphs import (End, GraphFamily, LinearFamily, WeightedGraph, _end_rules,
+                     vertex_id)
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
 
@@ -173,6 +183,9 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     in the first window, and stay fixed across windows. Per window the
     scan counts every ball and, at the even radii radii[1::2], takes the
     largest weighted degree over the ball's combinatorial neighborhood.
+    Rays and lines with canonical sigma take the balls from prefix sums
+    of the rules (_chain_balls), the rest from Dijkstra on each realized
+    window (_graph_balls); the module docstring says why both agree.
     """
     cap = fam.max_window(n_max)
     windows = []
@@ -181,24 +194,61 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
         windows.append(w)
         w *= 2
     windows.append(cap)
+    chain = isinstance(fam, LinearFamily) and sigma == "canonical"
     scan = None
     for win in windows:
-        g = fam.truncate(win)
-        metric = PathMetric(lengths_for(g, sigma, fam))
-        d = metric.distances_from(g.origin)
+        ecc, ball = (_chain_balls if chain else _graph_balls)(fam, sigma, win)
         if scan is None:
-            ecc = metric.eccentricity(g.origin)
             scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
         scan.windows.append(win)
-        deg = g.degrees()
         for j, r in enumerate(scan.radii):
-            inside = d <= r
-            scan.sizes.setdefault(r, []).append(int(np.count_nonzero(inside)))
+            size, max_deg = ball(r)
+            scan.sizes.setdefault(r, []).append(size)
             if j % 2:
-                inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
-                scan.max_deg.setdefault(r, []).append(
-                    float(deg[inside].max()))
+                scan.max_deg.setdefault(r, []).append(max_deg)
     return scan
+
+
+def _graph_balls(fam: GraphFamily, sigma, win: int):
+    """The origin's eccentricity in the realized window, and its balls
+    r -> (|B_r(x0)|, max Deg over n(B_r(x0))), from Dijkstra distances."""
+    g = fam.truncate(win)
+    metric = PathMetric(lengths_for(g, sigma, fam))
+    d, deg = metric.distances_from(g.origin), g.degrees()
+
+    def ball(r):
+        inside = d <= r
+        size = int(np.count_nonzero(inside))
+        inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
+        return size, float(deg[inside].max())
+
+    return metric.eccentricity(g.origin), ball
+
+
+def _chain_balls(fam: LinearFamily, sigma, win: int):
+    """_graph_balls for canonical sigma on a ray or line, with no graph:
+    distances are running sums of each end's lengths, a ball is an index
+    range per end and its neighborhood that range widened by one, and Deg
+    is (w_left + w_right) / mu, with no right edge at the outermost vertex,
+    as the realization's row sums have it."""
+    depth = fam._depth(win)
+    rules = _end_rules(fam.ends(), depth, "w_fn", "mu_fn", "sigma_fn")
+    dists, degs = [], []
+    with np.errstate(over="ignore"):
+        root = sum(w[0] for w, _, _ in rules) / rules[0][1][0]
+        for w, mu, lengths in rules:
+            rows = np.concatenate((w[:-1] + w[1:], w[-1:]))   # vertices 1..
+            degs.append(np.maximum.accumulate(
+                np.concatenate(([root], rows / mu[1:]))))
+            dists.append(np.cumsum(lengths))
+    ecc = max(float(d[np.isfinite(d)].max(initial=0.0)) for d in dists)
+
+    def ball(r):
+        out = [int(np.searchsorted(d, r, side="right")) for d in dists]
+        return 1 + sum(out), float(max(deg[min(k + 1, depth)]
+                                       for deg, k in zip(degs, out)))
+
+    return ecc, ball
 
 
 def hopf_rinow_report(fam: GraphFamily, sigma="canonical",

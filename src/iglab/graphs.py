@@ -40,8 +40,9 @@ Each family builds each window once, and each End evaluates each tail
 rule once per index: both keep a memo that lives as long as the family
 (or End) object does. The gallery and the CLI build one family per run,
 so one classification realizes every window and every tail once, and
-the ball scan, the capacity solves, the witness and the golden claims
-share them.
+the witness and the golden claims share them. The ball scan and the
+capacity ladder of a ray or line read the rules directly, as a
+realization does (_end_rules), and build no graph.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import FamilyDefinitionError, InputError
+from .errors import FamilyDefinitionError, InputError, NumericalError
 from .series import TailSum
 
 
@@ -94,7 +95,17 @@ class WeightedGraph:
         self.origin = int(origin)
         if not 0 <= self.origin < self.n:
             raise InputError("origin out of range")
-        self.row_sums = self.row_fsum(self.w)
+        try:
+            self.row_sums = self.row_fsum(self.w)
+        except OverflowError:         # a row's weights sum past float range
+            ip, w = self.indptr.tolist(), self.w.tolist()
+            for x in range(self.n):
+                try:
+                    math.fsum(w[ip[x]:ip[x + 1]])
+                except OverflowError:
+                    raise NumericalError(f"the weights at vertex {x} sum past "
+                                         "the float range") from None
+            raise
         for a in (self.mu, self.indptr, self.indices, self.w, self.rows,
                   self.edge_u, self.edge_v, self.edge_w, self.edge_of,
                   self.row_sums):
@@ -492,24 +503,60 @@ def _tail_sum(t) -> TailSum:
 
 def _probe_depth(ends, hi: int) -> int:
     """Largest depth d <= hi at which every end's w and mu are finite and
-    positive on 0..d, and its sigma on 0..d-1 (the realized edges)."""
-    lo, chunk = 0, 1 << 12
+    positive on 0..d, its sigma on 0..d-1 (the realized edges), and every
+    realized row sum is finite: the root's, w(0) summed over the ends, and
+    w(k-1) + w(k) at each vertex 0 < k < d."""
+    lo, chunk, left = 0, 1 << 12, None
     while lo <= hi:               # scan in growing chunks, not one arange(cap)
         xs = np.arange(lo, min(lo + chunk, hi + 1), dtype=float)
         cuts = []
         with np.errstate(all="ignore"):
-            for end in ends:
-                ok = _valid(end.w_fn(xs)) & _valid(end.mu_fn(xs))
+            ws = [np.asarray(end.w_fn(xs), dtype=float) for end in ends]
+            if left is None:      # the root's row also holds the other ends'
+                left = [sum(v[0] for v in ws if v is not w) for w in ws]
+            for end, w, w_left in zip(ends, ws, left):
+                ok = _valid(w) & _valid(end.mu_fn(xs))
                 ok_sigma = _valid(end.sigma_fn(xs))
+                rows = np.isfinite(np.concatenate(([w_left], w[:-1])) + w)
                 if not ok.all():
                     cuts.append(lo + int(np.argmin(ok)) - 1)
                 if not ok_sigma.all():
                     cuts.append(lo + int(np.argmin(ok_sigma)))
+                if not rows.all():
+                    cuts.append(lo + int(np.argmin(rows)))
+            left = [w[-1] for w in ws]
         if cuts:
             return min(cuts)
         lo += chunk
         chunk = min(chunk * 4, 1 << 22)
     return hi
+
+
+def _end_rules(ends, depth: int, *names: str) -> list:
+    """Per end, the rules `names` ("w_fn", "mu_fn", "sigma_fn") as a
+    realization of depth `depth` reads them, each in outward order from
+    the root: w and sigma on the edges 0..depth-1, mu on the vertices
+    0..depth, where vertex 0 is the root and has the last end's measure.
+
+    This is the one place that fixes which array each rule is evaluated
+    on, the one a realization (and its canonical lengths) hands it, so
+    every reader of these values is bit-equal to the realized graph: ks[:-1]
+    for w; ks for the last end's mu and ks[1:] for another end's; ks[:-1]
+    for the last end's sigma and the descending depth-1..0 for another
+    end's, whose edges a realization stores from the outermost in.
+    """
+    ks = np.arange(depth + 1.0)
+    points = {"w_fn": (ks[:-1], ks[:-1]), "mu_fn": (ks, ks[1:]),
+              "sigma_fn": (ks[:-1], ks[-2::-1].copy())}
+    rules = [[np.asarray(getattr(end, name)(points[name][end is not ends[-1]]),
+                         dtype=float) for name in names] for end in ends]
+    for vals in rules[:-1]:
+        for i, name in enumerate(names):
+            if name == "sigma_fn":
+                vals[i] = vals[i][::-1]
+            elif name == "mu_fn":
+                vals[i] = np.concatenate((rules[-1][i][:1], vals[i]))
+    return rules
 
 
 def default_sigma0_rule(w_fn, mu_fn):
@@ -581,15 +628,15 @@ class LinearFamily(GraphFamily):
         mu = np.empty(root + depth + 1)
         leak = {}
         edges = []                       # one (x, y, w) block per end
-        for end in self._ends:
+        for end, (w, m) in zip(self._ends, _end_rules(self._ends, depth,
+                                                      "w_fn", "mu_fn")):
             sign = self._sign(end)
-            w = np.asarray(end.w_fn(ks[:-1]), dtype=float)
-            m = np.asarray(end.mu_fn(ks if sign > 0 else ks[1:]), dtype=float)
-            _validate_window(self.name, w, m)
+            # the root's measure is validated with the end it comes from
+            _validate_window(self.name, w, m if sign > 0 else m[1:])
             if sign > 0:
                 mu[root:] = m
             else:
-                mu[:root] = m[::-1]
+                mu[:root] = m[:0:-1]
             leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
             ids = root + sign * ks
             edges.append(np.column_stack((ids[:-1], ids[1:], w)))
@@ -598,16 +645,12 @@ class LinearFamily(GraphFamily):
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
-        # model coordinate of each edge's lower end
-        k = (g.edge_u - g.origin).astype(float)
-
-        plus = k >= 0
-        lengths = np.empty(k.size)
-        for end, sel, idx in ((self._ends[-1], plus, k),
-                              (self._ends[0], ~plus, -k - 1)):
-            if sel.any():
-                lengths[sel] = end.sigma_fn(idx[sel])
-        return EdgeLengths(g, lengths, kind="canonical")
+        lengths = [s for s, in _end_rules(self._ends, g.n - 1 - g.origin,
+                                          "sigma_fn")]
+        # a realization stores a line's minus edges first, outermost first
+        return EdgeLengths(g, np.concatenate([lengths[0][::-1], *lengths[1:]])
+                           if len(lengths) == 2 else lengths[0],
+                           kind="canonical")
 
     def max_window(self, cap: int) -> int:
         """GraphFamily.max_window, lowered to the largest window whose

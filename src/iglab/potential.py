@@ -55,7 +55,7 @@ import scipy.sparse.linalg as spla
 from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
-from .graphs import GraphFamily, WeightedGraph, vertex_mask
+from .graphs import GraphFamily, WeightedGraph, _end_rules, vertex_mask
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
@@ -264,21 +264,15 @@ def _end_ladder(ends, end, depth: int):
     realization of depth `depth` of the family with these ends: cond(N)
     for N = 1..depth, indexed N - 1, and the end's mu on 0..depth, as
     Python floats. A line's chain runs from the other end's outermost
-    vertex in to the root (whose measure is the plus end's) and out along
-    `end`; a ray's starts at the root. Each rule is evaluated on one
-    array, as a realization of this depth does."""
-    def rules(e):
-        ks = np.arange(depth + 1.0)
-        return (np.asarray(e.w_fn(ks[:-1]), dtype=float).tolist(),
-                np.asarray(e.mu_fn(ks), dtype=float).tolist())
-
-    w, mu = rules(end)
+    vertex in to the root and out along `end`; a ray's starts at the root.
+    The rules are read as the realization reads them (graphs._end_rules)."""
+    rules = {e: [v.tolist() for v in r] for e, r in
+             zip(ends, _end_rules(ends, depth, "w_fn", "mu_fn"))}
+    w, mu = rules[end]
     chain, skip = (w, mu), 0
     if len(ends) == 2:
-        minus, plus = ends
-        w_o, mu_o = rules(minus if end is plus else plus)
-        root = (mu if end is plus else mu_o)[0]
-        chain, skip = (w_o[::-1] + w, mu_o[:0:-1] + [root] + mu[1:]), depth
+        w_o, mu_o = rules[ends[0] if end is ends[1] else ends[1]]
+        chain, skip = (w_o[::-1] + w, mu_o[:0:-1] + mu), depth
     conds, cond = [], 0.0
     for wx, mx in zip(*chain):          # cond(x + 1) from G_x = mx + cond(x)
         cond = 1.0 / (1.0 / wx + 1.0 / (mx + cond))

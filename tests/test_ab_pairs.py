@@ -95,3 +95,77 @@ def test_bench_out_writes_the_printed_verdicts(tmp_path, monkeypatch):
     assert rec["metrics"]["pass_s"] == json.loads(json.dumps(want))
     assert rec["metrics"]["pass_s"]["gain"] and rec["metrics"]["pass_s"][
         "wins"] == 4
+
+
+FAKE_RUN = '''
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--trace"] == "1"
+out = pathlib.Path(".perfbench-out")
+out.mkdir(exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace1.json"
+(out / name).write_text(json.dumps({"scaling": {"rows": [{"n": 1000}]}}))
+print("workload w")
+print(json.dumps({"metrics": {"graphs.truncate.calls":
+                              {"value": 65.0, "unit": "count"}}}))
+'''
+
+
+def test_run_traced_reads_the_layers_and_the_scaling_table(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    got = ab.run_traced(str(tmp_path), "w", 7, 3.0)
+    assert got == {"seed": 7, "layers": {"graphs.truncate.calls": 65.0},
+                   "scaling": {"rows": [{"n": 1000}]}}
+
+
+def fake_pair_run(checkout, workload, seed, seconds):
+    return {"metrics": {"pass_s": {"value": 1.0 + seed / 1000, "unit": "s"}},
+            "failed": 0, "attempted": 7, "env": {"side": checkout}}
+
+
+def test_bench_out_stores_one_traced_run_per_side(tmp_path, monkeypatch):
+    # the traced runs use the first seed and the pairs' seconds, and come
+    # after every pair
+    calls = []
+
+    def fake_traced(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        return {"seed": seed, "layers": {"calls": len(calls)},
+                "scaling": {"rows": [checkout]}}
+
+    monkeypatch.setattr(ab, "run_bench", fake_pair_run)
+    monkeypatch.setattr(ab, "run_traced", fake_traced)
+    monkeypatch.setattr(ab, "metric_specs",
+                        lambda checkout: {"pass_s": ("lower", 0.25)})
+    out = tmp_path / "BENCH.json"
+    assert ab.main(["parent", "change", "--workload", "w", "--pairs", "2",
+                    "--seconds", "3", "--seed", "5",
+                    "--bench-out", str(out)]) == 0
+    assert calls == [("parent", "w", 5, 3.0), ("change", "w", 5, 3.0)]
+    rec = json.loads(out.read_text())["workloads"]["w"]
+    assert rec["trace"] == {
+        "parent": {"seed": 5, "layers": {"calls": 1},
+                   "scaling": {"rows": ["parent"]}},
+        "change": {"seed": 5, "layers": {"calls": 2},
+                   "scaling": {"rows": ["change"]}}}
+
+
+def test_a_failed_traced_run_keeps_the_pairs(tmp_path, monkeypatch, capsys):
+    # no perfbench/run.py in either checkout: the traced runs fail, and the
+    # A/B verdicts are written with each side's error
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(ab, "run_bench", fake_pair_run)
+    monkeypatch.setattr(ab, "metric_specs",
+                        lambda checkout: {"pass_s": ("lower", 0.25)})
+    out = tmp_path / "BENCH.json"
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "w", "--pairs", "2", "--seconds", "1",
+                    "--bench-out", str(out)]) == 0
+    rec = json.loads(out.read_text())["workloads"]["w"]
+    assert rec["metrics"]["pass_s"]["pairs"] == 2
+    assert set(rec["trace"]) == {"parent", "change"}
+    assert all("CalledProcessError" in t["error"]
+               for t in rec["trace"].values())
+    assert "traced run in parent failed" in capsys.readouterr().err

@@ -24,8 +24,12 @@ parent's BENCHMARK.json. Standard library only.
 name in PATH's "workloads": per metric the judge() dict (each side's
 (q1, median, q3), wins, losses, gap, parent IQR and verdicts), the
 seeds, the failed and attempted ops, and each side's environment line
-from its first run.py run. Workloads already in PATH stay, so one file
-holds the A/B of every workload.
+from its first run.py run. After the pairs it runs each checkout once
+more with ``--trace 1`` (first seed, same seconds) and stores under
+"trace" that run's per-layer means and, for a workload that has one, its
+ray-chain scaling table; a traced run that fails is stored as its error,
+so the A/B already measured is still written. Workloads already in PATH
+stay, so one file holds the A/B of every workload.
 """
 
 import argparse
@@ -50,6 +54,22 @@ def run_bench(checkout, workload, seed, seconds):
     res["env"] = next((json.loads(line.split("env ", 1)[1]) for line in lines
                        if line.startswith("  env ")), None)
     return res
+
+
+def run_traced(checkout, workload, seed, seconds):
+    """One traced perfbench run in `checkout`: its per-layer means, and the
+    ray-chain scaling table from the result file it writes (None for a
+    workload without one)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = Path(checkout) / ".perfbench-out" / \
+        f"{workload}-seed{seed}-trace1.json"
+    return {"seed": seed,
+            "layers": {name: m["value"] for name, m in res["metrics"].items()},
+            "scaling": json.loads(out.read_text()).get("scaling")}
 
 
 def quartiles(values):
@@ -150,11 +170,22 @@ def main(argv=None):
     print(f"failed ops: parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
     if args.bench_out:
+        traced = {}
+        for side in ("parent", "change"):
+            try:
+                traced[side] = run_traced(getattr(args, side), args.workload,
+                                          args.seed, args.seconds)
+            except (OSError, subprocess.CalledProcessError, ValueError,
+                    KeyError) as exc:
+                print(f"traced run in {side} failed: {exc!r}",
+                      file=sys.stderr)
+                traced[side] = {"error": repr(exc)}
         write_bench(args.bench_out, args.workload, {
             "pairs": args.pairs, "seconds": args.seconds,
             "seeds": list(range(args.seed, args.seed + args.pairs)),
             "env": {side: rs[0]["env"] for side, rs in runs.items()},
-            "failed": failed, "attempted": attempted, "metrics": verdicts})
+            "failed": failed, "attempted": attempted, "metrics": verdicts,
+            "trace": traced})
     return 0
 
 
