@@ -197,32 +197,37 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     chain = isinstance(fam, LinearFamily) and sigma == "canonical"
     scan = None
     for win in windows:
-        ecc, ball = (_chain_balls if chain else _graph_balls)(fam, sigma, win)
+        ecc, balls = (_chain_balls if chain else _graph_balls)(fam, sigma, win)
         if scan is None:
             scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
         scan.windows.append(win)
-        for j, r in enumerate(scan.radii):
-            size, max_deg = ball(r)
+        sizes, max_deg = balls(scan.radii)
+        for r, size in zip(scan.radii, sizes):
             scan.sizes.setdefault(r, []).append(size)
-            if j % 2:
-                scan.max_deg.setdefault(r, []).append(max_deg)
+        for r, deg in zip(scan.radii[1::2], max_deg):
+            scan.max_deg.setdefault(r, []).append(deg)
     return scan
 
 
 def _graph_balls(fam: GraphFamily, sigma, win: int):
     """The origin's eccentricity in the realized window, and its balls
-    r -> (|B_r(x0)|, max Deg over n(B_r(x0))), from Dijkstra distances."""
+    radii -> (|B_r(x0)| per radius, max Deg over n(B_r(x0)) per radius
+    of radii[1::2]), from Dijkstra distances."""
     g = fam.truncate(win)
     metric = PathMetric(lengths_for(g, sigma, fam))
     d, deg = metric.distances_from(g.origin), g.degrees()
 
-    def ball(r):
-        inside = d <= r
-        size = int(np.count_nonzero(inside))
-        inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
-        return size, float(deg[inside].max())
+    def balls(radii):
+        sizes, max_deg = [], []
+        for j, r in enumerate(radii):
+            inside = d <= r
+            sizes.append(int(np.count_nonzero(inside)))
+            if j % 2:
+                inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
+                max_deg.append(float(deg[inside].max()))
+        return sizes, max_deg
 
-    return metric.eccentricity(g.origin), ball
+    return metric.eccentricity(g.origin), balls
 
 
 def _chain_balls(fam: LinearFamily, sigma, win: int):
@@ -243,12 +248,14 @@ def _chain_balls(fam: LinearFamily, sigma, win: int):
             dists.append(np.cumsum(lengths))
     ecc = max(float(d[np.isfinite(d)].max(initial=0.0)) for d in dists)
 
-    def ball(r):
-        out = [int(np.searchsorted(d, r, side="right")) for d in dists]
-        return 1 + sum(out), float(max(deg[min(k + 1, depth)]
-                                       for deg, k in zip(degs, out)))
+    def balls(radii):
+        # vertices within r on each end, the root not counted
+        counts = [np.searchsorted(d, radii, side="right") for d in dists]
+        near = [deg[np.minimum(k[1::2] + 1, depth)]
+                for deg, k in zip(degs, counts)]
+        return (1 + sum(counts)).tolist(), np.max(near, axis=0).tolist()
 
-    return ecc, ball
+    return ecc, balls
 
 
 def hopf_rinow_report(fam: GraphFamily, sigma="canonical",

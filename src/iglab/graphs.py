@@ -547,9 +547,10 @@ def _end_rules(ends, depth: int, *names: str) -> list:
     """
     ks = np.arange(depth + 1.0)
     points = {"w_fn": (ks[:-1], ks[:-1]), "mu_fn": (ks, ks[1:]),
-              "sigma_fn": (ks[:-1], ks[-2::-1].copy())}
-    rules = [[np.asarray(getattr(end, name)(points[name][end is not ends[-1]]),
-                         dtype=float) for name in names] for end in ends]
+              "sigma_fn": (ks[:-1], ks[-2::-1])}     # (last end, another)
+    rules = [[np.asarray(getattr(end, name)(np.ascontiguousarray(
+        points[name][end is not ends[-1]])), dtype=float) for name in names]
+        for end in ends]
     for vals in rules[:-1]:
         for i, name in enumerate(names):
             if name == "sigma_fn":
