@@ -506,14 +506,14 @@ def _probe_depth(ends, hi: int) -> int:
     positive on 0..d, its sigma on 0..d-1 (the realized edges), and every
     realized row sum is finite: the root's, w(0) summed over the ends, and
     w(k-1) + w(k) at each vertex 0 < k < d."""
-    lo, chunk, left = 0, 1 << 12, None
+    lo, chunk, left = 0, 1 << 12, [0.0] * len(ends)
     while lo <= hi:               # scan in growing chunks, not one arange(cap)
         xs = np.arange(lo, min(lo + chunk, hi + 1), dtype=float)
         cuts = []
         with np.errstate(all="ignore"):
             ws = [np.asarray(end.w_fn(xs), dtype=float) for end in ends]
-            if left is None:      # the root's row also holds the other ends'
-                left = [sum(v[0] for v in ws if v is not w) for w in ws]
+            if lo == 0 and not np.isfinite(sum(w[0] for w in ws)):
+                cuts.append(0)            # the root's row
             for end, w, w_left in zip(ends, ws, left):
                 ok = _valid(w) & _valid(end.mu_fn(xs))
                 ok_sigma = _valid(end.sigma_fn(xs))
@@ -649,9 +649,8 @@ class LinearFamily(GraphFamily):
         lengths = [s for s, in _end_rules(self._ends, g.n - 1 - g.origin,
                                           "sigma_fn")]
         # a realization stores a line's minus edges first, outermost first
-        return EdgeLengths(g, np.concatenate([lengths[0][::-1], *lengths[1:]])
-                           if len(lengths) == 2 else lengths[0],
-                           kind="canonical")
+        return EdgeLengths(g, np.concatenate(
+            [s[::-1] for s in lengths[:-1]] + lengths[-1:]), kind="canonical")
 
     def max_window(self, cap: int) -> int:
         """GraphFamily.max_window, lowered to the largest window whose
