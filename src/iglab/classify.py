@@ -39,11 +39,11 @@ import numpy as np
 
 from .completeness import BallScan, _ball_scan, _hopf_rinow
 from .errors import InputError, NumericalError
-from .forms import VertexFunction, energy, laplacian_all
+from .forms import VertexFunction, laplacian_all
 from .graphs import GraphFamily
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
-from .series import SeriesVerdict, plateau, series_verdict
+from .series import SeriesVerdict, plateau, prefix_fsums, series_verdict
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
     # cancellation-limited once w spans many decades, so it would measure
     # rounding, not correctness.)
     scale = max(1.0, float(np.max(np.abs(u))))
-    um = (u * mu).tolist()
-    sums = np.array([lam * math.fsum(um[:x + 1]) for x in range(window - 1)])
+    sums = np.array([lam * s for s in prefix_fsums((u * mu)[:-1].tolist())])
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.abs(u[1:] - u[:-1] - sums / w)
     res = max([0.0, *dev.tolist()]) / scale
@@ -195,11 +194,6 @@ class WitnessReport:
                 "passed": self.passed, "basis": self.basis}
 
 
-def _coordinate(g) -> VertexFunction:
-    """h(x) = x, the model coordinate of each vertex."""
-    return VertexFunction(g, np.arange(g.n) - g.origin)
-
-
 def harmonic_witness_check(fam: GraphFamily,
                            window: int = 200) -> WitnessReport:
     """Check h(x) = x on a line family: harmonic, square-summable, with
@@ -223,13 +217,14 @@ def harmonic_witness_check(fam: GraphFamily,
             f"(partial sum {pre.partial:.6g} at window {window})")
     l2 = series_verdict(np.concatenate([xs ** 2 * mu_pos,
                                         xs[1:] ** 2 * mu_neg]))
-    # harmonicity on a small truncation, interior vertices only
+    # h(x) = x is harmonic at the interior vertices of a small truncation
     n_chk = min(window, 64)
-    h = _coordinate(fam.truncate(n_chk))
-    lap = laplacian_all(h).tolist()
-    res = max((abs(lap[i]) for i in range(h.graph.n)
-               if i not in h.graph.frontier), default=0.0)
-    energies = [(n, energy(_coordinate(fam.truncate(n))))
+    g = fam.truncate(n_chk)
+    lap = laplacian_all(VertexFunction(g, np.arange(g.n) - g.origin))
+    res = max((abs(v) for i, v in enumerate(lap.tolist())
+               if i not in g.frontier), default=0.0)
+    # h changes by 1 on every edge: Q(h) on truncate(n) is its weights' fsum
+    energies = [(n, math.fsum(fam._chain(n)[0].tolist()))
                 for n in (8, 16, 32, 64) if n <= n_chk]
     passed = (res <= 1e-12 and l2.verdict == "converged")
     basis = ("harmonic coordinate in L2 with window energy growing like 2N: "

@@ -407,16 +407,20 @@ class GraphFamily:
         self._windows = {}               # window -> its realization
 
     def _window(self, window: int) -> WeightedGraph:
-        window = int(window)
+        window = self._checked(window)
         g = self._windows.get(window)
         if g is None:
-            if not self.smallest_window <= window <= self.window_cap:
-                raise InputError(
-                    f"{self.name}: window {window} is not between the "
-                    f"smallest window {self.smallest_window} and the window "
-                    f"cap {self.window_cap}")
             g = self._windows[window] = self._build(window)
         return g
+
+    def _checked(self, window: int) -> int:
+        window = int(window)
+        if not self.smallest_window <= window <= self.window_cap:
+            raise InputError(
+                f"{self.name}: window {window} is not between the "
+                f"smallest window {self.smallest_window} and the window "
+                f"cap {self.window_cap}")
+        return window
 
     def max_window(self, cap: int) -> int:
         """cap clamped to window_cap; InputError below the smallest window."""
@@ -623,26 +627,28 @@ class LinearFamily(GraphFamily):
         raise InputError(f"end {end.label!r} is not an end of {self.name}")
 
     def _build(self, window: int) -> WeightedGraph:
-        depth = self._depth(window)
-        root = self.root_id(window)
-        ks = np.arange(depth + 1.0)
-        mu = np.empty(root + depth + 1)
-        leak = {}
-        edges = []                       # one (x, y, w) block per end
+        depth, root = self._depth(window), self.root_id(window)
+        w, mu = self._chain(window)
+        ids = np.arange(mu.size)
+        leak = {root + self._sign(end) * depth:
+                float(end.w_fn(np.float64(depth))) for end in self._ends}
+        return WeightedGraph(mu.size, np.column_stack((ids[:-1], ids[1:], w)),
+                             mu, leak=leak, origin=root)
+
+    def _chain(self, window: int):
+        """truncate(window)'s w(x, x + 1) and mu(x) over its ids x, from
+        the rules and checked as truncate checks them, with no graph: an
+        fsum over these is bit-equal to one over the realization's arrays."""
+        depth = self._depth(self._checked(window))
+        ws, mus = [], []
         for end, (w, m) in zip(self._ends, _end_rules(self._ends, depth,
                                                       "w_fn", "mu_fn")):
-            sign = self._sign(end)
+            last = end is self._ends[-1]
             # the root's measure is validated with the end it comes from
-            _validate_window(self.name, w, m if sign > 0 else m[1:])
-            if sign > 0:
-                mu[root:] = m
-            else:
-                mu[:root] = m[:0:-1]
-            leak[root + sign * depth] = float(end.w_fn(np.float64(depth)))
-            ids = root + sign * ks
-            edges.append(np.column_stack((ids[:-1], ids[1:], w)))
-        return WeightedGraph(root + depth + 1, np.concatenate(edges), mu,
-                             leak=leak, origin=root)
+            _validate_window(self.name, w, m if last else m[1:])
+            ws.append(w if last else w[::-1])
+            mus.append(m if last else m[:0:-1])
+        return np.concatenate(ws), np.concatenate(mus)
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths

@@ -56,6 +56,7 @@ from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
 from .graphs import GraphFamily, WeightedGraph, _end_rules, vertex_mask
+from .metrics import _squares
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
@@ -220,8 +221,10 @@ def _w_sum(end, a: int, b: int) -> float:
     blocks, rem = divmod(b - a, W_BLOCK)
     size = b - a if rem or blocks & (blocks - 1) else W_BLOCK
     offsets = np.arange(size, dtype=float)      # + start: exact below 2^53
-    sums = [float(np.sum(np.asarray(end.w_fn(offsets + start), dtype=float)))
-            for start in range(a, b, size)]
+    xs = np.empty(size)                         # one x buffer for the blocks
+    sums = [float(np.add.reduce(np.asarray(
+        end.w_fn(np.add(offsets, start, out=xs)), dtype=float)))
+        for start in range(a, b, size)]
     while len(sums) > 1:
         sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
     return sums[0]
@@ -568,12 +571,14 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
             if x1 > n + 10000:
                 raise NumericalError("cutoff never saturates; tails too flat")
         window = x1 + 2
-        g = fam.truncate(window)
+        w, mu = fam._chain(window)
         rv = np.array([end.sigma_tail(k).value for k in range(window)])
         eta = np.clip((2 * R - rv) / R, 0.0, 1.0)
-        f = VertexFunction(g, eta)
-        en = energy(f)
-        mass_window = norm_sq(f)
+        if eta.size != mu.size:         # a line's window holds two ends
+            raise InputError(f"values must have length {mu.size}")
+        # energy() and norm_sq() of eta on truncate(window), from its rules
+        en = math.fsum((w * _squares(eta[:-1] - eta[1:])).tolist())
+        mass_window = math.fsum((_squares(eta) * mu).tolist())
         mass_tail = end.mu_tail(window).upper
         value = math.sqrt(en + mass_window + mass_tail)
         mb = end.mu_tail(n).upper

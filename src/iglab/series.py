@@ -81,6 +81,20 @@ def bounded_tail(term_fn, start: int, remainder_fn) -> TailSum:
     return TailSum(partial, rem, exact=False)
 
 
+def prefix_fsums(values) -> list:
+    """[math.fsum(values[:k + 1]) for each k] of finite floats, in one pass:
+    each float is an integer over a power of two, so over the largest of
+    those the running sum is an exact integer, and int true division
+    rounds it correctly, as fsum does."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max([d for _, d in ratios], default=1).bit_length()
+    acc, den, out = 0, 1 << (shift - 1), []
+    for n, d in ratios:
+        acc += n << (shift - d.bit_length())
+        out.append(acc / den)
+    return out
+
+
 def last_quartile(n: int) -> slice:
     """Index slice of the last quarter (at least two entries) of n samples."""
     k = max(2, n // 4)

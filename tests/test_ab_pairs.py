@@ -169,3 +169,33 @@ def test_a_failed_traced_run_keeps_the_pairs(tmp_path, monkeypatch, capsys):
     assert all("CalledProcessError" in t["error"]
                for t in rec["trace"].values())
     assert "traced run in parent failed" in capsys.readouterr().err
+
+
+def test_src_lines_counts_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "iglab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")               # no final newline
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert ab.src_lines(str(tmp_path)) == {"files": {"a.py": 2, "b.py": 0},
+                                           "total": 2}
+    assert ab.src_lines(str(tmp_path / "missing")) == {"files": {},
+                                                       "total": 0}
+
+
+def test_bench_out_stores_each_sides_src_lines(tmp_path, monkeypatch):
+    for side, lines in (("parent", 3), ("change", 5)):
+        pkg = tmp_path / side / "src" / "iglab"
+        pkg.mkdir(parents=True)
+        (pkg / "m.py").write_text("pass\n" * lines)
+    monkeypatch.setattr(ab, "run_bench", fake_pair_run)
+    monkeypatch.setattr(ab, "run_traced", lambda *args: {"seed": 0})
+    monkeypatch.setattr(ab, "metric_specs",
+                        lambda checkout: {"pass_s": ("lower", 0.25)})
+    out = tmp_path / "BENCH.json"
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "w", "--pairs", "2", "--seconds", "1",
+                    "--bench-out", str(out)]) == 0
+    rec = json.loads(out.read_text())["workloads"]["w"]
+    assert rec["src_lines"] == {"parent": {"files": {"m.py": 3}, "total": 3},
+                                "change": {"files": {"m.py": 5}, "total": 5}}

@@ -28,8 +28,10 @@ from its first run.py run. After the pairs it runs each checkout once
 more with ``--trace 1`` (first seed, same seconds) and stores under
 "trace" that run's per-layer means and, for a workload that has one, its
 ray-chain scaling table; a traced run that fails is stored as its error,
-so the A/B already measured is still written. Workloads already in PATH
-stay, so one file holds the A/B of every workload.
+so the A/B already measured is still written. Under "src_lines" it stores
+each side's ``wc -l src/iglab/*.py``: the lines of each file and their
+total. Workloads already in PATH stay, so one file holds the A/B of every
+workload.
 """
 
 import argparse
@@ -70,6 +72,14 @@ def run_traced(checkout, workload, seed, seconds):
     return {"seed": seed,
             "layers": {name: m["value"] for name, m in res["metrics"].items()},
             "scaling": json.loads(out.read_text()).get("scaling")}
+
+
+def src_lines(checkout):
+    """{"files": {name: lines}, "total": lines} over src/iglab/*.py in
+    `checkout`, counted as wc -l counts them (newline characters)."""
+    files = {path.name: path.read_bytes().count(b"\n") for path in
+             sorted((Path(checkout) / "src" / "iglab").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def quartiles(values):
@@ -185,7 +195,9 @@ def main(argv=None):
             "seeds": list(range(args.seed, args.seed + args.pairs)),
             "env": {side: rs[0]["env"] for side, rs in runs.items()},
             "failed": failed, "attempted": attempted, "metrics": verdicts,
-            "trace": traced})
+            "trace": traced,
+            "src_lines": {side: src_lines(getattr(args, side))
+                          for side in ("parent", "change")}})
     return 0
 
 
