@@ -39,7 +39,6 @@ import numpy as np
 
 from .completeness import BallScan, _ball_scan, _hopf_rinow
 from .errors import InputError, NumericalError
-from .forms import VertexFunction, laplacian_all
 from .graphs import GraphFamily
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
@@ -217,12 +216,11 @@ def harmonic_witness_check(fam: GraphFamily,
             f"(partial sum {pre.partial:.6g} at window {window})")
     l2 = series_verdict(np.concatenate([xs ** 2 * mu_pos,
                                         xs[1:] ** 2 * mu_neg]))
-    # h(x) = x is harmonic at the interior vertices of a small truncation
+    # h(x) = x is harmonic at the interior vertices of truncate(n_chk),
+    # whose laplacian_all rows are fsum([w(x-1), -w(x)]) / mu(x)
     n_chk = min(window, 64)
-    g = fam.truncate(n_chk)
-    lap = laplacian_all(VertexFunction(g, np.arange(g.n) - g.origin))
-    res = max((abs(v) for i, v in enumerate(lap.tolist())
-               if i not in g.frontier), default=0.0)
+    w, mu = fam._chain(n_chk)
+    res = float(np.max(np.abs((w[:-1] - w[1:]) / mu[1:-1]), initial=0.0))
     # h changes by 1 on every edge: Q(h) on truncate(n) is its weights' fsum
     energies = [(n, math.fsum(fam._chain(n)[0].tolist()))
                 for n in (8, 16, 32, 64) if n <= n_chk]

@@ -64,6 +64,10 @@ def _ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+def _count(a, b):         # the sum of _ones over [a, b), exact
+    return float(b - a)
+
+
 def _build_ex51(p=4.0):
     p = float(p)
     if not p > 0:
@@ -84,7 +88,8 @@ def _build_ex51(p=4.0):
 
     side = End(_ones, mu_of, sig,
                sigma_tail_fn=lambda k: geometric_tail(sig, k, 2.0 ** -0.5),
-               mu_tail_fn=lambda k: geometric_tail(mu_of, k, 0.5))
+               mu_tail_fn=lambda k: geometric_tail(mu_of, k, 0.5),
+               w_sum_fn=_count)
     return LineFamily("ex5.1", side, side, params={"p": p})
 
 
@@ -130,7 +135,8 @@ def _build_ex54():
         mu_fn=lambda x: 4.0 ** -np.asarray(x, dtype=float),
         sigma_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_tail_fn=lambda k: (4.0 / 3.0) * 4.0 ** -k, window_cap=520)
+        mu_tail_fn=lambda k: (4.0 / 3.0) * 4.0 ** -k,
+        w_sum_fn=lambda a, b: 0.125 * (b - a), window_cap=520)
     fam.codim_closed_form = 2.0
     return fam
 
@@ -141,6 +147,11 @@ def _build_ex55():
         return 4.0 ** -k * ((4.0 / 3.0) * (k + 1) ** 2
                             + (8.0 / 9.0) * (k + 1) + 20.0 / 27.0)
 
+    def w_sum(a, b):
+        # sum_{a < j <= b} j^2, while the rule's floats j^2 are exact
+        sq = lambda n: n * (n + 1) * (2 * n + 1) // 6
+        return float(sq(b) - sq(a)) if b * b <= 1 << 53 else None
+
     fam = RayFamily(
         "ex5.5",
         w_fn=lambda x: (np.asarray(x, dtype=float) + 1.0) ** 2,
@@ -148,7 +159,7 @@ def _build_ex55():
                          * 4.0 ** -np.asarray(x, dtype=float)),
         sigma_fn=lambda x: 2.0 ** -(np.asarray(x, dtype=float) + 2.0),
         sigma_tail_fn=lambda k: 2.0 ** -(k + 1.0),
-        mu_tail_fn=mu_tail,
+        mu_tail_fn=mu_tail, w_sum_fn=w_sum,
         res_upper=math.pi ** 2 / 6.0 - 1.0 + 1e-12,
         window_cap=520)
     fam.codim_closed_form = 2.0
@@ -166,9 +177,9 @@ def _build_ex56(alpha=1.0, case=1):
         raise InputError("ex5.6: case must be 1 or 2")
     case = int(case)
     beta = 2.0 * alpha - 1.0   # mu decay exponent
-    res_upper = None
+    res_upper = w_sum_fn = None
     if case == 1:
-        w_fn = _ones
+        w_fn, w_sum_fn = _ones, _count
     else:
         def w_fn(x):
             return 2.0 ** np.asarray(x, dtype=float)
@@ -182,7 +193,8 @@ def _build_ex56(alpha=1.0, case=1):
         params={"alpha": alpha, "case": case},
         sigma_fn=lambda x: 2.0 ** (-alpha * (np.asarray(x, dtype=float) + 1.0)),
         sigma_tail_fn=lambda k: 2.0 ** (-alpha * k) / (2.0 ** alpha - 1.0),
-        mu_tail_fn=mu_tail_fn, res_upper=res_upper, window_cap=2000)
+        mu_tail_fn=mu_tail_fn, w_sum_fn=w_sum_fn, res_upper=res_upper,
+        window_cap=2000)
     fam.codim_closed_form = 2.0 - 1.0 / alpha
     return fam
 

@@ -449,10 +449,12 @@ class End:
     sigma(j) (sigma_tail_fn) and sum_{j >= k} mu(j) (mu_tail_fn) as a float
     (a closed form, exact) or a TailSum (e.g. series.geometric_tail); a
     rule with value inf declares an infinite series, such as an infinite
-    measure, which has no measure tail. res_upper is a certified upper
-    bound on the tail resistance sum_{k>=1} 1/w(k), or None. label names
-    the end in reports ('plus', or 'minus' for the left end of a line).
-    Ends compare by identity.
+    measure, which has no measure tail. The optional w_sum_fn(a, b) is the
+    correctly rounded sum of w_fn's floats over a <= k < b (a closed form,
+    for potential's ramp bounds), or None where it has none. res_upper is
+    a certified upper bound on the tail resistance sum_{k>=1} 1/w(k), or
+    None. label names the end in reports ('plus', or 'minus' for the left
+    end of a line). Ends compare by identity.
 
     sigma_tail, mu_tail and mu_is_infinite share one memo: each tail rule
     runs once per index k for the life of the End, and a rule that raises
@@ -466,6 +468,7 @@ class End:
     sigma_fn: Callable
     sigma_tail_fn: Callable | None = None
     mu_tail_fn: Callable | None = None
+    w_sum_fn: Callable | None = None
     res_upper: float | None = None
     label: str = "plus"
     _tails: dict = field(default_factory=dict, init=False, repr=False)

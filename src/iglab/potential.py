@@ -35,12 +35,14 @@ the window's form, only bookkeeping for form_report's bounds: the cut end
 of a window is a free vertex, and the sweep starts there with its measure.
 
 An explicit admissible ramp (0 below N/2, linear up to 1 at N) gives a
-certified upper bound at any N (_ramp_upper). The dyadic ramp grid stops
-at the first bound that is 0 (tails are nested, so Cap(tail_N) cannot
-grow again) or inf (the rules left float range). Smallness claims (polar)
-run on certified upper bounds, positivity claims on the plateau of the
-ladder values. Ends with the same rules (a line built from one End twice)
-share their ramp bounds and sweeps.
+certified upper bound at any N (_ramp_upper). Its energy needs the sum of
+w over [N/2, N): the end's declared closed form (End.w_sum_fn) where it
+has one, else a blocked partial sum over the rule. The dyadic ramp grid
+stops at the first bound that is 0 (tails are nested, so Cap(tail_N)
+cannot grow again) or inf (the rules left float range). Smallness claims
+(polar) run on certified upper bounds, positivity claims on the plateau
+of the ladder values. Ends with the same rules (a line built from one End
+twice) share their ramp bounds and sweeps.
 """
 
 from __future__ import annotations
@@ -212,12 +214,16 @@ class CapacityReport:
 
 
 def _w_sum(end, a: int, b: int) -> float:
-    """sum_{k=a}^{b-1} w(k), bit-equal to one np.sum of w over [a, b).
+    """sum_{k=a}^{b-1} w(k): the end's w_sum_fn(a, b) where it gives one,
+    else bit-equal to one np.sum of w over [a, b).
 
     numpy sums float64 pairwise, halving a power-of-two length >= 256 down
     to 128-element leaves. So over W_BLOCK * 2^j points, the block sums
     added in a balanced tree are that sum, and one block of w is held at a
     time; any other span is one block. Callers set np.errstate."""
+    total = end.w_sum_fn and end.w_sum_fn(a, b)
+    if total is not None:
+        return total
     blocks, rem = divmod(b - a, W_BLOCK)
     size = b - a if rem or blocks & (blocks - 1) else W_BLOCK
     offsets = np.arange(size, dtype=float)      # + start: exact below 2^53
@@ -235,11 +241,11 @@ def _ramp_upper(end, N: int) -> float:
     constant 1 on the tail. A true upper bound for Cap(tail_N), N >= 4.
 
     The squared norm is energy + mass + mu_tail(N); the energy's w sum is
-    blocked, bit-equal to one np.sum (_w_sum). Since eta vanishes up to N/2
-    and never exceeds 1, mass + mu_tail(N) <= mu_tail(N/2 + 1); when adding
-    that bound to the energy leaves the energy unchanged in floating point,
-    so does the full sum (rounding is monotone), and the measure rule is
-    not evaluated."""
+    the end's declared closed form or a blocked sum bit-equal to one np.sum
+    (_w_sum). Since eta vanishes up to N/2 and never exceeds 1, mass +
+    mu_tail(N) <= mu_tail(N/2 + 1); when adding that bound to the energy
+    leaves the energy unchanged in floating point, so does the full sum
+    (rounding is monotone), and the measure rule is not evaluated."""
     a, b = N // 2, N
     inc = 1.0 / (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -330,8 +336,8 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
         return memo[key]
 
     def ramp_upper(end, n):
-        return once((end.w_fn, end.mu_fn, end.mu_tail_fn, n), _ramp_upper,
-                    end, n)
+        return once((end.w_fn, end.w_sum_fn, end.mu_fn, end.mu_tail_fn, n),
+                    _ramp_upper, end, n)
 
     sequences = []
     for end in ends:
@@ -559,7 +565,7 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
     if depth < 2:
         raise InputError(f"polarity test needs depth >= 2, got {depth}")
     end = boundary_end(fam, "polarity test")
-    entries = []
+    cuts = []
     for n in range(2, depth + 1):
         r_n = end.sigma_tail(n).value
         R = r_n / 2.0
@@ -570,15 +576,21 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
             x1 += 1
             if x1 > n + 10000:
                 raise NumericalError("cutoff never saturates; tails too flat")
-        window = x1 + 2
-        w, mu = fam._chain(window)
-        rv = np.array([end.sigma_tail(k).value for k in range(window)])
-        eta = np.clip((2 * R - rv) / R, 0.0, 1.0)
-        if eta.size != mu.size:         # a line's window holds two ends
-            raise InputError(f"values must have length {mu.size}")
+        cuts.append((n, r_n, fam._checked(x1 + 2)))
+    # each window's rule arrays are a prefix of the deepest window's
+    top = max(window for _, _, window in cuts)
+    w, mu = fam._chain(top)
+    if mu.size != top:                  # a line's window holds two ends
+        raise InputError("values must have length "
+                         f"{fam._chain(cuts[0][2])[1].size}")
+    rv = np.array([end.sigma_tail(k).value for k in range(top)])
+    entries = []
+    for n, r_n, window in cuts:
+        R = r_n / 2.0
+        eta = np.clip((2 * R - rv[:window]) / R, 0.0, 1.0)
         # energy() and norm_sq() of eta on truncate(window), from its rules
-        en = math.fsum((w * _squares(eta[:-1] - eta[1:])).tolist())
-        mass_window = math.fsum((_squares(eta) * mu).tolist())
+        en = math.fsum((w[:window - 1] * _squares(np.diff(eta))).tolist())
+        mass_window = math.fsum((_squares(eta) * mu[:window]).tolist())
         mass_tail = end.mu_tail(window).upper
         value = math.sqrt(en + mass_window + mass_tail)
         mb = end.mu_tail(n).upper

@@ -17,6 +17,7 @@ from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
 from iglab.gallery import run_gallery
+import iglab.gallery as gallery
 from iglab.graphs import LineFamily, WeightedGraph
 from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, _end_ladder,
                              _ramp_upper, _w_sum,
@@ -314,40 +315,158 @@ def one_array_w_sum(end, a, b):
 
 def test_blocked_w_sum_is_exact():
     # the block sums added pairwise must be numpy's one-array pairwise sum,
-    # bit for bit, for spans below, at and above the block size
-    checked = 0
+    # bit for bit, for spans below, at and above the block size, on every
+    # golden rule with its declared sum stripped; a declared sum must be
+    # that blocked value at every span of the deep grid
+    checked = declared = 0
     for _label, name, params, _check in GOLDEN_RUNS:
         for end in build_family(name, params).ends():
             if end.mu_is_infinite():
                 continue
-            for p in range(2, 23):
+            bare = dataclasses.replace(end, w_sum_fn=None)
+            for p in range(2, 25 if end.w_sum_fn else 23):
                 a, b = max(1, (1 << p) // 2), 1 << p
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = _w_sum(end, a, b)
-                assert got == one_array_w_sum(end, a, b), \
-                    (name, params, end.label, b)
-                checked += 1
+                    got = _w_sum(bare, a, b)
+                if p < 23:
+                    assert got == one_array_w_sum(end, a, b), \
+                        (name, params, end.label, b)
+                    checked += 1
+                if end.w_sum_fn:
+                    assert end.w_sum_fn(a, b) == got, \
+                        (name, params, end.label, b)
+                    declared += 1
     assert checked == 12 * 21      # 12 finite-measure ends, N = 4..2^22
+    assert declared == 7 * 23      # ex5.1 twice, ex5.4, ex5.5, ex5.6 case 1
     assert W_BLOCK < 1 << 21        # the grid reaches the blocked path
     # the golden w rules round alike in any order; uniform random weights
     # at many offsets tell the pairwise tree from fsum or a running sum
     table = np.random.default_rng(3).random(1 << 20)
-    end = types.SimpleNamespace(w_fn=lambda k: table[k.astype(np.int64)])
+    end = types.SimpleNamespace(w_fn=lambda k: table[k.astype(np.int64)],
+                                w_sum_fn=None)
     for blocks in (4, 8, 16):
         for a in range(0, table.size - blocks * W_BLOCK + 1, 28693):
             b = a + blocks * W_BLOCK
             assert _w_sum(end, a, b) == one_array_w_sum(end, a, b), (a, b)
     # spans that are not a power-of-two number of blocks: one array
     (end,) = build_family("ex5.5").ends()
+    end = dataclasses.replace(end, w_sum_fn=None)
     for a, b in ((7, 7 + 3 * W_BLOCK), (3, 3 + 2 * W_BLOCK + 5)):
         assert _w_sum(end, a, b) == one_array_w_sum(end, a, b)
+
+
+def exact_sum(values):
+    """The correctly rounded sum of floats, as series.prefix_fsums takes
+    it: each float's integer ratio over the largest (power-of-two)
+    denominator, an exact int sum, and one int true division."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) for n, d in ratios) / den
+
+
+def declared_ends():
+    """(label, end) for each golden end that declares a w sum, once per
+    rule."""
+    out = {}
+    for label, name, params, _check in GOLDEN_RUNS:
+        for end in build_family(name, params).ends():
+            if end.w_sum_fn is not None:
+                out.setdefault((name, end.w_sum_fn.__code__), (label, end))
+    return list(out.values())
+
+
+@pytest.mark.parametrize("label, end", declared_ends(),
+                         ids=[label for label, _ in declared_ends()])
+def test_declared_w_sums_are_correctly_rounded(label, end):
+    # on seeded spans off the dyadic grid, out to 2^30, a declared sum is
+    # the correctly rounded sum of the floats the rule returns; it may be
+    # None (no closed form) only past the deep grid's last point, 2^24
+    rng = np.random.default_rng(30)
+    spans = [(a, a + int(rng.integers(1, 1 << 18)))
+             for a in rng.integers(0, 1 << 12, 4).tolist()]
+    spans += [(b - int(rng.integers(1, 3000)), b) for top in (24, 30)
+              for b in rng.integers(3000, 1 << top, 30).tolist()]
+    for a, b in spans:
+        got = end.w_sum_fn(a, b)
+        if got is None:
+            assert b > 1 << 24, (a, b)
+            continue
+        want = exact_sum(np.asarray(end.w_fn(np.arange(a, b, dtype=float)),
+                                    dtype=float).tolist())
+        assert got.hex() == want.hex(), (a, b)
+
+
+RAMP_UPPER = potential._ramp_upper
+
+
+class WCounter:
+    """Wraps w rules to count the points they are evaluated on: inside
+    potential._ramp_upper (ramp) and elsewhere (other)."""
+
+    def __init__(self):
+        self.ramp = self.other = 0
+        self.in_ramp = False
+
+    def ramp_upper(self, end, n):
+        self.in_ramp = True
+        try:
+            return RAMP_UPPER(end, n)
+        finally:
+            self.in_ramp = False
+
+    def wrap(self, fam):
+        """fam with each end's w rule counted; one wrapper per rule, so
+        the two ends of a line still share their ramp bounds."""
+        wrapped = {}
+        for end in fam.ends():
+            end.w_fn = wrapped.setdefault(end.w_fn, self.counted(end.w_fn))
+        return fam
+
+    def counted(self, fn):
+        def w_fn(x):
+            if self.in_ramp:
+                self.ramp += np.size(x)
+            else:
+                self.other += np.size(x)
+            return fn(x)
+        return w_fn
+
+
+def test_declared_w_sums_keep_the_rule_out_of_the_ramp(monkeypatch):
+    # at every budget the ramp grid reads a declared end's sum, not its w
+    # rule; a standard gallery then evaluates w on few points
+    counter = WCounter()
+    monkeypatch.setattr(potential, "_ramp_upper", counter.ramp_upper)
+    runs = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
+            if any(end.w_sum_fn for end in build_family(name, params).ends())]
+    assert len(runs) == 6       # ex5.1, ex5.4, ex5.5, three ex5.6 case 1
+    for budget in ("quick", "standard", "deep"):
+        bud = resolve_budget(budget)
+        for label, name, params in runs:
+            fam = counter.wrap(build_family(name, params))
+            boundary_capacity(fam, bud.solver_tail_max, bud.analytic_tail_max)
+            assert counter.ramp == 0, (budget, label)
+            assert counter.other > 0
+    # the undeclared ends' grids stop within a few thousand points
+    build = gallery.build_family
+    monkeypatch.setattr(gallery, "build_family",
+                        lambda *args: counter.wrap(build(*args)))
+    counter.ramp = counter.other = 0
+    assert run_gallery(budget="standard").exit_code == 0
+    assert 0 < counter.ramp + counter.other <= 100_000, \
+        (counter.ramp, counter.other)
 
 
 RAMP_GRID_RSS = """
 import resource
 from iglab.gallery import build_family
+from iglab.graphs import RayFamily
 from iglab.potential import boundary_capacity
-fam = build_family("ex5.4")
+(end,) = build_family("ex5.4").ends()
+fam = RayFamily("ex5.4", end.w_fn, end.mu_fn, sigma_fn=end.sigma_fn,
+                sigma_tail_fn=end.sigma_tail_fn, mu_tail_fn=end.mu_tail_fn,
+                window_cap=520)
+assert fam.ends()[0].w_sum_fn is None
 boundary_capacity(fam, 128, 1 << 12)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 boundary_capacity(fam, 128, 1 << 22)
@@ -357,7 +476,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KB on Linux")
 def test_ramp_grid_memory_is_cache_sized():
-    # ex5.4's ramp grid runs to 2^22 (w = 1/8 never stops it); one array
+    # ex5.4's rules without their declared w sum: the ramp grid runs to
+    # 2^22 (w = 1/8 never stops it) on the blocked path, where one array
     # of w over [2^21, 2^22) and its index array would take 32 MB
     src = os.path.dirname(os.path.dirname(iglab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

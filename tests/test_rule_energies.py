@@ -16,7 +16,7 @@ import pytest
 from iglab.classify import harmonic_witness_check
 from iglab.completeness import boundary_end
 from iglab.errors import FamilyDefinitionError, InputError
-from iglab.forms import VertexFunction, energy, norm_sq
+from iglab.forms import VertexFunction, energy, laplacian_all, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family, run_gallery
 from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
 from iglab.metrics import _squares
@@ -80,6 +80,22 @@ def test_rule_energies_match_energy_and_norm_sq(label, name, params):
         assert (en.hex(), mass.hex()) == (energy(f).hex(), norm_sq(f).hex())
 
 
+@pytest.mark.parametrize("label, name, params", CUTOFF,
+                         ids=[r[0] for r in CUTOFF])
+def test_deepest_chain_holds_each_windows_rules(label, name, params):
+    # the cutoff test slices one chain of its deepest window; each slice
+    # must be the window's own rule arrays, as numpy rounds them at that
+    # array length
+    fam = build_family(name, params)
+    windows = [window for _, window, _, _ in
+               reference_polarity_test(fam, DEPTH)]
+    w_all, mu_all = fam._chain(windows[-1])
+    for window in windows:
+        w, mu = fam._chain(window)
+        assert w_all[:window - 1].tobytes() == w.tobytes()
+        assert mu_all[:window].tobytes() == mu.tobytes()
+
+
 @pytest.mark.parametrize("name", ["ex5.1", "ex5.3"])
 def test_witness_energies_match_the_realized_windows(name):
     fam = build_family(name)
@@ -89,23 +105,41 @@ def test_witness_energies_match_the_realized_windows(name):
         assert math.fsum(fam._chain(n)[0].tolist()).hex() == energy(h).hex()
 
 
-def test_witness_realizes_only_its_residual_window(monkeypatch):
-    windows = []
-    build = GraphFamily._window
-
-    def spy(self, window):
-        windows.append(window)
-        return build(self, window)
-
-    monkeypatch.setattr(GraphFamily, "_window", spy)
+def test_witness_realizes_no_window(monkeypatch):
+    monkeypatch.setattr(GraphFamily, "_window", refuse)
     rep = harmonic_witness_check(build_family("ex5.1"), window=200)
-    assert windows == [64]
     monkeypatch.undo()
     fam = build_family("ex5.1")
     want = [(n, energy(VertexFunction(g, np.arange(g.n) - g.origin)))
             for n, g in ((n, fam.truncate(n)) for n in (8, 16, 32, 64))]
     assert [(n, e.hex()) for n, e in rep.energy_per_window] == \
         [(n, e.hex()) for n, e in want]
+
+
+def two_end_line():
+    """A line whose two ends differ and whose weights vary, so that h(x) =
+    x is not harmonic: its witness residual is not 0."""
+    minus = End(lambda x: 1.0 + 1.0 / (np.asarray(x, dtype=float) + 3.0),
+                lambda x: 3.0 ** -np.asarray(x, dtype=float), np.ones_like)
+    plus = End(lambda x: 2.0 - 0.7 ** np.asarray(x, dtype=float),
+               lambda x: 0.3 * 2.0 ** -np.asarray(x, dtype=float),
+               np.ones_like)
+    return LineFamily("two ends", minus, plus)
+
+
+@pytest.mark.parametrize("window", [40, 200])
+@pytest.mark.parametrize("make", [lambda: build_family("ex5.1"),
+                                  two_end_line], ids=["ex5.1", "two-ends"])
+def test_witness_residual_matches_the_realized_window(make, window):
+    # laplacian_all of h on truncate(min(window, 64)), off the frontier
+    n_chk = min(window, 64)
+    g = make().truncate(n_chk)
+    lap = laplacian_all(VertexFunction(g, np.arange(g.n) - g.origin))
+    want = max((abs(v) for i, v in enumerate(lap.tolist())
+                if i not in g.frontier), default=0.0)
+    got = harmonic_witness_check(make(), window).interior_residual
+    assert got.hex() == want.hex()
+    assert (want == 0.0) == (make().name == "ex5.1")
 
 
 def raised(fn, *args):
@@ -170,10 +204,9 @@ def test_cutoff_errors_keep_their_text(case, monkeypatch):
     assert expect in want[1]
 
 
-def test_standard_gallery_builds_graphs_only_for_stars_and_a_witness(
-        monkeypatch):
-    # every ray and line classifies from its rules; ex5.1 realizes the one
-    # window its witness residual reads, the star families their scans
+def test_standard_gallery_builds_graphs_only_for_stars(monkeypatch):
+    # every ray and line classifies from its rules; the star families
+    # realize the windows their scans read
     calls = collections.Counter()
     build = GraphFamily._window
 
@@ -183,5 +216,5 @@ def test_standard_gallery_builds_graphs_only_for_stars_and_a_witness(
 
     monkeypatch.setattr(GraphFamily, "_window", spy)
     assert run_gallery(budget="standard").exit_code == 0
-    assert {name for name, _ in calls} == {"ex5.1", "a5.1", "a5.3", "a5.4"}
-    assert [key for key in calls if key[0] == "ex5.1"] == [("ex5.1", 64)]
+    assert {name for name, _ in calls} == {"a5.1", "a5.3", "a5.4"}
+    assert sum(calls.values()) == 31
