@@ -2,10 +2,11 @@
 
 For a ray family the sets  tail_N = {x : x >= N}  form a neighborhood
 basis of the boundary point, and  Cap(tail_N)  is nonincreasing in N.
-One ladder sweep along the end gives every Cap(tail_N) of a ray exactly
-(on a line, of each outer window, bracketed above by the measure beyond
-it); certified upper bounds from an analytic ramp extend far beyond the
-sweep, and a resistance lower bound certifies positivity.
+One ladder sweep along the end gives every Cap(tail_N) of a ray exactly;
+on a line, one sweep in from the other end's deepest vertex gives lower
+bounds, bracketed above through that end's measure. Certified upper
+bounds from an analytic ramp extend far beyond the sweep, and a
+resistance lower bound certifies positivity.
 
     ex5.1   caps -> 0        boundary polar
     ex5.3a  caps -> 0.908... positive finite capacity
@@ -35,9 +36,7 @@ def show(name):
                   f"{d['upper_below_threshold_at']}")
         if solver:
             e = [e for e in seq.entries if e.solver_cap is not None][-1]
-            where = (f"window {e.outer_window}" if e.outer_window
-                     else "the infinite ray")
-            print(f"     tail_{e.tail_start} on {where}: certified upper "
+            print(f"     tail_{e.tail_start}: certified upper "
                   f"{e.bracket_upper:.9f}")
     print(f"   boundary regime: {rep.boundary_regime}  "
           f"polarity: {rep.polarity}\n")

@@ -17,19 +17,23 @@ the free vertices form a ladder of series conductances w with shunts mu to
 ground (Doyle and Snell, Random Walks and Electric Networks, 1984). With
 the free vertices 0..N-1 counted from the far end of the chain,
 
-    G_0 = mu(0),   G_x = mu(x) + 1/(1/w(x-1) + 1/G_(x-1)),
+    G_0 = mu(0) + c,   G_x = mu(x) + 1/(1/w(x-1) + 1/G_(x-1)),
     cond(N) = 1/(1/w(N-1) + 1/G_(N-1)) = Q(e) + sum_{x<N} e(x)^2 mu(x),
 
 and one sweep gives cond(N) for every N along it. Each step adds or
 inverts positive numbers, so there is no cancellation: the relative error
 grows by a few ulps per step. On a ray the free vertices of tail_N are
-0..N-1 in every window, so Cap(tail_N)^2 = cond(N) + mu_tail(N) exactly:
-it is the limit of the window values cond(N) + sum_{N<=x<=d} mu(x). On a
-line they run from the other end's outermost vertex through the root, so
-each outer window M has its own sweep, and brackets the true value:
+0..N-1 from the root and c = 0, so Cap(tail_N)^2 = cond(N) + mu_tail(N)
+exactly. On a line they run from the other end's vertex at a depth D in
+through the root, and one sweep brackets every tail:
 
-    Cap_M(tail)^2 <= Cap(tail)^2 <= Cap_M(tail)^2 + mu_tail(M).
+    cond_D(N) + mu_tail(N) <= Cap(tail_N)^2 <= cond'_D(N) + mu_tail(N) + t.
 
+The lower bound (c = 0) restricts the true potential to the window. Above,
+if the other end has finite measure, cond' = cond and t is its mu_tail(D
++ 1): extend the window's potential by its outer value, at most 1. If it
+has infinite measure, t = 0 and cond' is the sweep with c = inf, which
+holds the other end at e = 0 from vertex D out, a feasible potential.
 A realization's leak (the weight of the first edge cut) is not a term of
 the window's form, only bookkeeping for form_report's bounds: the cut end
 of a window is a free vertex, and the sweep starts there with its measure.
@@ -65,8 +69,8 @@ POLAR_THRESHOLD = 1e-3
 POLAR_SLOPE = -0.2
 PLATEAU_CHANGE = 1e-4
 POSITIVE_FLOOR = 1e-2
-# boundary_capacity's outer windows on a line stop at this multiple of the
-# largest solver tail (each tail N starts at outer window 4N)
+# boundary_capacity's sweep on a line runs in from the depth of the largest
+# window in float range up to this multiple of the largest solver tail
 OUTER_PER_TAIL = 16
 # the ramp's w sum evaluates w on this many points at a time (256 KB)
 W_BLOCK = 1 << 15
@@ -160,9 +164,7 @@ class CapacityEntry:
     tail_start: int
     solver_cap: float | None = None
     solver_cap_sq: float | None = None
-    outer_window: int | None = None      # on a line; a ray has none
-    outer_capped: bool = False
-    bracket_upper: float | None = None   # sqrt(cap^2 + mu_tail(outer))
+    bracket_upper: float | None = None   # the sweep's upper bound on cap
     ramp_upper: float | None = None      # explicit admissible ramp
 
     @property
@@ -189,8 +191,7 @@ class CapacitySequence:
             "end": self.end_label, "regime": self.regime,
             "entries": [
                 {"tail": e.tail_start, "cap": e.solver_cap,
-                 "cap_sq": e.solver_cap_sq, "outer": e.outer_window,
-                 "outer_capped": e.outer_capped,
+                 "cap_sq": e.solver_cap_sq,
                  "bracket_upper": e.bracket_upper,
                  "ramp_upper": e.ramp_upper,
                  "certified_upper": (None if math.isinf(e.certified_upper)
@@ -268,13 +269,14 @@ def _ramp_upper(end, N: int) -> float:
     return math.sqrt(total)
 
 
-def _end_ladder(ends, end, depth: int):
+def _end_ladder(ends, end, depth: int, grounded: bool = False) -> list:
     """The sweep (module docstring) for the tails of `end` in a
     realization of depth `depth` of the family with these ends: cond(N)
-    for N = 1..depth, indexed N - 1, and the end's mu on 0..depth, as
-    Python floats. A line's chain runs from the other end's outermost
-    vertex in to the root and out along `end`; a ray's starts at the root.
-    The rules are read as the realization reads them (graphs._end_rules)."""
+    for N = 1..depth, indexed N - 1, as Python floats. A line's chain runs
+    from the other end's outermost vertex in to the root and out along
+    `end`, that vertex held at 0 if `grounded` (c = inf); a ray's starts at
+    the root. The rules are read as the realization reads them
+    (graphs._end_rules)."""
     rules = {e: [v.tolist() for v in r] for e, r in
              zip(ends, _end_rules(ends, depth, "w_fn", "mu_fn"))}
     w, mu = rules[end]
@@ -282,11 +284,11 @@ def _end_ladder(ends, end, depth: int):
     if len(ends) == 2:
         w_o, mu_o = rules[ends[0] if end is ends[1] else ends[1]]
         chain, skip = (w_o[::-1] + w, mu_o[:0:-1] + mu), depth
-    conds, cond = [], 0.0
+    conds, cond = [], math.inf if grounded else 0.0
     for wx, mx in zip(*chain):          # cond(x + 1) from G_x = mx + cond(x)
         cond = 1.0 / (1.0 / wx + 1.0 / (mx + cond))
         conds.append(cond)
-    return conds[skip:], mu
+    return conds[skip:]
 
 
 def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
@@ -295,12 +297,11 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
 
     Per end, ladder values (module docstring) on the tails N = 4, 8, ...
     up to solver_tail_max and a quarter of the largest window in float
-    range; no graph is built. A ray's entries are the infinite ray's
-    values from one sweep, bracketed above by the certified mu_tail(N). A
-    line's are Cap_M(tail_N) on outer windows M >= 4N (M doubles until the
-    value moves by < 1e-6 relatively, or until it would pass
-    OUTER_PER_TAIL * solver_tail_max or the family's float range),
-    bracketed above by mu_tail(M), from one sweep per window and end.
+    range; no graph is built. Each end's entries come from one sweep. A
+    ray's are the infinite ray's values, bracketed above by the certified
+    mu_tail(N). A line's sweep runs in from depth D of the largest window
+    in float range up to OUTER_PER_TAIL * solver_tail_max; its values are
+    lower bounds, bracketed above through the other end's measure.
     Analytic ramp bounds extend the tail grid beyond any window; the ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
@@ -329,8 +330,8 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
 
     def once(key, fn, *args):
         # once per call, keyed by an end's rules, so the two copies of one
-        # End on a line share each ramp bound and each window's sweep (a
-        # sweep reads both ends' rules, the same ones in that case)
+        # End on a line share each ramp bound and their sweep (a sweep
+        # reads both ends' rules, the same ones in that case)
         if key not in memo:
             memo[key] = fn(*args)
         return memo[key]
@@ -351,30 +352,26 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
         entries = []
         tails = [1 << p for p in
                  range(2, min(solver_tail_max, maxwin // 4).bit_length())]
-        if len(ends) == 1 and tails:
-            # a ray: one sweep, and each value is the infinite ray's
-            ray, _mu = _end_ladder(ends, end, tails[-1])
+        if tails:
+            # one sweep per end: exact on a ray, and on a line bracketed
+            # through the other end (module docstring)
+            other = [e for e in ends if e is not end]
+            depth = fam._depth(maxwin) if other else tails[-1]
+            conds = uppers = once((end.w_fn, end.mu_fn), _end_ladder,
+                                  ends, end, depth)
+            beyond = 0.0
+            if other and other[0].mu_is_infinite():
+                uppers = once((end.w_fn, end.mu_fn, True), _end_ladder,
+                              ends, end, depth, True)
+            elif other:
+                beyond = other[0].mu_tail(depth + 1).upper
         for n in tails:
-            if len(ends) == 1:
-                tail = end.mu_tail(n)
-                m, stable, cap_sq = None, True, ray[n - 1] + tail.value
-                upper_sq = ray[n - 1] + tail.upper
-            else:
-                m, prev = 4 * n, None
-                while True:
-                    conds, mu = once((end.w_fn, end.mu_fn, m), _end_ladder,
-                                     ends, end, fam._depth(m))
-                    cap_sq = conds[n - 1] + math.fsum(mu[n:])
-                    cap = math.sqrt(cap_sq)
-                    stable = prev is not None and \
-                        abs(cap - prev) <= 1e-6 * max(cap, 1e-300)
-                    if stable or 2 * m > maxwin:
-                        break
-                    prev, m = cap, 2 * m
-                upper_sq = cap_sq + end.mu_tail(m).upper
+            tail = end.mu_tail(n)
+            cap_sq = conds[n - 1] + tail.value
+            upper_sq = uppers[n - 1] + tail.upper + beyond
             entries.append(CapacityEntry(
-                n, math.sqrt(cap_sq), cap_sq, m, not stable,
-                math.sqrt(upper_sq), ramp_upper(end, n)))
+                n, math.sqrt(cap_sq), cap_sq, math.sqrt(upper_sq),
+                ramp_upper(end, n)))
         n_tail = 4 << len(tails)
         analytic_note = None
         while n_tail <= analytic_tail_max:

@@ -18,7 +18,7 @@ from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
 from iglab.gallery import run_gallery
 import iglab.gallery as gallery
-from iglab.graphs import LineFamily, WeightedGraph
+from iglab.graphs import LineFamily, WeightedGraph, _end_rules
 from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, _end_ladder,
                              _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
@@ -165,17 +165,23 @@ def test_ex53a_positive_finite(cap_reports):
 def test_tail_128_entries_and_the_ex53a_pin(cap_reports):
     # the ladder needs no float-resolution guard: these ends, whose solver
     # grid used to stop at tail 64, now have a tail-128 entry
-    ex56 = boundary_capacity(build_family("ex5.6", {"alpha": 1.0, "case": 2}),
-                             **STANDARD)
-    for seq in (cap_reports["ex5.3a"].per_end[0],
-                cap_reports["ex5.3"].per_end[1], ex56.per_end[0]):
+    ex56 = build_family("ex5.6", {"alpha": 1.0, "case": 2})
+    for fam, seq in ((build_family("ex5.3a"), cap_reports["ex5.3a"].per_end[0]),
+                     (build_family("ex5.3"), cap_reports["ex5.3"].per_end[1]),
+                     (ex56, boundary_capacity(ex56, **STANDARD).per_end[0])):
         assert seq.end_label == "plus"
         assert "solver_stopped" not in seq.diagnostics
         assert seq.solver_caps()[-1][0] == 128
+        (entry,) = [e for e in seq.entries if e.tail_start == 128]
+        end = fam.ends()[-1]
+        maxwin = fam.max_window(OUTER_PER_TAIL * STANDARD["solver_tail_max"])
+        windows = [m for m in (512, 1024, 2048) if m <= maxwin]
+        assert windows
+        assert_windows_below(entry, [window_value(fam, end, 128, m)
+                                     for m in windows])
     (seq,) = cap_reports["ex5.3a"].per_end
     (entry,) = [e for e in seq.entries if e.tail_start == 128]
     assert abs(entry.solver_cap_sq - 0.8250407357089241) <= 4 * math.ulp(0.8)
-    assert entry.outer_window is None and not entry.outer_capped
 
 
 def test_ex51_zero_capacity(cap_reports):
@@ -219,7 +225,7 @@ def test_ex53_mixed_ends(cap_reports):
     assert rep.polarity == "non-polar"
     plus = [s for s in rep.per_end if s.end_label == "plus"][0]
     assert plus.diagnostics["solver_last"] == pytest.approx(
-        0.9239547413519801, rel=1e-9)
+        0.9239618173810163, rel=1e-9)
 
 
 def test_ex56_case2(cap_reports):
@@ -240,9 +246,9 @@ def test_capacity_entries_internally_consistent(cap_reports):
                 if e.solver_cap is None:
                     continue
                 # truncation is a relaxation: solver value never exceeds
-                # either certified upper bound
-                if e.bracket_upper is not None:
-                    assert e.solver_cap <= e.bracket_upper * (1 + 1e-12)
+                # either certified upper bound, and every one has a bracket
+                assert e.bracket_upper is not None, (name, e.tail_start)
+                assert e.solver_cap <= e.bracket_upper * (1 + 1e-12)
                 if e.ramp_upper is not None and math.isfinite(e.ramp_upper):
                     assert e.solver_cap <= e.ramp_upper * (1 + 1e-9), (
                         name, e.tail_start)
@@ -490,13 +496,37 @@ def test_ramp_grid_memory_is_cache_sized():
 
 # -- the ladder sweep, against one solve per window and exact arithmetic ----------
 
+def end_mu(fam, end, depth):
+    """The end's mu on its vertices 0..depth, as a realization of this
+    depth reads it (vertex 0 is the root)."""
+    (mu,) = _end_rules(fam.ends(), depth, "mu_fn")[fam.ends().index(end)]
+    return mu.tolist()
+
+
+def window_value(fam, end, n_tail, window):
+    """Cap_M(tail_N)^2 on truncate(window) from its sweep: the ladder plus
+    the tail's measure inside the window."""
+    depth = fam._depth(window)
+    conds = _end_ladder(fam.ends(), end, depth)
+    return conds[n_tail - 1] + math.fsum(end_mu(fam, end, depth)[n_tail:])
+
+
+def assert_windows_below(entry, values):
+    """Each window's value is a lower bound for the entry's tail, so none
+    exceeds the entry's value or its certified bracket (a rounded square
+    root, whose square may fall an ulp short)."""
+    for v in values:
+        assert v <= entry.solver_cap_sq * (1 + 1e-15), entry.tail_start
+        assert v <= entry.bracket_upper ** 2 * (1 + 1e-15), entry.tail_start
+
+
 def window_caps(fam, end, solver_tail_max):
     """(tail, window, ladder Cap_M^2, solved Cap_M^2) at every (tail, outer
-    window) pair that boundary_capacity's solver loop visited before the
-    ladder: one equilibrium solve per pair, windows doubling from 4N until
-    the solved value is stable or the window cap, tails stopping where
-    w(N) eps^2 > 1e-12. The ladder side is the window's sweep plus the
-    tail's measure in the window."""
+    window) pair that boundary_capacity's solver loop once visited: one
+    equilibrium solve per pair, windows doubling from 4N until the solved
+    value is stable or the window cap, tails stopping where w(N) eps^2 >
+    1e-12. The ladder side is the window's sweep plus the tail's measure
+    in the window."""
     maxwin = fam.max_window(OUTER_PER_TAIL * solver_tail_max)
     out = []
     n_tail = 4
@@ -507,8 +537,7 @@ def window_caps(fam, end, solver_tail_max):
         m, prev = 4 * n_tail, None
         while True:
             r = equilibrium(fam.truncate(m), fam.tail_ids(end, n_tail, m))
-            conds, mu = _end_ladder(fam.ends(), end, fam._depth(m))
-            out.append((n_tail, m, conds[n_tail - 1] + math.fsum(mu[n_tail:]),
+            out.append((n_tail, m, window_value(fam, end, n_tail, m),
                         r.cap_sq))
             stable = prev is not None and \
                 abs(r.cap - prev) <= 1e-6 * max(abs(r.cap), 1e-300)
@@ -590,14 +619,10 @@ def test_ray_tails_solved_once_match_a_solve_per_window(name, params,
             p, q = p * md + mn * q, q * md
             assert within(ladder, p, q, 1e-14), (end.label, n_tail, m)
             assert not within(solved, p, q, 1e-12), (end.label, n_tail, m)
-        # a line's entry is the value at its last window; a ray's is the
-        # infinite ray's, which no window's value exceeds
+        # every entry bounds each window's value from above
         for e in seq.entries:
-            at = {m: v for n, m, v, _s in pairs if n == e.tail_start}
-            if e.outer_window in at:
-                assert at[e.outer_window] == e.solver_cap_sq
-            elif e.outer_window is None and at:
-                assert max(at.values()) <= e.solver_cap_sq * (1 + 1e-15)
+            assert_windows_below(e, [v for n, _m, v, _s in pairs
+                                     if n == e.tail_start])
 
 
 LINEAR_RUNS = [(label, name, params) for label, name, params, _check
@@ -617,9 +642,10 @@ def assert_ladder_exact(fam, depth):
         if end.mu_is_infinite():
             continue
         w, mu, root = realized_chain(fam, end, depth)
-        conds, end_mu = _end_ladder(fam.ends(), end, depth)
+        conds = _end_ladder(fam.ends(), end, depth)
         # the measure of the end's vertices 1..depth, which its tails sum
-        assert np.allclose(end_mu[1:], mu[root + 1:], rtol=1e-15, atol=0)
+        assert np.allclose(end_mu(fam, end, depth)[1:], mu[root + 1:],
+                           rtol=1e-15, atol=0)
         for cond, (p, q) in zip(conds, exact_ladder(w, mu)[root:]):
             assert within(cond, p, q, 1e-14), end.label
             checked += 1
@@ -632,14 +658,20 @@ def test_ladder_is_exact_arithmetic_to_1e14(label, name, params):
     assert assert_ladder_exact(build_family(name, params), 256) in (256, 512)
 
 
-def test_a_line_of_two_different_ends():
-    # the root's measure is the plus end's (2 here, the minus end's is 1),
-    # and the other end's rules enter every sweep
+def mixed_line():
+    """A line of two different ends: ex5.5's, and ex5.4's with twice its
+    measure."""
     (minus,) = build_family("ex5.5").ends()
     (ray,) = build_family("ex5.4").ends()
     plus = dataclasses.replace(ray, mu_fn=lambda k: 2.0 * ray.mu_fn(k),
                                mu_tail_fn=lambda k: 2.0 * ray.mu_tail_fn(k))
-    fam = LineFamily("mixed", minus, plus)
+    return LineFamily("mixed", minus, plus)
+
+
+def test_a_line_of_two_different_ends():
+    # the root's measure is the plus end's (2 here, the minus end's is 1),
+    # and the other end's rules enter every sweep
+    fam = mixed_line()
     assert fam.truncate(8).mu[8] == 2.0
     assert assert_ladder_exact(fam, 64) == 128
     for end in fam.ends():
@@ -647,15 +679,96 @@ def test_a_line_of_two_different_ends():
         assert len(pairs) > 3
         for _n, _m, ladder, solved in pairs:
             assert ladder == pytest.approx(solved, rel=1e-12)
-    # each end's entries are its own windows' solves
+    # each end's entries are the solve on the largest window plus the
+    # measure beyond it, and bound every window's value from above
     rep = boundary_capacity(fam, 16, 64)
+    m = fam.max_window(OUTER_PER_TAIL * 16)
     for end, seq in zip(fam.ends(), rep.per_end):
-        entries = [e for e in seq.entries if e.outer_window is not None]
+        entries = [e for e in seq.entries if e.solver_cap is not None]
         assert len(entries) == 3
+        pairs = window_caps(fam, end, 16)
         for e in entries:
-            m = e.outer_window
             r = equilibrium(fam.truncate(m), fam.tail_ids(end, e.tail_start, m))
-            assert e.solver_cap_sq == pytest.approx(r.cap_sq, rel=1e-12)
+            assert e.solver_cap_sq == pytest.approx(
+                r.cap_sq + end.mu_tail(fam._depth(m) + 1).value, rel=1e-12)
+            assert_windows_below(e, [v for n, _m, v, _s in pairs
+                                     if n == e.tail_start])
+
+
+REFERENCE_DEPTH = 200_000
+
+
+def reference_bracket(fam, end, n_max):
+    """{N: (lower, upper)} on Cap(tail_N)^2 for N <= n_max, from a float
+    loop of its own over the chain that runs in from the other end's
+    deepest vertex d <= REFERENCE_DEPTH where its w and mu are finite and
+    positive. Free at d, the chain gives the lower bound; held at 0 at d,
+    an upper bound, and so does the free chain plus the other end's
+    measure beyond d when that is finite."""
+    (other,) = [e for e in fam.ends() if e is not end]
+    ks = np.arange(REFERENCE_DEPTH + 1.0)
+    with np.errstate(all="ignore"):
+        ow, om = (np.asarray(f(ks), dtype=float)
+                  for f in (other.w_fn, other.mu_fn))
+    bad = np.flatnonzero(~(np.isfinite(ow) & (ow > 0) & np.isfinite(om)
+                           & (om > 0)))
+    d = int(bad[0]) - 1 if bad.size else REFERENCE_DEPTH
+    ow, om = ow[:d].tolist(), om[:d + 1].tolist()
+    om[0] = float(fam.ends()[-1].mu_fn(np.float64(0)))      # the root
+    ew, em = (np.asarray(f(np.arange(n_max + 1.0)), dtype=float).tolist()
+              for f in (end.w_fn, end.mu_fn))
+
+    def conductances(g):
+        # g: conductance to ground at the chain's current vertex, shunt
+        # included; walk in along the other end, then out along `end`
+        for k in range(d - 1, -1, -1):
+            g = om[k] + 1.0 / (1.0 / ow[k] + 1.0 / g)
+        out = []
+        for j in range(n_max):
+            out.append(1.0 / (1.0 / ew[j] + 1.0 / g))
+            g = em[j + 1] + out[-1]
+        return out
+
+    free, grounded = conductances(om[d]), conductances(math.inf)
+    beyond = (None if other.mu_is_infinite()
+              else other.mu_tail(d + 1).upper)
+    out = {}
+    for n in range(1, n_max + 1):
+        tail = end.mu_tail(n)
+        upper = grounded[n - 1] + tail.upper
+        if beyond is not None:
+            upper = min(upper, free[n - 1] + tail.upper + beyond)
+        out[n] = (free[n - 1] + tail.value, upper)
+    return out
+
+
+ENCLOSED = [(name, budget) for name in ("ex5.1", "ex5.3", "mixed")
+            for budget in ("quick", "standard", "deep")]
+
+
+@pytest.mark.parametrize("name, budget", ENCLOSED,
+                         ids=[f"{n}-{b}" for n, b in ENCLOSED])
+def test_line_brackets_enclose_a_deep_reference(name, budget):
+    # each line entry's value is a lower bound and its bracket a true
+    # upper bound, against a chain cut far deeper; the slack covers the
+    # rounding of both sweeps
+    fam = mixed_line() if name == "mixed" else build_family(name)
+    bud = resolve_budget(budget)
+    rep = boundary_capacity(fam, bud.solver_tail_max, bud.analytic_tail_max)
+    outside = []
+    for end, seq in zip(fam.ends(), rep.per_end):
+        entries = [e for e in seq.entries if e.solver_cap is not None]
+        if not entries:
+            assert end.mu_is_infinite()
+            continue
+        ref = reference_bracket(fam, end, entries[-1].tail_start)
+        for e in entries:
+            lower, upper = ref[e.tail_start]
+            if not (e.solver_cap_sq <= upper * (1 + 1e-12)
+                    and e.bracket_upper ** 2 >= lower * (1 - 1e-12)):
+                outside.append((end.label, e.tail_start, e.solver_cap_sq,
+                                e.bracket_upper ** 2, lower, upper))
+    assert not outside
 
 
 def test_ladder_at_ex53a_largest_window():
@@ -668,9 +781,10 @@ def test_ladder_at_ex53a_largest_window():
     assert fam.truncate(window).leak == {depth: 2.0 ** 999}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        conds, mu = _end_ladder(fam.ends(), end, depth)
+        conds = _end_ladder(fam.ends(), end, depth)
         rep = boundary_capacity(fam, solver_tail_max=window // 4,
                                 analytic_tail_max=1)
+    mu = end_mu(fam, end, depth)
     assert len(conds) == depth
     assert all(math.isfinite(c) and c > 0.0 for c in conds)
     for e in rep.per_end[0].entries:
