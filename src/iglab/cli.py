@@ -11,7 +11,7 @@
 --sigma is sigma0 | sigma1 | natural:K | canonical (the default). The
 commands with --family also take --out FILE in place of stdout. --tails
 is the largest tail N that `cap boundary` takes from the ladder sweep
-(default 128); on a line the sweep runs in from depth 16 N.
+(default 128); on a line the sweep runs in from depth at most 16 N.
 
 --family takes either a path to a family config file (lines "family NAME"
 then "key value" pairs) or an inline spec "NAME" / "NAME:key=val,key=val".
