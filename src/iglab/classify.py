@@ -77,7 +77,7 @@ def resolve_budget(budget) -> Budget:
 @dataclass
 class LambdaSolution:
     lam: float
-    window: int                   # vertices kept: the cut of _ray_lambda_solve
+    window: int                   # vertices kept after the float-range cut
     u: np.ndarray
     residual: float               # sup defect of the summed first-order form
     increasing: bool
@@ -97,14 +97,12 @@ class LambdaSolution:
                 "u_last": float(self.u[-1])}
 
 
-def _ray_lambda_solve(w_fn, mu_fn, lam: float, window: int) -> LambdaSolution:
-    """The recursion on vertices 0..window-1, cut before the first x where
-    u(x), u(x)^2 mu(x) or w(x-1) (u(x) - u(x-1))^2 is not finite; the
-    solution's window is the number of vertices kept. Raises
-    NumericalError when fewer than 2 remain."""
-    xs = np.arange(window, dtype=float)
-    w = np.asarray(w_fn(xs[:-1]), dtype=float)
-    mu = np.asarray(mu_fn(xs), dtype=float)
+def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
+    """The recursion on the vertices x of mu and the edges (x, x+1) of w,
+    cut before the first x where u(x), u(x)^2 mu(x) or w(x-1) (u(x) -
+    u(x-1))^2 is not finite. Raises NumericalError when fewer than 2
+    vertices remain."""
+    window = mu.size
     # the recursion runs over Python floats; lam / w is an array division,
     # so a zero or inf weight gives inf or nan, never ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,16 +158,18 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
     """Generate the lambda-harmonic solution along each ray of the family.
 
     Returns {end_label: LambdaSolution}. For a line family each half is
-    solved independently as a one-sided ray (split construction); the
-    results are diagnostic per half.
+    solved independently as a one-sided ray from its own mu(0) (split
+    construction); the results are diagnostic per half.
     """
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
+    if window < 2:
+        raise InputError(f"lambda recursion needs window >= 2, got {window}")
     if not fam.ends():
         raise InputError(
             f"{fam.describe()}: lambda recursion needs a ray or line")
-    return {end.label: _ray_lambda_solve(end.w_fn, end.mu_fn, lam, window)
-            for end in fam.ends()}
+    return {end.label: _ray_lambda_solve(c.w[:window - 1], c.mu, lam)
+            for end, c in zip(fam.ends(), fam.chain(window - 1))}
 
 
 # -- harmonic witness --------------------------------------------------------
@@ -198,31 +198,32 @@ def harmonic_witness_check(fam: GraphFamily,
     """Check h(x) = x on a line family: harmonic, square-summable, with
     window energies growing like 2N (constant weights).
 
-    Raises InputError when sum x^2 sqrt(mu) diverges (the witness is then
-    not known to be square-summable and proves nothing).
+    Raises InputError when window < 2 (one term reads as a converged
+    series) or sum x^2 sqrt(mu) diverges (the witness is then not known
+    to be square-summable and proves nothing).
     """
     if len(fam.ends()) != 2:
         raise InputError("the coordinate witness lives on a line family")
-    minus, plus = fam.ends()
+    if window < 2:
+        raise InputError(f"the witness needs window >= 2, got {window}")
+    minus, plus = fam.chain(window - 1)
+    # x^2 and mu(x) on x = 0..window-1, then on x = -1..-(window-1)
     xs = np.arange(window, dtype=float)
-    mu_pos = np.asarray(plus.mu_fn(xs), dtype=float)
-    mu_neg = np.asarray(minus.mu_fn(xs[1:]), dtype=float)
-    pre_terms = np.concatenate([xs ** 2 * np.sqrt(mu_pos),
-                                xs[1:] ** 2 * np.sqrt(mu_neg)])
-    pre = series_verdict(pre_terms)
+    x2 = np.concatenate((xs ** 2, xs[1:] ** 2))
+    mu = np.concatenate((plus.mu, minus.mu[1:]))
+    pre = series_verdict(x2 * np.sqrt(mu))
     if pre.verdict == "diverged":
         raise InputError(
             "witness precondition fails: sum x^2 sqrt(mu) diverges "
             f"(partial sum {pre.partial:.6g} at window {window})")
-    l2 = series_verdict(np.concatenate([xs ** 2 * mu_pos,
-                                        xs[1:] ** 2 * mu_neg]))
+    l2 = series_verdict(x2 * mu)
     # h(x) = x is harmonic at the interior vertices of truncate(n_chk),
     # whose laplacian_all rows are fsum([w(x-1), -w(x)]) / mu(x)
     n_chk = min(window, 64)
-    w, mu = fam._chain(n_chk)
+    w, mu = fam._window_arrays(n_chk)
     res = float(np.max(np.abs((w[:-1] - w[1:]) / mu[1:-1]), initial=0.0))
     # h changes by 1 on every edge: Q(h) on truncate(n) is its weights' fsum
-    energies = [(n, math.fsum(fam._chain(n)[0].tolist()))
+    energies = [(n, math.fsum(fam._window_arrays(n)[0].tolist()))
                 for n in (8, 16, 32, 64) if n <= n_chk]
     passed = (res <= 1e-12 and l2.verdict == "converged")
     basis = ("harmonic coordinate in L2 with window energy growing like 2N: "

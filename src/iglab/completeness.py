@@ -12,9 +12,9 @@ line with canonical sigma needs no graph: on a chain the only path from
 the root to an end's k-th vertex runs along the end, so Dijkstra's
 distance there is the (k-1)-th distance plus one length, added outward,
 which is np.cumsum of the lengths bit for bit. The lengths, weights and
-measures are read as the window's realization reads them
-(graphs._end_rules), so degrees are bit-equal too. Stars, and every
-other sigma choice, realize each window and run Dijkstra on it.
+measures come from the family's chain (LinearFamily.chain), the arrays
+the window's realization reads, so degrees are bit-equal too. Stars,
+and every other sigma choice, realize each window and run Dijkstra on it.
 
 Geodesics are searched with the metric's own Dijkstra kernel
 (scipy.sparse.csgraph): hop counts give the combinatorial ball, and its
@@ -35,8 +35,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
-from .graphs import (End, GraphFamily, LinearFamily, WeightedGraph, _end_rules,
-                     vertex_id)
+from .graphs import End, GraphFamily, LinearFamily, WeightedGraph, vertex_id
 from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
                       sigma1)
 
@@ -188,12 +187,7 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     window (_graph_balls); the module docstring says why both agree.
     """
     cap = fam.max_window(n_max)
-    windows = []
-    w = 8
-    while w < cap:
-        windows.append(w)
-        w *= 2
-    windows.append(cap)
+    windows = [1 << p for p in range(3, (cap - 1).bit_length())] + [cap]
     chain = isinstance(fam, LinearFamily) and sigma == "canonical"
     scan = None
     for win in windows:
@@ -237,15 +231,17 @@ def _chain_balls(fam: LinearFamily, sigma, win: int):
     is (w_left + w_right) / mu, with no right edge at the outermost vertex,
     as the realization's row sums have it."""
     depth = fam._depth(win)
-    rules = _end_rules(fam.ends(), depth, "w_fn", "mu_fn", "sigma_fn")
+    chains = fam.chain(depth)
     dists, degs = [], []
     with np.errstate(over="ignore"):
-        root = sum(w[0] for w, _, _ in rules) / rules[0][1][0]
-        for w, mu, lengths in rules:
+        # the root's measure is the last end's
+        root = sum(c.w[0] for c in chains) / chains[-1].mu[0]
+        for c in chains:
+            w = c.w[:depth]
             rows = np.concatenate((w[:-1] + w[1:], w[-1:]))   # vertices 1..
             degs.append(np.maximum.accumulate(
-                np.concatenate(([root], rows / mu[1:]))))
-            dists.append(np.cumsum(lengths))
+                np.concatenate(([root], rows / c.mu[1:]))))
+            dists.append(np.cumsum(c.sigma))
     ecc = max(float(d[np.isfinite(d)].max(initial=0.0)) for d in dists)
 
     def balls(radii):

@@ -36,13 +36,15 @@ windows via truncate(). A truncation carries the id of the model origin
 (origin) and the edge mass each frontier vertex lost to the cut (leak),
 which downstream modules use for leak bounds.
 
-Each family builds each window once, and each End evaluates each tail
-rule once per index: both keep a memo that lives as long as the family
-(or End) object does. The gallery and the CLI build one family per run,
-so one classification realizes every window and every tail once, and
-the witness and the golden claims share them. The ball scan and the
-capacity ladder of a ray or line read the rules directly, as a
-realization does (_end_rules), and build no graph.
+Each family builds each window once, each ray or line evaluates each of
+its rules w, mu and sigma once per index (LinearFamily.chain), and each
+End evaluates each tail rule once per index: all three keep a memo that
+lives as long as the family (or End) object does. The gallery and the
+CLI build one family per run, so one classification reads every rule
+value, window and tail once, and the witness and the golden claims share
+them. The ball scan, the capacity ladder, the lambda recursion, the
+witness and the cutoff test of a ray or line read the rules from the
+chain, the arrays a realization reads, and build no graph.
 """
 
 from __future__ import annotations
@@ -508,63 +510,32 @@ def _tail_sum(t) -> TailSum:
     return t if isinstance(t, TailSum) else TailSum(float(t))
 
 
-def _probe_depth(ends, hi: int) -> int:
-    """Largest depth d <= hi at which every end's w and mu are finite and
-    positive on 0..d, its sigma on 0..d-1 (the realized edges), and every
-    realized row sum is finite: the root's, w(0) summed over the ends, and
-    w(k-1) + w(k) at each vertex 0 < k < d."""
-    lo, chunk, left = 0, 1 << 12, [0.0] * len(ends)
-    while lo <= hi:               # scan in growing chunks, not one arange(cap)
-        xs = np.arange(lo, min(lo + chunk, hi + 1), dtype=float)
-        cuts = []
-        with np.errstate(all="ignore"):
-            ws = [np.asarray(end.w_fn(xs), dtype=float) for end in ends]
-            if lo == 0 and not np.isfinite(sum(w[0] for w in ws)):
-                cuts.append(0)            # the root's row
-            for end, w, w_left in zip(ends, ws, left):
-                ok = _valid(w) & _valid(end.mu_fn(xs))
-                ok_sigma = _valid(end.sigma_fn(xs))
-                rows = np.isfinite(np.concatenate(([w_left], w[:-1])) + w)
-                if not ok.all():
-                    cuts.append(lo + int(np.argmin(ok)) - 1)
-                if not ok_sigma.all():
-                    cuts.append(lo + int(np.argmin(ok_sigma)))
-                if not rows.all():
-                    cuts.append(lo + int(np.argmin(rows)))
-            left = [w[-1] for w in ws]
-        if cuts:
-            return min(cuts)
-        lo += chunk
-        chunk = min(chunk * 4, 1 << 22)
-    return hi
+@dataclass(frozen=True)
+class Chain:
+    """One end's rules outward from the root as read-only raw arrays
+    (LinearFamily.chain): w and mu on 0..depth, the end's own mu(0)
+    included, and sigma on 0..depth-1. w[depth] is the leak: the weight of
+    the first edge a realization of this depth cuts."""
+
+    w: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
 
 
-def _end_rules(ends, depth: int, *names: str) -> list:
-    """Per end, the rules `names` ("w_fn", "mu_fn", "sigma_fn") as a
-    realization of depth `depth` reads them, each in outward order from
-    the root: w and sigma on the edges 0..depth-1, mu on the vertices
-    0..depth, where vertex 0 is the root and has the last end's measure.
-
-    This is the one place that fixes which array each rule is evaluated
-    on, the one a realization (and its canonical lengths) hands it, so
-    every reader of these values is bit-equal to the realized graph: ks[:-1]
-    for w; ks for the last end's mu and ks[1:] for another end's; ks[:-1]
-    for the last end's sigma and the descending depth-1..0 for another
-    end's, whose edges a realization stores from the outermost in.
-    """
-    ks = np.arange(depth + 1.0)
-    points = {"w_fn": (ks[:-1], ks[:-1]), "mu_fn": (ks, ks[1:]),
-              "sigma_fn": (ks[:-1], ks[-2::-1])}     # (last end, another)
-    rules = [[np.asarray(getattr(end, name)(np.ascontiguousarray(
-        points[name][end is not ends[-1]])), dtype=float) for name in names]
-        for end in ends]
-    for vals in rules[:-1]:
-        for i, name in enumerate(names):
-            if name == "sigma_fn":
-                vals[i] = vals[i][::-1]
-            elif name == "mu_fn":
-                vals[i] = np.concatenate((rules[-1][i][:1], vals[i]))
-    return rules
+def _valid_depth(rules, n: int) -> int:
+    """Largest depth d < n at which every end's w and mu (rules: per end,
+    w, mu and sigma from index 0) are finite and positive on 0..d, sigma on
+    0..d-1 (the realized edges), and every realized row sum is finite: the
+    root's, w(0) summed over the ends, and w(k-1) + w(k) at 0 < k < d."""
+    bad = np.arange(n + 1) == n          # bad[d]: depth d reads a bad value
+    with np.errstate(all="ignore"):
+        bad[1] |= not np.isfinite(sum(w[0] for w, _, _ in rules))  # the root
+        for w, mu, sigma in rules:
+            w = w[:n]
+            bad[:n] |= ~(_valid(w) & _valid(mu[:n]))
+            bad[1:n] |= ~_valid(sigma[:n - 1])
+            bad[2:n] |= ~np.isfinite(w[:-2] + w[1:-1])
+    return int(np.argmax(bad)) - 1
 
 
 def default_sigma0_rule(w_fn, mu_fn):
@@ -610,6 +581,8 @@ class LinearFamily(GraphFamily):
     def __init__(self, name, ends, params=None, window_cap=1 << 20):
         super().__init__(name, params, window_cap)
         self._ends = tuple(ends)
+        self._rules = [(np.empty(0),) * 3 for _ in self._ends]  # w, mu, sigma
+        self._size = 0                   # the indices 0.._size-1 are read
 
     def ends(self):
         return self._ends
@@ -629,34 +602,59 @@ class LinearFamily(GraphFamily):
             return -1
         raise InputError(f"end {end.label!r} is not an end of {self.name}")
 
+    def chain(self, depth: int) -> tuple:
+        """One Chain of this depth per end of ends(), sliced from the memo
+        that every reader of the rules w, mu and sigma shares, max_window
+        and truncate included. The memo is filled on first use (never at
+        construction) and grows to at least twice its length when too
+        short, so each rule runs once per index. Values are raw: valid ones
+        lie within the depth of max_window."""
+        depth = int(depth)
+        if depth >= self._size:
+            self._grow(max(depth + 1, 2 * self._size))
+        return tuple(Chain(w[:depth + 1], mu[:depth + 1], sigma[:depth])
+                     for w, mu, sigma in self._rules)
+
+    def _grow(self, size: int) -> None:
+        """Append each end's w, mu and sigma on the indices from the memo's
+        length to size - 1: raw, under np.errstate(all="ignore")."""
+        if size <= self._size:
+            return
+        xs = np.arange(self._size, size, dtype=float)
+        with np.errstate(all="ignore"):
+            self._rules = [tuple(np.concatenate((old, np.asarray(
+                rule(xs), dtype=float))) for old, rule in
+                zip(rules, (end.w_fn, end.mu_fn, end.sigma_fn)))
+                for end, rules in zip(self._ends, self._rules)]
+        for a in (a for rules in self._rules for a in rules):
+            a.flags.writeable = False
+        self._size = size
+
     def _build(self, window: int) -> WeightedGraph:
         depth, root = self._depth(window), self.root_id(window)
-        w, mu = self._chain(window)
+        w, mu = self._window_arrays(window)
         ids = np.arange(mu.size)
-        leak = {root + self._sign(end) * depth:
-                float(end.w_fn(np.float64(depth))) for end in self._ends}
+        leak = {root + self._sign(end) * depth: float(c.w[depth])
+                for end, c in zip(self._ends, self.chain(depth))}
         return WeightedGraph(mu.size, np.column_stack((ids[:-1], ids[1:], w)),
                              mu, leak=leak, origin=root)
 
-    def _chain(self, window: int):
-        """truncate(window)'s w(x, x + 1) and mu(x) over its ids x, from
-        the rules and checked as truncate checks them, with no graph: an
-        fsum over these is bit-equal to one over the realization's arrays."""
+    def _window_arrays(self, window: int):
+        """truncate(window)'s w(x, x + 1) and mu(x) over its ids x, from the
+        chain and checked as truncate checks them, with no graph: an fsum
+        over these is bit-equal to one over the realization's arrays."""
         depth = self._depth(self._checked(window))
         ws, mus = [], []
-        for end, (w, m) in zip(self._ends, _end_rules(self._ends, depth,
-                                                      "w_fn", "mu_fn")):
-            last = end is self._ends[-1]
-            # the root's measure is validated with the end it comes from
-            _validate_window(self.name, w, m if last else m[1:])
-            ws.append(w if last else w[::-1])
-            mus.append(m if last else m[:0:-1])
+        for end, c in zip(self._ends, self.chain(depth)):
+            last = end is self._ends[-1]    # the root's measure is its own
+            _validate_window(self.name, c.w[:depth], c.mu[0 if last else 1:])
+            ws.append(c.w[:depth] if last else c.w[depth - 1::-1])
+            mus.append(c.mu if last else c.mu[:0:-1])
         return np.concatenate(ws), np.concatenate(mus)
 
     def _canonical_lengths(self, g: WeightedGraph):
         from .metrics import EdgeLengths
-        lengths = [s for s, in _end_rules(self._ends, g.n - 1 - g.origin,
-                                          "sigma_fn")]
+        lengths = [c.sigma for c in self.chain(g.n - 1 - g.origin)]
         # a realization stores a line's minus edges first, outermost first
         return EdgeLengths(g, np.concatenate(
             [s[::-1] for s in lengths[:-1]] + lengths[-1:]), kind="canonical")
@@ -664,9 +662,16 @@ class LinearFamily(GraphFamily):
     def max_window(self, cap: int) -> int:
         """GraphFamily.max_window, lowered to the largest window whose
         realization and canonical lengths read only finite, positive rule
-        values. Raises FamilyDefinitionError when the rules fail at depth 1.
-        """
-        depth = _probe_depth(self._ends, self._depth(super().max_window(cap)))
+        values (_valid_depth). The memo grows by doubling only until the
+        first invalid index or the cap. Raises FamilyDefinitionError when
+        the rules fail at depth 1."""
+        hi = self._depth(super().max_window(cap))
+        # a step's fixed cost (a few dozen numpy calls) outweighs 512 points
+        n = min(hi + 1, max(self._size, 512))
+        self._grow(n)
+        while (depth := _valid_depth(self._rules, n)) == n - 1 and n <= hi:
+            n = min(2 * n, hi + 1)
+            self._grow(n)
         if depth < 1:
             raise FamilyDefinitionError(
                 f"{self.name}: rules invalid near the origin")

@@ -46,7 +46,8 @@ stops at the first bound that is 0 (tails are nested, so Cap(tail_N)
 cannot grow again) or inf (the rules left float range). Smallness claims
 (polar) run on certified upper bounds, positivity claims on the plateau
 of the ladder values. Ends with the same rules (a line built from one End
-twice) share their ramp bounds and sweeps.
+twice) share their ramp bounds and sweeps. All but the ramp grid read
+the rules from the family's chain (LinearFamily.chain).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import scipy.sparse.linalg as spla
 from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
-from .graphs import GraphFamily, WeightedGraph, _end_rules, vertex_mask
+from .graphs import GraphFamily, WeightedGraph, vertex_mask
 from .metrics import _squares
 from .series import last_quartile, loglog_slope
 
@@ -269,26 +270,22 @@ def _ramp_upper(end, N: int) -> float:
     return math.sqrt(total)
 
 
-def _end_ladder(ends, end, depth: int, grounded: bool = False) -> list:
-    """The sweep (module docstring) for the tails of `end` in a
-    realization of depth `depth` of the family with these ends: cond(N)
-    for N = 1..depth, indexed N - 1, as Python floats. A line's chain runs
+def _end_ladder(fam, end, depth: int, grounded: bool = False) -> list:
+    """The sweep (module docstring) for the tails of `end` in the
+    realization of depth `depth` of the ray or line `fam`: cond(N) for
+    N = 1..depth, indexed N - 1, as Python floats. A line's chain runs
     from the other end's outermost vertex in to the root and out along
     `end`, that vertex held at 0 if `grounded` (c = inf); a ray's starts at
-    the root. The rules are read as the realization reads them
-    (graphs._end_rules)."""
-    rules = {e: [v.tolist() for v in r] for e, r in
-             zip(ends, _end_rules(ends, depth, "w_fn", "mu_fn"))}
-    w, mu = rules[end]
-    chain, skip = (w, mu), 0
-    if len(ends) == 2:
-        w_o, mu_o = rules[ends[0] if end is ends[1] else ends[1]]
-        chain, skip = (w_o[::-1] + w, mu_o[:0:-1] + mu), depth
+    the root. w and mu are the realization's, in id order (reversed for a
+    line's minus end)."""
+    w, mu = fam._window_arrays(depth - 1 + fam.smallest_window)
+    if end is not fam.ends()[-1]:
+        w, mu = w[::-1], mu[::-1]
     conds, cond = [], math.inf if grounded else 0.0
-    for wx, mx in zip(*chain):          # cond(x + 1) from G_x = mx + cond(x)
-        cond = 1.0 / (1.0 / wx + 1.0 / (mx + cond))
+    for wx, mx in zip(w.tolist(), mu.tolist()):
+        cond = 1.0 / (1.0 / wx + 1.0 / (mx + cond))  # G_x = mx + cond(x)
         conds.append(cond)
-    return conds[skip:]
+    return conds[-depth:]
 
 
 def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
@@ -358,11 +355,11 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
             other = [e for e in ends if e is not end]
             depth = fam._depth(maxwin) if other else tails[-1]
             conds = uppers = once((end.w_fn, end.mu_fn), _end_ladder,
-                                  ends, end, depth)
+                                  fam, end, depth)
             beyond = 0.0
             if other and other[0].mu_is_infinite():
                 uppers = once((end.w_fn, end.mu_fn, True), _end_ladder,
-                              ends, end, depth, True)
+                              fam, end, depth, True)
             elif other:
                 beyond = other[0].mu_tail(depth + 1).upper
         for n in tails:
@@ -397,7 +394,7 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
             # N >= 1: for admissible u, 1 <= u(N) <= |u(1)| + sum |du| and
             # Cauchy-Schwarz against the norm. Uniform in N, so it bounds
             # the boundary capacity from below.
-            mu1 = float(np.asarray(end.mu_fn(np.float64(1))))
+            mu1 = float(fam.chain(1)[ends.index(end)].mu[1])
             lower = (1.0 / mu1 + end.res_upper) ** -0.5
             diag["resistance_lower"] = lower
         zero_evidence = False
@@ -576,10 +573,10 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
         cuts.append((n, r_n, fam._checked(x1 + 2)))
     # each window's rule arrays are a prefix of the deepest window's
     top = max(window for _, _, window in cuts)
-    w, mu = fam._chain(top)
+    w, mu = fam._window_arrays(top)
     if mu.size != top:                  # a line's window holds two ends
         raise InputError("values must have length "
-                         f"{fam._chain(cuts[0][2])[1].size}")
+                         f"{fam._window_arrays(cuts[0][2])[1].size}")
     rv = np.array([end.sigma_tail(k).value for k in range(top)])
     entries = []
     for n, r_n, window in cuts:

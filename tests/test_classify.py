@@ -12,7 +12,7 @@ from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
 from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
 from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
-from iglab.graphs import RayFamily
+from iglab.graphs import End, LineFamily, RayFamily
 
 # the package re-exports the classify function under the module's name
 classify_module = importlib.import_module("iglab.classify")
@@ -119,6 +119,14 @@ def scalar_lambda_loops(w_fn, mu_fn, lam, window):
     return u, res / scale
 
 
+def rule_arrays(w_fn, mu_fn, window):
+    """w on the edges 0..window-2 and mu on the vertices 0..window-1, the
+    arrays _ray_lambda_solve takes."""
+    xs = np.arange(window, dtype=float)
+    return (np.asarray(w_fn(xs[:-1]), dtype=float),
+            np.asarray(mu_fn(xs), dtype=float))
+
+
 def test_lambda_solve_matches_the_scalar_loops():
     rays = [(end.w_fn, end.mu_fn) for _label, name, params, _check
             in GOLDEN_RUNS for end in build_family(name, params).ends()]
@@ -133,7 +141,7 @@ def test_lambda_solve_matches_the_scalar_loops():
     for w_fn, mu_fn in rays:
         for lam, window in ((1.0, 40), (1.0, 200), (0.7, 200)):
             u, res = scalar_lambda_loops(w_fn, mu_fn, lam, window)
-            sol = _ray_lambda_solve(w_fn, mu_fn, lam, window)
+            sol = _ray_lambda_solve(*rule_arrays(w_fn, mu_fn, window), lam)
             assert sol.window == u.size
             assert sol.u.tobytes() == u.tobytes()
             assert float(sol.residual).hex() == float(res).hex()
@@ -147,7 +155,31 @@ def test_lambda_solve_validation():
     # w(0) = 0 sends u(1) to inf: no two vertices to judge the series on
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(NumericalError, match="x = 1"):
-        _ray_lambda_solve(zero, lambda x: zero(x) + 1.0, 1.0, 40)
+        _ray_lambda_solve(*rule_arrays(zero, lambda x: zero(x) + 1.0, 40),
+                          1.0)
+
+
+def unit_line():
+    ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    end = End(ones, ones, ones)
+    return LineFamily("unitline", end, end)
+
+
+@pytest.mark.parametrize("window", [1, 0, -3, -5])
+def test_lambda_solve_and_witness_reject_shallow_windows(window):
+    # one vertex is no evidence: at window 1 the witness's single term
+    # x = 0 read as a converged series, so it passed on the unit line,
+    # whose Laplacian is bounded; lower windows raised IndexError
+    with pytest.raises(InputError, match="needs window >= 2"):
+        lambda_solve(unit_ray(), window=window)
+    with pytest.raises(InputError, match="needs window >= 2"):
+        harmonic_witness_check(unit_line(), window=window)
+
+
+@pytest.mark.parametrize("lam", [0.0, -3.0, math.nan, math.inf, -math.inf])
+def test_lambda_solve_rejects_lambda_outside_zero_to_inf(lam):
+    with pytest.raises(InputError, match="positive and finite"):
+        lambda_solve(unit_ray(), lam=lam, window=40)
 
 
 # -- harmonic witness -------------------------------------------------------------

@@ -18,7 +18,7 @@ from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
 from iglab.gallery import run_gallery
 import iglab.gallery as gallery
-from iglab.graphs import LineFamily, WeightedGraph, _end_rules
+from iglab.graphs import LineFamily, WeightedGraph
 from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, _end_ladder,
                              _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
@@ -499,15 +499,17 @@ def test_ramp_grid_memory_is_cache_sized():
 def end_mu(fam, end, depth):
     """The end's mu on its vertices 0..depth, as a realization of this
     depth reads it (vertex 0 is the root)."""
-    (mu,) = _end_rules(fam.ends(), depth, "mu_fn")[fam.ends().index(end)]
-    return mu.tolist()
+    chains = fam.chain(depth)
+    mu = chains[fam.ends().index(end)].mu.tolist()
+    mu[0] = float(chains[-1].mu[0])         # the root has the last end's
+    return mu
 
 
 def window_value(fam, end, n_tail, window):
     """Cap_M(tail_N)^2 on truncate(window) from its sweep: the ladder plus
     the tail's measure inside the window."""
     depth = fam._depth(window)
-    conds = _end_ladder(fam.ends(), end, depth)
+    conds = _end_ladder(fam, end, depth)
     return conds[n_tail - 1] + math.fsum(end_mu(fam, end, depth)[n_tail:])
 
 
@@ -642,7 +644,7 @@ def assert_ladder_exact(fam, depth):
         if end.mu_is_infinite():
             continue
         w, mu, root = realized_chain(fam, end, depth)
-        conds = _end_ladder(fam.ends(), end, depth)
+        conds = _end_ladder(fam, end, depth)
         # the measure of the end's vertices 1..depth, which its tails sum
         assert np.allclose(end_mu(fam, end, depth)[1:], mu[root + 1:],
                            rtol=1e-15, atol=0)
@@ -779,7 +781,7 @@ def test_ladder_at_ex53a_largest_window():
     assert fam.truncate(window).leak == {depth: 2.0 ** 999}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        conds = _end_ladder(fam.ends(), end, depth)
+        conds = _end_ladder(fam, end, depth)
         rep = boundary_capacity(fam, solver_tail_max=window // 4,
                                 analytic_tail_max=1)
     mu = end_mu(fam, end, depth)

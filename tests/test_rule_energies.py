@@ -1,7 +1,8 @@
 """Cutoff and witness energies from the rules against the realized windows.
 
 reference_polarity_test below is codim_polarity_test as it ran before its
-energies came from the rule arrays (LinearFamily._chain): every window
+energies came from the rule arrays (LinearFamily._window_arrays, read
+off the family's chain): every window
 realized by truncate, and the cutoff's energy and mass taken by
 forms.energy and norm_sq on it. The rule path must give the same values,
 compared by their hex strings, build no graph, and raise the same errors.
@@ -71,7 +72,7 @@ def test_rule_energies_match_energy_and_norm_sq(label, name, params):
     fam = build_family(name, params)
     for _, window, eta, _ in reference_polarity_test(fam, DEPTH):
         g = fam.truncate(window)
-        w, mu = fam._chain(window)
+        w, mu = fam._window_arrays(window)
         assert w.tobytes() == g.edge_w.tobytes()
         assert mu.tobytes() == g.mu.tobytes()
         f = VertexFunction(g, eta)
@@ -85,13 +86,13 @@ def test_rule_energies_match_energy_and_norm_sq(label, name, params):
 def test_deepest_chain_holds_each_windows_rules(label, name, params):
     # the cutoff test slices one chain of its deepest window; each slice
     # must be the window's own rule arrays, as numpy rounds them at that
-    # array length
+    # array length in a family that never read deeper
     fam = build_family(name, params)
     windows = [window for _, window, _, _ in
                reference_polarity_test(fam, DEPTH)]
-    w_all, mu_all = fam._chain(windows[-1])
+    w_all, mu_all = fam._window_arrays(windows[-1])
     for window in windows:
-        w, mu = fam._chain(window)
+        w, mu = build_family(name, params)._window_arrays(window)
         assert w_all[:window - 1].tobytes() == w.tobytes()
         assert mu_all[:window].tobytes() == mu.tobytes()
 
@@ -102,7 +103,8 @@ def test_witness_energies_match_the_realized_windows(name):
     for n in (8, 16, 32, 64):
         g = fam.truncate(n)
         h = VertexFunction(g, np.arange(g.n) - g.origin)
-        assert math.fsum(fam._chain(n)[0].tolist()).hex() == energy(h).hex()
+        assert math.fsum(fam._window_arrays(n)[0].tolist()).hex() == \
+            energy(h).hex()
 
 
 def test_witness_realizes_no_window(monkeypatch):
