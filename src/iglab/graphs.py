@@ -582,7 +582,7 @@ class LinearFamily(GraphFamily):
         super().__init__(name, params, window_cap)
         self._ends = tuple(ends)
         self._rules = [(np.empty(0),) * 3 for _ in self._ends]  # w, mu, sigma
-        self._size = 0                   # the indices 0.._size-1 are read
+        self._size = 0                   # _rules hold indices 0.._size-1
 
     def ends(self):
         return self._ends
