@@ -11,12 +11,15 @@ The diagnostics assembled here:
     bounded is equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf.
     A bounded solution that is square-summable with finite energy lies in
     the maximal form domain and separates D(Q) from D(Q^max). The
-    recursion stops before u, u^2 mu or w (du)^2 leaves float range.
+    recursion stops before a rule value mu or w leaves the rules' float
+    range (finite and positive, as max_window reads them), or u, u^2 mu
+    or w (du)^2 leaves float range.
 
   * harmonic_witness_check: on a line with constant weights, h(x) = x is
     harmonic; if sum x^2 sqrt(mu(x)) < inf then h is square-summable while
     its energy grows like 2N per window, so the Laplacian has a defect:
-    essential self-adjointness fails.
+    essential self-adjointness fails. Its series stop where mu leaves the
+    rules' float range.
 
   * deg_ball_boundedness: tables of max Deg over neighborhoods of distance
     balls across windows; completeness plus a uniform bound per ball is
@@ -39,7 +42,7 @@ import numpy as np
 
 from .completeness import BallScan, _ball_scan, _hopf_rinow
 from .errors import InputError, NumericalError
-from .graphs import GraphFamily
+from .graphs import GraphFamily, _valid
 from .potential import (CapacityReport, boundary_alternative_evidence,
                         boundary_capacity, minkowski_samples)
 from .series import SeriesVerdict, plateau, prefix_fsums, series_verdict
@@ -99,9 +102,9 @@ class LambdaSolution:
 
 def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
     """The recursion on the vertices x of mu and the edges (x, x+1) of w,
-    cut before the first x where u(x), u(x)^2 mu(x) or w(x-1) (u(x) -
-    u(x-1))^2 is not finite. Raises NumericalError when fewer than 2
-    vertices remain."""
+    cut before the first x where mu(x) or w(x-1) is not finite and
+    positive, or u(x), u(x)^2 mu(x) or w(x-1) (u(x) - u(x-1))^2 is not
+    finite. Raises NumericalError when fewer than 2 vertices remain."""
     window = mu.size
     # the recursion runs over Python floats; lam / w is an array division,
     # so a zero or inf weight gives inf or nan, never ZeroDivisionError
@@ -118,8 +121,8 @@ def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
         inc = np.diff(u)
         l2_terms = u * u * mu
         en_terms = w * inc * inc
-    bad = ~(np.isfinite(u) & np.isfinite(l2_terms))
-    bad[1:] |= ~np.isfinite(en_terms)
+    bad = ~(np.isfinite(u) & np.isfinite(l2_terms) & _valid(mu))
+    bad[1:] |= ~(np.isfinite(en_terms) & _valid(w))
     if bad.any():
         window = int(np.argmax(bad))
         if window < 2:
@@ -159,7 +162,9 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
 
     Returns {end_label: LambdaSolution}. For a line family each half is
     solved independently as a one-sided ray from its own mu(0) (split
-    construction); the results are diagnostic per half.
+    construction); the results are diagnostic per half. Each solution
+    keeps the vertices before its rules or its recursion leave float
+    range (_ray_lambda_solve), so its window may be below `window`.
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lambda must be positive and finite, got {lam}")
@@ -198,19 +203,23 @@ def harmonic_witness_check(fam: GraphFamily,
     """Check h(x) = x on a line family: harmonic, square-summable, with
     window energies growing like 2N (constant weights).
 
-    Raises InputError when window < 2 (one term reads as a converged
-    series) or sum x^2 sqrt(mu) diverges (the witness is then not known
-    to be square-summable and proves nothing).
+    The series run over |x| < window and stop at the first |x| where
+    either end's mu is not finite and positive; the report keeps that
+    window. Raises InputError when window < 2 (one term reads as a
+    converged series) or sum x^2 sqrt(mu) diverges (the witness is then
+    not known to be square-summable and proves nothing).
     """
     if len(fam.ends()) != 2:
         raise InputError("the coordinate witness lives on a line family")
     if window < 2:
         raise InputError(f"the witness needs window >= 2, got {window}")
     minus, plus = fam.chain(window - 1)
+    ok = _valid(plus.mu) & _valid(np.append(plus.mu[0], minus.mu[1:]))
+    window = int(np.argmin(np.append(ok, False)))   # the first invalid |x|
     # x^2 and mu(x) on x = 0..window-1, then on x = -1..-(window-1)
     xs = np.arange(window, dtype=float)
     x2 = np.concatenate((xs ** 2, xs[1:] ** 2))
-    mu = np.concatenate((plus.mu, minus.mu[1:]))
+    mu = np.concatenate((plus.mu[:window], minus.mu[1:window]))
     pre = series_verdict(x2 * np.sqrt(mu))
     if pre.verdict == "diverged":
         raise InputError(

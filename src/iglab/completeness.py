@@ -6,6 +6,11 @@ compactness of bounded closed sets. On truncations of an infinite family
 we can only gather evidence: ball sizes that stabilize as the window
 grows, and the total edge length of each ray end (a finite total length
 means the end is a Cauchy boundary point, so the graph is incomplete).
+Completeness decides Markov uniqueness and, with degrees bounded on
+balls, essential self-adjointness only for an intrinsic metric, so a ray
+or line is called complete only where its canonical lengths are strongly
+intrinsic, sum_y w(x,y) sigma(x,y)^2 <= mu(x), at the root and every
+interior vertex of the deepest scanned window (_not_intrinsic).
 
 The ball scan takes its distances from one of two sources. A ray or
 line with canonical sigma needs no graph: on a chain the only path from
@@ -36,8 +41,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
 from .graphs import End, GraphFamily, LinearFamily, WeightedGraph, vertex_id
-from .metrics import (EdgeLengths, PathMetric, close, natural_scaled, sigma0,
-                      sigma1)
+from .metrics import (REL_TOL, EdgeLengths, PathMetric, close,
+                      natural_scaled, sigma0, sigma1)
 
 
 def lengths_for(g: WeightedGraph, choice, family: GraphFamily | None = None
@@ -291,14 +296,38 @@ def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
         verdict = "incomplete-evidence"
         notes.append(f"{n_finite} end(s) with finite total length "
                      "(Cauchy boundary points)")
-    elif all(stabilized.values()) and \
-            all(fin is False for _, _, fin in end_lengths):
-        verdict = "complete-evidence"
-    else:
+    elif not (all(stabilized.values()) and
+              all(fin is False for _, _, fin in end_lengths)):
         verdict = "inconclusive"
+    elif isinstance(fam, LinearFamily) and \
+            (vertex := _not_intrinsic(fam, scan.windows[-1])):
+        verdict = "inconclusive"
+        notes.append(f"canonical lengths not strongly intrinsic at {vertex}: "
+                     "the completeness theorems need an intrinsic metric")
+    else:
+        verdict = "complete-evidence"
     return HopfRinowReport(fam.describe(), str(sigma), scan.windows,
                            scan.radii, scan.sizes, stabilized, end_lengths,
                            verdict, notes)
+
+
+def _not_intrinsic(fam: LinearFamily, window: int) -> str | None:
+    """The first vertex of truncate(window), the root or an interior one,
+    where the canonical lengths are not strongly intrinsic, (w(x-1)
+    sigma(x-1)^2 + w(x) sigma(x)^2) / mu(x) <= 1 + REL_TOL, read from
+    the chain; None when there is none."""
+    depth = fam._depth(window)
+    chains = fam.chain(depth)
+    bound = 1.0 + REL_TOL
+    with np.errstate(all="ignore"):
+        loads = [c.w[:depth] * c.sigma ** 2 for c in chains]    # per edge
+        if not sum(t[0] for t in loads) / chains[-1].mu[0] <= bound:
+            return "the root"
+        for end, c, t in zip(fam.ends(), chains, loads):
+            bad = np.flatnonzero(~((t[:-1] + t[1:]) / c.mu[1:depth] <= bound))
+            if bad.size:
+                return f"vertex {int(bad[0]) + 1} of end {end.label}"
+    return None
 
 
 def boundary_end(fam: GraphFamily, purpose: str) -> End:

@@ -119,7 +119,7 @@ def _build_ex53a():
         sigma_fn=lambda x: inv_sqrt6 * 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: inv_sqrt6 * 2.0 ** (1 - k),
         mu_tail_fn=lambda k: 2.0 ** (1 - k),
-        res_upper=1.0, window_cap=1000)
+        res_upper=1.0)
 
 
 def _build_ex53():
@@ -136,7 +136,7 @@ def _build_ex54():
         sigma_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: 2.0 ** (1 - k),
         mu_tail_fn=lambda k: (4.0 / 3.0) * 4.0 ** -k,
-        w_sum_fn=lambda a, b: 0.125 * (b - a), window_cap=520)
+        w_sum_fn=lambda a, b: 0.125 * (b - a))
     fam.codim_closed_form = 2.0
     return fam
 
@@ -160,8 +160,7 @@ def _build_ex55():
         sigma_fn=lambda x: 2.0 ** -(np.asarray(x, dtype=float) + 2.0),
         sigma_tail_fn=lambda k: 2.0 ** -(k + 1.0),
         mu_tail_fn=mu_tail, w_sum_fn=w_sum,
-        res_upper=math.pi ** 2 / 6.0 - 1.0 + 1e-12,
-        window_cap=520)
+        res_upper=math.pi ** 2 / 6.0 - 1.0 + 1e-12)
     fam.codim_closed_form = 2.0
     return fam
 
@@ -193,8 +192,7 @@ def _build_ex56(alpha=1.0, case=1):
         params={"alpha": alpha, "case": case},
         sigma_fn=lambda x: 2.0 ** (-alpha * (np.asarray(x, dtype=float) + 1.0)),
         sigma_tail_fn=lambda k: 2.0 ** (-alpha * k) / (2.0 ** alpha - 1.0),
-        mu_tail_fn=mu_tail_fn, w_sum_fn=w_sum_fn, res_upper=res_upper,
-        window_cap=2000)
+        mu_tail_fn=mu_tail_fn, w_sum_fn=w_sum_fn, res_upper=res_upper)
     fam.codim_closed_form = 2.0 - 1.0 / alpha
     return fam
 
@@ -206,7 +204,7 @@ def _build_codim3():
         mu_fn=lambda x: 8.0 ** -np.asarray(x, dtype=float),
         sigma_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
         sigma_tail_fn=lambda k: 2.0 ** (1 - k),
-        mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k, window_cap=340)
+        mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k)
     fam.codim_closed_form = 3.0
     return fam
 

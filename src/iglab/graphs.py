@@ -396,6 +396,8 @@ class GraphFamily:
     through _window(), the one way from a window to a graph: a window
     outside [smallest_window, window_cap] raises InputError before any
     rule runs, and any other is built once and kept for the family's life.
+    window_cap is a memory guard; a ray's or line's max_window lowers it
+    to the rules' float range.
     """
 
     locally_finite = True
@@ -566,8 +568,10 @@ class LinearFamily(GraphFamily):
     realization of depth d holds vertices 0..d of every end, and each
     end's outermost vertex leaks the weight of edge d, the first one cut.
     The ends of a line share one tail memo (see End).
-    At the default window_cap 2^20, realizing the largest window and its
-    canonical lengths stays under ~0.5 GB.
+    The rules' float range (max_window) is the only depth bound a ray or
+    line has of its own. WINDOW_CAP 2^20 is a memory guard above it:
+    realizing the largest window and its canonical lengths stays under
+    ~0.5 GB.
 
     Subclasses fix the window convention: the smallest window, which
     realizes depth 1, and the root's id (root_id, the truncation's
@@ -577,9 +581,10 @@ class LinearFamily(GraphFamily):
     """
 
     smallest_window = 1
+    WINDOW_CAP = 1 << 20
 
-    def __init__(self, name, ends, params=None, window_cap=1 << 20):
-        super().__init__(name, params, window_cap)
+    def __init__(self, name, ends, params=None):
+        super().__init__(name, params, self.WINDOW_CAP)
         self._ends = tuple(ends)
         self._rules = [(np.empty(0),) * 3 for _ in self._ends]  # w, mu, sigma
         self._size = 0                   # _rules hold indices 0.._size-1
@@ -641,13 +646,14 @@ class LinearFamily(GraphFamily):
 
     def _window_arrays(self, window: int):
         """truncate(window)'s w(x, x + 1) and mu(x) over its ids x, from the
-        chain and checked as truncate checks them, with no graph: an fsum
-        over these is bit-equal to one over the realization's arrays."""
+        chain and checked as truncate checks them, the cut edge's weight
+        (the leak) included, with no graph: an fsum over these is bit-equal
+        to one over the realization's arrays."""
         depth = self._depth(self._checked(window))
         ws, mus = [], []
         for end, c in zip(self._ends, self.chain(depth)):
             last = end is self._ends[-1]    # the root's measure is its own
-            _validate_window(self.name, c.w[:depth], c.mu[0 if last else 1:])
+            _validate_window(self.name, c.w, c.mu[0 if last else 1:])
             ws.append(c.w[:depth] if last else c.w[depth - 1::-1])
             mus.append(c.mu if last else c.mu[:0:-1])
         return np.concatenate(ws), np.concatenate(mus)
@@ -692,16 +698,16 @@ class RayFamily(LinearFamily):
     vectorized over numpy arrays. sigma_fn(x) is the canonical edge length
     of (x, x+1); by default the closed-form sigma_0 of the infinite ray.
     The remaining keywords are the End's other fields. Window N realizes
-    depth N-1: vertices 0..N-1 with the root at id 0.
+    depth N-1: vertices 0..N-1 with the root at id 0, for N up to the
+    rules' float range (max_window).
     """
 
     smallest_window = 2
 
-    def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None,
-                 window_cap=1 << 20, **tail):
+    def __init__(self, name, w_fn, mu_fn, params=None, sigma_fn=None, **tail):
         end = End(w_fn, mu_fn, sigma_fn or default_sigma0_rule(w_fn, mu_fn),
                   **tail)
-        super().__init__(name, (end,), params, window_cap)
+        super().__init__(name, (end,), params)
 
     def truncate(self, window: int) -> WeightedGraph:
         return self._window(window)

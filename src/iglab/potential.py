@@ -175,6 +175,11 @@ class CapacityEntry:
         return min(vals) if vals else math.inf
 
 
+def _json_number(v: float | None) -> float | None:
+    """v for a JSON record, where inf and nan have no number: None."""
+    return v if v is not None and math.isfinite(v) else None
+
+
 @dataclass
 class CapacitySequence:
     end_label: str
@@ -194,9 +199,8 @@ class CapacitySequence:
                 {"tail": e.tail_start, "cap": e.solver_cap,
                  "cap_sq": e.solver_cap_sq,
                  "bracket_upper": e.bracket_upper,
-                 "ramp_upper": e.ramp_upper,
-                 "certified_upper": (None if math.isinf(e.certified_upper)
-                                     else e.certified_upper)}
+                 "ramp_upper": _json_number(e.ramp_upper),
+                 "certified_upper": _json_number(e.certified_upper)}
                 for e in self.entries],
             "cummin_upper": self.cummin_upper,
             "diagnostics": self.diagnostics,
@@ -474,7 +478,7 @@ class CodimEstimate:
     def to_dict(self):
         return {"x": self.xs.tolist(), "r": self.r.tolist(),
                 "mu_ball": self.mu_ball.tolist(),
-                "ratios": self.ratios.tolist(),
+                "ratios": [_json_number(v) for v in self.ratios.tolist()],
                 "local_slopes": self.local_slopes.tolist(),
                 "fit_slope": self.fit_slope, "codim": self.codim,
                 "codim_local": self.codim_local, "exact": self.exact,

@@ -18,7 +18,7 @@ from iglab import completeness, metrics
 from iglab.classify import BUDGETS, classify
 from iglab.completeness import (BallScan, PathMetric, _ball_scan,
                                 hopf_rinow_report, lengths_for)
-from iglab.errors import NumericalError
+from iglab.errors import FamilyDefinitionError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import GraphFamily, LineFamily, RayFamily, WeightedGraph
 from iglab.metrics import EdgeLengths
@@ -252,11 +252,21 @@ def test_max_window_stops_before_a_row_sum_overflows():
     assert LineFamily("mixed", small, end).max_window(64) == 1
 
 
+def step_big(x):
+    """1 on the edges below 1000, 1.5e308 from edge 1000 on."""
+    return np.where(np.asarray(x, dtype=float) < 1000, 1.0, 1.5e308)
+
+
 def test_a_row_sum_past_float_range_is_a_numerical_error():
-    with pytest.raises(NumericalError, match="vertex 1023 sum past"):
-        overflow_ray(doubling_big).truncate(1025)
+    # valid rules, each weight finite, two weights summing past float range
+    with pytest.raises(NumericalError, match="vertex 1001 sum past"):
+        overflow_ray(step_big).truncate(1003)
     with pytest.raises(NumericalError, match="vertex 1 sum past"):
         overflow_ray(constant_big).truncate(3)
+    # here the cut edge's weight 1.5 2^1024 is inf: the rules fail first
+    with pytest.raises(FamilyDefinitionError,
+                       match="weight rule invalid at edge index 1024"):
+        overflow_ray(doubling_big).truncate(1025)
 
 
 @pytest.mark.parametrize("w_fn", [constant_big, doubling_big])

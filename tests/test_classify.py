@@ -346,3 +346,117 @@ def test_witness_report_in_ex51(reports):
     rep = reports["ex5.1"]
     assert rep.witness is not None and rep.witness.passed
     assert rep.esa.basis.startswith("harmonic coordinate")
+
+
+# -- the rules' float range -----------------------------------------------------------
+
+LINEAR_RUNS = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
+               if build_family(name, params).ends()]
+
+
+def finite_positive(values) -> bool:
+    return bool(np.all(np.isfinite(values) & (values > 0.0)))
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+@pytest.mark.parametrize("label, name, params", LINEAR_RUNS,
+                         ids=[run[0] for run in LINEAR_RUNS])
+def test_lambda_and_witness_keep_only_valid_rule_values(label, name, params,
+                                                        budget):
+    fam = build_family(name, params)
+    window = BUDGETS[budget].lambda_window
+    chains = fam.chain(window - 1)
+    sols = lambda_solve(fam, 1.0, window)
+    for end, c in zip(fam.ends(), chains):
+        kept = sols[end.label].window
+        assert finite_positive(c.mu[:kept]), end.label
+        assert finite_positive(c.w[:kept - 1]), end.label
+    if len(chains) == 2:
+        try:
+            rep = harmonic_witness_check(fam, window)
+        except InputError:          # ex5.3: the precondition diverges
+            return
+        minus, plus = chains
+        assert finite_positive(plus.mu[:rep.window])
+        assert finite_positive(minus.mu[1:rep.window])
+        assert finite_positive(plus.w[:rep.window - 1])
+        assert finite_positive(minus.w[:rep.window - 1])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("codim3", {}), ("ex5.6", {"alpha": 2.0, "case": 1}),
+    ("ex5.6", {"alpha": 2.0, "case": 2})])
+def test_lambda_stops_where_mu_underflows(name, params):
+    # mu = 8^-x underflows to 0.0 at x = 359; the deep budget's lambda
+    # window 400 kept the 41 vertices of zero measure
+    fam = build_family(name, params)
+    (c,) = fam.chain(399)
+    assert c.mu[358] > 0.0 and c.mu[359] == 0.0
+    assert lambda_solve(fam, 1.0, 400)["plus"].window == 359
+
+
+def test_witness_stops_where_mu_underflows():
+    # ex5.1's mu(x) = 2^-|x| (1 + x^2)^-4 underflows to 0.0 before |x| = 1000
+    fam = build_family("ex5.1")
+    _, plus = fam.chain(1999)
+    first_zero = int(np.argmin(plus.mu > 0.0))
+    assert 0 < first_zero < 1000
+    rep = harmonic_witness_check(fam, window=2000)
+    assert rep.window == first_zero
+    assert rep.passed
+
+
+# -- completeness needs an intrinsic metric -------------------------------------------
+
+def geometric_ray_with_unit_lengths():
+    """ex5.3a's rules (w = 2^x, mu = 2^-x, capacity strictly between 0
+    and infinity) with sigma = 1: infinite total length, but not
+    intrinsic, since (w(0) + w(1)) / mu(1) = 6 at vertex 1."""
+    return RayFamily("geometric-unit-lengths",
+                     w_fn=lambda x: 2.0 ** np.asarray(x, dtype=float),
+                     mu_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
+                     sigma_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                     sigma_tail_fn=lambda k: math.inf,
+                     mu_tail_fn=lambda k: 2.0 ** (1 - k), res_upper=1.0)
+
+
+UNIT_END = dict(
+    w_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+    mu_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+    sigma_fn=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0 ** -0.5),
+    sigma_tail_fn=lambda k: math.inf, mu_tail_fn=lambda k: math.inf)
+
+
+def intrinsic_unit_ray():
+    return RayFamily("intrinsic-unit-ray", **UNIT_END)
+
+
+def intrinsic_unit_line():
+    end = End(**UNIT_END)
+    return LineFamily("intrinsic-unit-line", end, end)
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+def test_a_non_intrinsic_complete_metric_decides_nothing(budget):
+    # the completeness evidence holds (stable balls, infinite length), but
+    # the first theorem needs an intrinsic metric: Markov uniqueness must
+    # come from the positive tail capacity instead, as on ex5.3a
+    rep = classify(geometric_ray_with_unit_lengths(), budget=budget)
+    assert rep.completeness == "inconclusive"
+    assert rep.capacity.boundary_regime == "positive-finite"
+    assert rep.markov_unique.value == "no"
+    assert rep.esa.value == "no"
+    notes = hopf_rinow_report(geometric_ray_with_unit_lengths()).notes
+    assert any("not strongly intrinsic at vertex 1 of end plus" in note
+               for note in notes), notes
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+@pytest.mark.parametrize("make", [intrinsic_unit_ray, intrinsic_unit_line])
+def test_complete_intrinsic_unit_chains_are_unique(make, budget):
+    # the paper's first theorem: complete for an intrinsic metric and
+    # locally finite => Markov unique; with degrees bounded on balls, ESA
+    rep = classify(make(), budget=budget)
+    assert rep.completeness == "complete-evidence"
+    assert rep.markov_unique.value == "yes"
+    assert rep.esa.value == "yes"

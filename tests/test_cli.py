@@ -252,10 +252,42 @@ def test_config_with_a_repeated_key_exit_2(capsys, tmp_path, text, line):
 
 
 def test_window_above_the_cap_exit_2(capsys):
+    # the memory guard 2^20 refuses the window before any rule runs
     code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",
                          "--window", "30000000")
     assert code == 2 and out == ""
-    assert "window cap 1000" in err
+    assert "window cap 1048576" in err
+
+
+def test_window_past_the_float_range_exit_2(capsys):
+    # ex5.3a's float range ends at window 1024, whose cut edge leaks
+    # 2^1023; window 1025 would leak 2^1024 = inf
+    code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",
+                         "--window", "1024")
+    assert code == 0 and err == ""
+    assert json.loads(out)["window"] == 1024
+    code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",
+                         "--window", "1025")
+    assert code == 2 and out == ""
+    assert "ex5.3a: weight rule invalid at edge index 1024 (value inf)" in err
+
+
+@pytest.mark.parametrize("argv", [["cap", "boundary", "--family", "ex5.3a"],
+                                  ["codim", "--family", "codim3"]])
+def test_json_output_is_strict_json(capsys, argv):
+    # an infinite ramp_upper and a NaN codimension ratio are written as null
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=refuse)
+    if argv[0] == "cap":
+        values = [e["ramp_upper"] for seq in doc["per_end"]
+                  for e in seq["entries"]]
+    else:
+        values = doc["ratios"]
+    assert None in values
 
 
 def test_sigma_only_where_it_is_read():

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import iglab
-from iglab.classify import classify
-from iglab.completeness import (_prefixes_realize_distance,
+from iglab.classify import BUDGETS, classify
+from iglab.completeness import (_not_intrinsic, _prefixes_realize_distance,
                                 _restricted_prefix_len, boundary_end,
                                 find_geodesic, hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
-from iglab.gallery import build_family
+from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import RayFamily, WeightedGraph
-from iglab.metrics import PathMetric, close, custom_lengths, sigma0
+from iglab.metrics import (REL_TOL, PathMetric, close, custom_lengths, sigma0,
+                           strongly_intrinsic_check)
 
 from conftest import make_random_graph
 
@@ -287,3 +288,36 @@ def test_boundary_distances_infinite_end_rejected():
     with pytest.raises(InputError, match="^codimension sampling needs "
                                          "exactly one boundary end$"):
         boundary_end(fam, "codimension sampling")
+
+
+# -- the intrinsic hypothesis of the completeness verdict ----------------------------
+
+LINEAR_RUNS = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
+               if build_family(name, params).ends()]
+
+
+@pytest.mark.parametrize("label, name, params", LINEAR_RUNS,
+                         ids=[run[0] for run in LINEAR_RUNS])
+def test_golden_chains_are_strongly_intrinsic(label, name, params):
+    # at the deepest window each budget scans, the chain's check and the
+    # certificate on the realized graph both pass
+    fam = build_family(name, params)
+    for budget in BUDGETS.values():
+        window = fam.max_window(budget.hopf_n_max)
+        assert _not_intrinsic(fam, window) is None, budget.name
+        g = fam.truncate(window)
+        assert strongly_intrinsic_check(g, fam.canonical_lengths(g)).passed
+
+
+def test_the_chain_check_names_the_certificates_first_failure():
+    # ex5.3a's rules with unit lengths: the load (w(x-1) + w(x)) / mu(x)
+    # is 1 at the root and 6 4^(x-1) at x >= 1
+    fam = RayFamily("unit-lengths",
+                    w_fn=lambda x: 2.0 ** np.asarray(x, dtype=float),
+                    mu_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
+                    sigma_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    g = fam.truncate(16)
+    cert = strongly_intrinsic_check(g, fam.canonical_lengths(g))
+    first = int(np.argmax(cert.slack < -REL_TOL))
+    assert first == 1
+    assert _not_intrinsic(fam, 16) == f"vertex {first} of end plus"

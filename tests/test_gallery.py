@@ -105,7 +105,7 @@ def test_ex56_rejects_what_it_would_coerce(params, message):
         build_family("ex5.6", params)
 
 
-@pytest.mark.parametrize("name, cap", [("ex5.3a", 1000), ("a5.3", 500),
+@pytest.mark.parametrize("name, cap", [("ex5.3a", 2 ** 20), ("a5.3", 500),
                                        ("ex5.1", 2 ** 20)])
 def test_window_above_the_cap_raises_before_any_rule_runs(name, cap):
     fam = build_family(name)
@@ -246,6 +246,21 @@ def test_record_json_is_the_asdict_text_for_quick_gallery_records():
         text = rec.to_json()
         assert text == json.dumps(dataclasses.asdict(rec), sort_keys=True)
         assert RunRecord.from_json(text).to_json() == text
+
+
+def strict_json(text: str):
+    """json.loads refusing NaN, Infinity and -Infinity (RFC 8259)."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("budget", ["quick", "standard", "deep"])
+def test_gallery_records_are_strict_json(budget):
+    # codim3's and ex5.4's codim.ratios[0] was NaN, and the ramp_upper of
+    # the last ramp entry of ex5.3, ex5.3a and the ex5.6 case-2 runs inf
+    for rec in run_gallery(budget=budget).records:
+        assert strict_json(rec.to_json())["label"] == rec.label
 
 
 def test_write_record_atomic(tmp_path):

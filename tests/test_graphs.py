@@ -370,11 +370,16 @@ def test_edges_and_tails_follow_their_end(name):
 
 
 def test_max_window_respects_float_range():
-    # ex5.3a weights are 2^x; the declared cap (1000) is inside the float
-    # range so it wins
+    # ex5.3a weights are 2^x: window 1024 realizes edges up to 2^1022 and
+    # leaks 2^1023, and window 1025 would leak 2^1024 = inf; a smaller cap
+    # wins
     fam = build_family("ex5.3a")
-    assert fam.max_window(10 ** 9) == 1000
+    assert fam.max_window(10 ** 9) == 1024
     assert fam.max_window(64) == 64
+    # the probe alone bounds every ray: ex5.4 and ex5.5 stop where 4^-x
+    # (times (x+1)^2) underflows, codim3 where 8^-x does
+    for name, cap in (("ex5.4", 538), ("ex5.5", 538), ("codim3", 359)):
+        assert build_family(name).max_window(10 ** 9) == cap, name
     # ex5.1's measure underflows near |x| ~ 990: the probe must stop there
     lf = build_family("ex5.1")
     cap = lf.max_window(10 ** 9)

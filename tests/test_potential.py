@@ -470,8 +470,7 @@ from iglab.graphs import RayFamily
 from iglab.potential import boundary_capacity
 (end,) = build_family("ex5.4").ends()
 fam = RayFamily("ex5.4", end.w_fn, end.mu_fn, sigma_fn=end.sigma_fn,
-                sigma_tail_fn=end.sigma_tail_fn, mu_tail_fn=end.mu_tail_fn,
-                window_cap=520)
+                sigma_tail_fn=end.sigma_tail_fn, mu_tail_fn=end.mu_tail_fn)
 assert fam.ends()[0].w_sum_fn is None
 boundary_capacity(fam, 128, 1 << 12)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -772,13 +771,16 @@ def test_line_brackets_enclose_a_deep_reference(name, budget):
 
 
 def test_ladder_at_ex53a_largest_window():
-    # w runs to 2^998 on the edges and the cut edge leaks 2^999; the sweep
-    # stays finite, warns of nothing and agrees with the ray's entries
+    # the float-range probe stops at window 1024: w runs to 2^1022 on the
+    # edges and the cut edge leaks 2^1023, the largest power of 2 below
+    # float overflow; the sweep stays finite, warns of nothing and agrees
+    # with the ray's entries
     fam = build_family("ex5.3a")
     (end,) = fam.ends()
     window = fam.max_window(1 << 20)
     depth = fam._depth(window)
-    assert fam.truncate(window).leak == {depth: 2.0 ** 999}
+    assert window == 1024
+    assert fam.truncate(window).leak == {depth: 2.0 ** 1023}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         conds = _end_ladder(fam, end, depth)
@@ -793,7 +795,7 @@ def test_ladder_at_ex53a_largest_window():
         assert e.solver_cap_sq == pytest.approx(
             conds[n - 1] + math.fsum(mu[n:]), rel=1e-15)
     assert [e.tail_start for e in rep.per_end[0].entries] == \
-        [4, 8, 16, 32, 64, 128]
+        [4, 8, 16, 32, 64, 128, 256]
 
 
 @pytest.mark.parametrize("label, name, params", LINEAR_RUNS,

@@ -119,8 +119,10 @@ def reference_residual(w_fn, mu_fn, lam, window):
         inc = np.diff(u)
         l2_terms = u * u * mu
         en_terms = w * inc * inc
-    bad = ~(np.isfinite(u) & np.isfinite(l2_terms))
-    bad[1:] |= ~np.isfinite(en_terms)
+    # the rule values themselves must be finite and positive
+    bad = ~(np.isfinite(u) & np.isfinite(l2_terms) & np.isfinite(mu)
+            & (mu > 0.0))
+    bad[1:] |= ~(np.isfinite(en_terms) & np.isfinite(w) & (w > 0.0))
     if bad.any():
         window = int(np.argmax(bad))
         u, mu = u[:window], mu[:window]
