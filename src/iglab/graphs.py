@@ -451,7 +451,8 @@ class End:
     length of the k-th edge, all vectorized over numpy arrays; vertex 0 is
     the root. One optional tail rule per series certifies sum_{j >= k}
     sigma(j) (sigma_tail_fn) and sum_{j >= k} mu(j) (mu_tail_fn) as a float
-    (a closed form, exact) or a TailSum (e.g. series.geometric_tail); a
+    (a closed form, exact) or a TailSum (e.g. series.geometric_tail, which
+    calls its term rule, such as sigma_fn, on arrays of indices); a
     rule with value inf declares an infinite series, such as an infinite
     measure, which has no measure tail. The optional w_sum_fn(a, b) is the
     correctly rounded sum of w_fn's floats over a <= k < b (a closed form,

@@ -6,6 +6,13 @@ form exists we use it; otherwise we sum a partial stretch and attach a
 rigorous remainder bound (geometric ratio or a declared bound function).
 The TailSum record keeps value and error bound together so downstream
 verdicts can stay honest about what is exact and what is bracketed.
+
+The summing helpers call their term rule on float arrays of indices, as
+the End rules are called, never one index at a time: bounded_tail makes
+one call, geometric_tail one per block of a doubling size. A term that is
+NaN or negative, or a rule that does not return one float per index,
+raises FamilyDefinitionError. Their TailSums round outward, so upper and
+lower enclose the exact sum of the floats summed plus the remainder.
 """
 
 from __future__ import annotations
@@ -15,16 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FamilyDefinitionError
+
 TINY = np.finfo(float).tiny     # the smallest normal float
 TAIL_REL_TOL = 1e-13            # geometric_tail's relative remainder target
 TAIL_MAX_TERMS = 200000         # geometric_tail's term cap
+TAIL_BLOCK = 128                # geometric_tail's first block of terms
 TAIL_DEPTH = 2000               # terms bounded_tail sums before its bound
 PLATEAU_REL = 1e-6              # plateau's last-quartile relative change
 
 
 @dataclass(frozen=True)
 class TailSum:
-    """A sum over an infinite tail: |true - value| <= bound."""
+    """A sum over an infinite tail: |true - value| <= bound.
+
+    An exact TailSum is a closed form: upper and lower are value +- bound
+    rounded to nearest. Otherwise value is the correctly rounded sum of
+    the floats summed and bound their remainder, and upper and lower round
+    outward (one ulp for value, one for the addition), so that
+    lower <= max(S - bound, 0) and S + bound <= upper for the exact sum S
+    of those floats.
+    """
 
     value: float
     bound: float = 0.0
@@ -32,11 +50,36 @@ class TailSum:
 
     @property
     def upper(self) -> float:
-        return self.value + self.bound
+        if self.exact:
+            return self.value + self.bound
+        up = math.nextafter(self.value, math.inf) + self.bound
+        return math.nextafter(up, math.inf)
 
     @property
     def lower(self) -> float:
-        return max(self.value - self.bound, 0.0)
+        if self.exact:
+            return max(self.value - self.bound, 0.0)
+        down = math.nextafter(self.value, -math.inf) - self.bound
+        return max(math.nextafter(down, -math.inf), 0.0)
+
+
+def _terms(term_fn, start: int, n: int) -> np.ndarray:
+    """term_fn over the indices start .. start + n - 1, in one array call."""
+    xs = np.arange(start, start + n, dtype=float)
+    terms = np.asarray(term_fn(xs), dtype=float)
+    if terms.shape != xs.shape:
+        raise FamilyDefinitionError(
+            f"tail term rule returned shape {terms.shape} for {n} indices: "
+            "it must return one float per index")
+    return terms
+
+
+def _bad_term(terms: np.ndarray, start: int):
+    """FamilyDefinitionError for the first NaN or negative term."""
+    i = int(np.flatnonzero(~(terms >= 0.0))[0])
+    return FamilyDefinitionError(
+        f"tail term rule gave {terms[i]} at index {start + i}: "
+        "terms must be nonnegative")
 
 
 def geometric_tail(term_fn, start: int, ratio_bound: float) -> TailSum:
@@ -46,39 +89,52 @@ def geometric_tail(term_fn, start: int, ratio_bound: float) -> TailSum:
     x >= start with 0 < ratio_bound < 1; the remainder after the partial
     sum is then bounded by last_term * r / (1 - r). The sum stops at a
     zero term, at the first remainder <= TAIL_REL_TOL * fsum(terms so
-    far), or after TAIL_MAX_TERMS terms. The plain running sum of n
-    nonnegative terms is within n 2^-53 of the exact one, so fsum runs only
-    where the remainder is at most twice TAIL_REL_TOL times it, or where
-    that product is subnormal and loses the relative bound.
+    far), or after TAIL_MAX_TERMS terms. term_fn is called on index
+    arrays of TAIL_BLOCK, 2 TAIL_BLOCK, 4 TAIL_BLOCK, ... entries until a
+    block holds the stop index, so it may see indices past it, where its
+    floats are not read. The plain running sum of n nonnegative terms is
+    within n 2^-53 of the exact one, so fsum runs only where the remainder
+    is at most twice TAIL_REL_TOL times it, or where that product is
+    subnormal and loses the relative bound.
     """
     if not 0.0 < ratio_bound < 1.0:
         raise ValueError("ratio_bound must lie in (0, 1)")
-    terms = []
-    running = 0.0
-    x = start
-    while True:
-        t = float(term_fn(x))
-        if t < 0:
-            raise ValueError("geometric_tail expects nonnegative terms")
-        terms.append(t)
-        running += t
-        remainder = t * ratio_bound / (1.0 - ratio_bound)
-        scale = TAIL_REL_TOL * running
-        if t == 0.0 or remainder <= 2.0 * scale or scale < TINY:
-            partial = math.fsum(terms)
-            if remainder <= TAIL_REL_TOL * partial or t == 0.0:
-                return TailSum(partial, remainder, exact=False)
-        x += 1
-        if x - start >= TAIL_MAX_TERMS:
-            return TailSum(math.fsum(terms), remainder, exact=False)
+    terms = np.empty(0)
+    size = TAIL_BLOCK
+    with np.errstate(all="ignore"):
+        while terms.size < TAIL_MAX_TERMS:
+            lo = terms.size
+            size = min(size, TAIL_MAX_TERMS - lo)
+            block = _terms(term_fn, start + lo, size)
+            terms = np.concatenate((terms, block)) if lo else block
+            remainder = block * ratio_bound / (1.0 - ratio_bound)
+            scale = TAIL_REL_TOL * terms.cumsum()[lo:]
+            ok = block >= 0.0                   # False at NaN or negative
+            good = size if ok.all() else int(ok.argmin())
+            # a zero term has remainder 0, so it passes the first test
+            candidates = ((remainder[:good] <= 2 * scale[:good])
+                          | (scale[:good] < TINY)).nonzero()[0]
+            for i in candidates.tolist():
+                partial = math.fsum(terms[:lo + i + 1].tolist())
+                if remainder[i] <= TAIL_REL_TOL * partial or block[i] == 0.0:
+                    return TailSum(partial, float(remainder[i]), exact=False)
+            if good < size:
+                raise _bad_term(block, start + lo)
+            size *= 2
+    return TailSum(math.fsum(terms.tolist()), float(remainder[-1]),
+                   exact=False)
 
 
 def bounded_tail(term_fn, start: int, remainder_fn) -> TailSum:
-    """TAIL_DEPTH terms from start, plus a declared remainder bound."""
-    xs = range(start, start + TAIL_DEPTH)
-    partial = math.fsum(float(term_fn(x)) for x in xs)
+    """Sum term_fn over start .. start + TAIL_DEPTH - 1, from one array call,
+    plus the declared bound remainder_fn(start + TAIL_DEPTH) on the rest.
+    The TailSum's upper and lower round outward (see TailSum)."""
+    with np.errstate(all="ignore"):
+        terms = _terms(term_fn, start, TAIL_DEPTH)
+    if not (terms >= 0.0).all():
+        raise _bad_term(terms, start)
     rem = float(remainder_fn(start + TAIL_DEPTH))
-    return TailSum(partial, rem, exact=False)
+    return TailSum(math.fsum(terms.tolist()), rem, exact=False)
 
 
 def prefix_fsums(values) -> list:

@@ -2,30 +2,48 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import iglab
+from iglab import gallery
+from iglab.classify import classify
+from iglab.completeness import hopf_rinow_report
+from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import build_family
-from iglab.series import TailSum, geometric_tail
+from iglab.graphs import RayFamily
+from iglab.series import (TAIL_BLOCK, TAIL_DEPTH, TailSum, bounded_tail,
+                          geometric_tail)
 
 
-def quadratic_geometric_tail(term_fn, start, ratio_bound, rel_tol=1e-13,
-                             max_terms=200000):
+def quadratic_loop(floats, ratio_bound, rel_tol=1e-13):
     """geometric_tail as it was written before: math.fsum over the whole
-    term list after every new term."""
+    term list after every new term. Returns the TailSum and the number of
+    floats summed."""
     terms = []
-    x = start
-    while True:
-        t = float(term_fn(x))
+    for t in floats:
         terms.append(t)
         remainder = t * ratio_bound / (1.0 - ratio_bound)
         partial = math.fsum(terms)
         if remainder <= rel_tol * partial or t == 0.0:
-            return TailSum(partial, remainder, exact=False)
-        x += 1
-        if x - start >= max_terms:
-            return TailSum(partial, remainder, exact=False)
+            break
+    return TailSum(partial, remainder, exact=False), len(terms)
+
+
+def rule_floats(term_fn, start, n):
+    """term_fn's floats over start .. start + n - 1, from one array call."""
+    with np.errstate(all="ignore"):
+        return term_fn(np.arange(start, start + n, dtype=float)).tolist()
+
+
+def quadratic_geometric_tail(term_fn, start, ratio_bound, max_terms=200000):
+    """The quadratic loop over the floats of one array call of term_fn:
+    the helper's array floats, so value, bound and stop index compare bit
+    for bit (scalar and array calls of a rule may differ in the last bit)."""
+    return quadratic_loop(rule_floats(term_fn, start, max_terms),
+                          ratio_bound)[0]
 
 
 @pytest.mark.parametrize("term_fn, ratio", [
@@ -33,7 +51,7 @@ def quadratic_geometric_tail(term_fn, start, ratio_bound, rel_tol=1e-13,
     (lambda x: 0.995 ** x / (1.0 + x), 0.995),
     (lambda x: 0.5 ** x, 0.5),
     (lambda x: 1e-300 * 0.5 ** x, 0.5),      # sums below the normal range
-    (lambda x: 0.5 ** x if x < 7 else 0.0, 0.5),
+    (lambda x: np.where(x < 7, 0.5 ** x, 0.0), 0.5),
 ], ids=["slow", "slow-mixed", "half", "subnormal", "finite"])
 def test_geometric_tail_matches_the_quadratic_loop(term_fn, ratio):
     for start in (0, 50):
@@ -42,22 +60,149 @@ def test_geometric_tail_matches_the_quadratic_loop(term_fn, ratio):
 
 
 def test_ex51_tails_match_the_quadratic_loop():
-    # ex5.1's two series are geometric tails with ratios 2^-1/2 and 1/2
-    for end in build_family("ex5.1").ends():
-        for k in range(0, 60, 3):
-            assert end.sigma_tail(k) == quadratic_geometric_tail(
-                end.sigma_fn, k, 2.0 ** -0.5)
-            assert end.mu_tail(k) == quadratic_geometric_tail(
-                end.mu_fn, k, 0.5)
+    # ex5.1's two series are geometric tails with ratios 2^-1/2 and 1/2;
+    # its two ends hold the same rules
+    minus, plus = build_family("ex5.1").ends()
+    assert (minus.sigma_fn, minus.mu_fn) == (plus.sigma_fn, plus.mu_fn)
+    for k in range(0, 60, 3):
+        sigma = quadratic_geometric_tail(plus.sigma_fn, k, 2.0 ** -0.5)
+        mu = quadratic_geometric_tail(plus.mu_fn, k, 0.5)
+        for end in (minus, plus):
+            assert end.sigma_tail(k) == sigma
+            assert end.mu_tail(k) == mu
+
+
+def _ex52_length_tail(k):
+    (end,) = build_family("ex5.2").ends()
+    return end.sigma_tail(k), rule_floats(end.sigma_fn, k, TAIL_DEPTH)
+
+
+def _ex51_tails(k):
+    (end, _) = build_family("ex5.1").ends()
+    for rule, ts, ratio in ((end.sigma_fn, end.sigma_tail(k), 2.0 ** -0.5),
+                            (end.mu_fn, end.mu_tail(k), 0.5)):
+        floats = rule_floats(rule, k, 200000)
+        yield ts, floats[:quadratic_loop(floats, ratio)[1]]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 17, 100])
+def test_tail_bounds_enclose_the_exact_sum_of_the_floats(k):
+    # S is the exact sum of the floats the helper summed: the true tail of
+    # those floats lies in [S, S + bound], and lower/upper enclose it
+    tails = [_ex52_length_tail(k), *_ex51_tails(k)]
+    for ts, floats in tails:
+        exact = sum(map(Fraction, floats))
+        assert not ts.exact
+        assert ts.value == math.fsum(floats)
+        assert Fraction(ts.lower) <= max(exact - Fraction(ts.bound), 0)
+        assert exact + Fraction(ts.bound) <= Fraction(ts.upper)
+
+
+def test_only_summed_tails_round_outward():
+    assert TailSum(2.0, 0.5).upper == 2.5
+    assert TailSum(2.0, 0.5).lower == 1.5
+    assert TailSum(1.0, 2.0).lower == 0.0
+    assert TailSum(math.inf).upper == math.inf
+    ts = TailSum(1.0, 0.25, exact=False)
+    assert ts.upper == 1.25 + 2 * math.ulp(1.25)
+    assert ts.lower == 0.75 - 2 * math.ulp(0.75)
+    assert TailSum(1e-20, 1.0, exact=False).lower == 0.0
+
+
+def _nan_at(i):
+    return lambda x: np.where(x == i, math.nan, 0.5 ** x)
+
+
+def _negative_at(i):
+    return lambda x: np.where(x == i, -1.0, 0.5 ** x)
+
+
+def _scalar(x):
+    return 0.5
+
+
+@pytest.mark.parametrize("rule, match", [
+    (_nan_at(3), "gave nan at index 3"),
+    (_negative_at(3), "gave -1.0 at index 3"),
+    (_scalar, "one float per index"),
+], ids=["nan", "negative", "not-vectorized"])
+def test_a_bad_term_is_a_family_error(rule, match):
+    # ValueError (existing callers' check) and InputError (the gallery
+    # records it as the run's error)
+    with pytest.raises(FamilyDefinitionError, match=match):
+        geometric_tail(rule, 0, 0.5)
+    with pytest.raises(FamilyDefinitionError, match=match):
+        bounded_tail(rule, 0, lambda d: 0.0)
+    assert issubclass(FamilyDefinitionError, InputError)
+
+
+def test_geometric_tail_reads_no_term_past_its_stop():
+    # 0.5^x stops near x = 45, inside the first block; its NaN at 100 is
+    # evaluated but not summed, while bounded_tail sums every term
+    ts = geometric_tail(_nan_at(100), 0, 0.5)
+    assert ts == quadratic_geometric_tail(lambda x: 0.5 ** x, 0, 0.5)
+    with pytest.raises(FamilyDefinitionError, match="at index 100"):
+        bounded_tail(_nan_at(100), 0, lambda d: 0.0)
+
+
+def test_a_nan_length_is_not_an_infinite_one():
+    fam = RayFamily(
+        "nanlength", w_fn=gallery._ones, mu_fn=gallery._ones,
+        sigma_fn=_nan_at(7),
+        sigma_tail_fn=lambda k: bounded_tail(_nan_at(7), k, lambda d: 0.0),
+        mu_tail_fn=lambda k: math.inf)
+    with pytest.raises(FamilyDefinitionError, match="at index 7"):
+        hopf_rinow_report(fam)
+
+
+def _recording(helper, calls):
+    """helper, with the index arrays each call passes to its term rule,
+    then its result, appended to calls[(helper name, rule, start, args)]."""
+    def wrapped(term_fn, start, *args):
+        seen = calls.setdefault((helper.__name__, term_fn, start, args), [])
+
+        def rule(x):
+            seen.append(np.array(x))
+            return term_fn(x)
+        ts = helper(rule, start, *args)
+        seen.append(ts)
+        return ts
+    return wrapped
+
+
+def test_tail_rules_are_called_once_per_array_block(monkeypatch):
+    calls = {}
+    for helper in (bounded_tail, geometric_tail):
+        monkeypatch.setattr(gallery, helper.__name__,
+                            _recording(helper, calls))
+    for name in ("ex5.1", "ex5.2", "ex5.3"):
+        classify(build_family(name), budget="standard")
+    assert {name for name, *_ in calls} == {"bounded_tail", "geometric_tail"}
+    for (name, rule, start, args), seen in calls.items():
+        *blocks, ts = seen
+        lo = start
+        for i, xs in enumerate(blocks):
+            size = TAIL_DEPTH if name == "bounded_tail" else TAIL_BLOCK << i
+            assert xs.tolist() == list(range(lo, lo + size))
+            lo += size
+        if name == "bounded_tail":
+            assert len(blocks) == 1
+            continue
+        # the last block holds the stop index, and no earlier one does
+        floats = [t for xs in blocks for t in rule(xs).tolist()]
+        got, n = quadratic_loop(floats, *args)
+        assert got == ts
+        assert lo - len(blocks[-1]) < start + n <= lo
 
 
 SLOW_RATIO = """
 import math
+import numpy as np
 from iglab.series import geometric_tail
 ts = geometric_tail(lambda x: 0.9999 ** x, 0, 0.9999)
-t = 0.9999 ** 199999
-assert ts.value == math.fsum(0.9999 ** x for x in range(200000))
-assert ts.bound == t * 0.9999 / (1.0 - 0.9999)
+floats = (0.9999 ** np.arange(200000.0)).tolist()
+assert ts.value == math.fsum(floats)
+assert ts.bound == floats[-1] * 0.9999 / (1.0 - 0.9999)
 """
 
 
