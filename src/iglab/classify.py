@@ -162,7 +162,8 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
 
     Returns {end_label: LambdaSolution}. For a line family each half is
     solved independently as a one-sided ray from its own mu(0) (split
-    construction); the results are diagnostic per half. Each solution
+    construction), once per distinct End (LinearFamily.per_end); the
+    results are diagnostic per half. Each solution
     keeps the vertices before its rules or its recursion leave float
     range (_ray_lambda_solve), so its window may be below `window`.
     """
@@ -173,8 +174,10 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
     if not fam.ends():
         raise InputError(
             f"{fam.describe()}: lambda recursion needs a ray or line")
-    return {end.label: _ray_lambda_solve(c.w[:window - 1], c.mu, lam)
-            for end, c in zip(fam.ends(), fam.chain(window - 1))}
+    chains = dict(zip(fam.ends(), fam.chain(window - 1)))
+    sols = fam.per_end(lambda end: _ray_lambda_solve(
+        chains[end].w[:window - 1], chains[end].mu, lam))
+    return {end.label: sol for end, sol in zip(fam.ends(), sols)}
 
 
 # -- harmonic witness --------------------------------------------------------

@@ -465,7 +465,9 @@ class End:
     runs once per index k for the life of the End, and a rule that raises
     is not remembered. A copy made with dataclasses.replace starts empty;
     a line's two ends share one memo, which is keyed by (rule, k), so ends
-    that hold the same rule evaluate it once per index between them.
+    that hold the same rule evaluate it once per index between them. Any
+    other sharing between ends is decided by the family, not by the rules
+    (LinearFamily.per_end).
     """
 
     w_fn: Callable
@@ -568,7 +570,8 @@ class LinearFamily(GraphFamily):
     of the first; the root takes its measure from the last end. A
     realization of depth d holds vertices 0..d of every end, and each
     end's outermost vertex leaks the weight of edge d, the first one cut.
-    The ends of a line share one tail memo (see End).
+    The ends of a line share one tail memo (see End), and per_end runs a
+    per-end computation once per distinct End the family was built from.
     The rules' float range (max_window) is the only depth bound a ray or
     line has of its own. WINDOW_CAP 2^20 is a memory guard above it:
     realizing the largest window and its canonical lengths stays under
@@ -583,6 +586,7 @@ class LinearFamily(GraphFamily):
 
     smallest_window = 1
     WINDOW_CAP = 1 << 20
+    _mirrored = False                    # a line built from one End twice
 
     def __init__(self, name, ends, params=None):
         super().__init__(name, params, self.WINDOW_CAP)
@@ -592,6 +596,16 @@ class LinearFamily(GraphFamily):
 
     def ends(self):
         return self._ends
+
+    def per_end(self, fn) -> list:
+        """[fn(end) for end in ends()], with fn run once per distinct End
+        the family was built from: a mirrored line runs it on its minus end
+        and gives that one result to both. Its ends hold the same rules and
+        its realizations are symmetric about the root, so fn(plus) would
+        give the same floats; fn must not read the end's label."""
+        if self._mirrored:
+            return [fn(self._ends[0])] * 2
+        return [fn(end) for end in self._ends]
 
     def _depth(self, window: int) -> int:
         return int(window) + 1 - self.smallest_window
@@ -724,13 +738,16 @@ class LineFamily(LinearFamily):
     and minus.w_fn(k) = w(-k-1, -k) for k >= 0, minus.mu_fn(k) = mu(-k)
     for k >= 1; mu(0) comes from plus.mu_fn. The family holds copies
     labeled 'minus' and 'plus', with one tail memo between them. Window N
-    realizes depth N: the window [-N, N] with id(x) = x + N.
+    realizes depth N: the window [-N, N] with id(x) = x + N. A line built
+    from one End twice (minus is plus) is mirrored: per_end runs each
+    per-end computation on the minus end and gives its result to both.
     """
 
     def __init__(self, name, minus: End, plus: End, params=None):
         ends = (replace(minus, label="minus"), replace(plus, label="plus"))
         ends[1]._tails = ends[0]._tails
         super().__init__(name, ends, params)
+        self._mirrored = minus is plus
 
     def root_id(self, window: int) -> int:
         return int(window)

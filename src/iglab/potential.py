@@ -45,9 +45,11 @@ has one, else a blocked partial sum over the rule. The dyadic ramp grid
 stops at the first bound that is 0 (tails are nested, so Cap(tail_N)
 cannot grow again) or inf (the rules left float range). Smallness claims
 (polar) run on certified upper bounds, positivity claims on the plateau
-of the ladder values. Ends with the same rules (a line built from one End
-twice) share their ramp bounds and sweeps. All but the ramp grid read
-the rules from the family's chain (LinearFamily.chain).
+of the ladder values. Each end's sweep, ramp grid and regime come from
+one function of that end (_end_capacity), run once per distinct End
+(LinearFamily.per_end), so a line built from one End twice does that work
+once. All but the ramp grid read the rules from the family's chain
+(LinearFamily.chain).
 """
 
 from __future__ import annotations
@@ -170,9 +172,8 @@ class CapacityEntry:
 
     @property
     def certified_upper(self) -> float:
-        vals = [v for v in (self.bracket_upper, self.ramp_upper)
-                if v is not None]
-        return min(vals) if vals else math.inf
+        return min((v for v in (self.bracket_upper, self.ramp_upper)
+                    if v is not None), default=math.inf)
 
 
 def _json_number(v: float | None) -> float | None:
@@ -256,13 +257,10 @@ def _ramp_upper(end, N: int) -> float:
     inc = 1.0 / (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
         en = _w_sum(end, a, b) * inc * inc
-    try:
-        bound = end.mu_tail(a + 1).upper
-        if en + bound == en:
-            return math.sqrt(en) if math.isfinite(en) else math.inf
-        tail = end.mu_tail(b).upper
-    except InputError:
-        return math.inf
+    bound = end.mu_tail(a + 1).upper
+    if en + bound == en:
+        return math.sqrt(en) if math.isfinite(en) else math.inf
+    tail = end.mu_tail(b).upper
     ks = np.arange(a + 1, b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         prof = (ks - a) * inc
@@ -292,6 +290,95 @@ def _end_ladder(fam, end, depth: int, grounded: bool = False) -> list:
     return conds[-depth:]
 
 
+def _end_capacity(fam, end, maxwin: int, solver_tail_max: int,
+                  analytic_tail_max: int) -> tuple:
+    """One end's (regime, entries, cummin_upper, diagnostics) for
+    boundary_capacity, whose docstring gives the rules; maxwin is its
+    float-range probe."""
+    if end.mu_is_infinite():
+        return "infinite", [], [], {
+            "basis": "infinite measure: constants are not integrable, "
+                     "every tail has infinite capacity"}
+    ends = fam.ends()
+    entries = []
+    tails = [1 << p for p in
+             range(2, min(solver_tail_max, maxwin // 4).bit_length())]
+    if tails:
+        # one sweep: exact on a ray, and on a line bracketed through the
+        # other end (module docstring)
+        other = [e for e in ends if e is not end]
+        depth = fam._depth(maxwin) if other else tails[-1]
+        conds = uppers = _end_ladder(fam, end, depth)
+        beyond = 0.0
+        if other and other[0].mu_is_infinite():
+            uppers = _end_ladder(fam, end, depth, True)
+        elif other:
+            beyond = other[0].mu_tail(depth + 1).upper
+    for n in tails:
+        tail = end.mu_tail(n)
+        cap_sq = conds[n - 1] + tail.value
+        upper_sq = uppers[n - 1] + tail.upper + beyond
+        entries.append(CapacityEntry(n, math.sqrt(cap_sq), cap_sq,
+                                     math.sqrt(upper_sq), _ramp_upper(end, n)))
+    diag = {}
+    n_tail = 4 << len(tails)
+    while n_tail <= analytic_tail_max:
+        ramp = _ramp_upper(end, n_tail)
+        entries.append(CapacityEntry(n_tail, ramp_upper=ramp))
+        if ramp in (0.0, math.inf):
+            why = ("is 0, and Cap(tail_N) does not increase with N"
+                   if ramp == 0.0 else
+                   "is inf, the rules overflow float range")
+            diag["analytic_stopped"] = (f"analytic grid stopped at tail "
+                                        f"{n_tail}: ramp bound {why}")
+            break
+        n_tail *= 2
+
+    cummin = list(np.minimum.accumulate([e.certified_upper for e in entries]))
+    lower = None
+    if end.res_upper is not None and math.isfinite(end.res_upper):
+        # Cap(tail_N) >= (1/mu(1) + sum_{k>=1} 1/w(k))^(-1/2) for every
+        # N >= 1: for admissible u, 1 <= u(N) <= |u(1)| + sum |du| and
+        # Cauchy-Schwarz against the norm. Uniform in N, so it bounds
+        # the boundary capacity from below.
+        mu1 = float(fam.chain(1)[ends.index(end)].mu[1])
+        lower = (1.0 / mu1 + end.res_upper) ** -0.5
+        diag["resistance_lower"] = lower
+    regime = "inconclusive" if lower is None else "positive-finite"
+    if cummin:
+        finite = [(n, v) for n, v in zip((e.tail_start for e in entries),
+                                         cummin) if math.isfinite(v)]
+        fired = [n for n, v in finite if v < POLAR_THRESHOLD]
+        slope = loglog_slope([n for n, _ in finite[-4:]],
+                             [v for _, v in finite[-4:]])
+        zero_hit = any(v == 0.0 for _, v in finite)
+        diag["upper_below_threshold_at"] = fired[0] if fired else None
+        diag["upper_loglog_slope"] = slope
+        caps = [e.solver_cap for e in entries if e.solver_cap is not None]
+        if caps:
+            tailvals = caps[last_quartile(len(caps))]
+            rel = max(abs(b - a) / max(abs(b), 1e-300)
+                      for a, b in zip(tailvals, tailvals[1:])) \
+                if len(tailvals) > 1 else math.inf
+            diag["solver_last_quartile_change"] = rel
+            diag["solver_last"] = caps[-1]
+        zero_evidence = bool(fired) and (
+            zero_hit or (not math.isnan(slope) and slope < POLAR_SLOPE))
+        if lower is not None:
+            # with no finite upper bound the resistance bound stands alone
+            if zero_evidence or min((v for _, v in finite), default=math.inf) \
+                    < lower * (1 - 1e-9):
+                raise NumericalError(
+                    f"end {end.label}: certified upper bounds fall below "
+                    f"the certified resistance lower bound {lower:.3e}")
+        elif zero_evidence:
+            regime = "zero"
+        elif caps and diag.get("solver_last_quartile_change", math.inf) \
+                < PLATEAU_CHANGE and caps[-1] > POSITIVE_FLOOR:
+            regime = "positive-finite"
+    return regime, entries, cummin, diag
+
+
 def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                       analytic_tail_max: int = 1 << 22) -> CapacityReport:
     """Tail-capacity sequences for every end, with regime verdicts.
@@ -306,7 +393,8 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     Analytic ramp bounds extend the tail grid beyond any window; the ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
-    diagnostics["analytic_stopped"] names the tail and the reason.
+    diagnostics["analytic_stopped"] names the tail and the reason. Each
+    end is computed once per distinct End (LinearFamily.per_end).
     Regime rules:
 
       infinite:        the end has infinite measure (no sweep needed)
@@ -327,118 +415,9 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     # one float-range probe serves every end of finite measure
     maxwin = (fam.max_window(OUTER_PER_TAIL * solver_tail_max)
               if any(not end.mu_is_infinite() for end in ends) else None)
-    memo = {}
-
-    def once(key, fn, *args):
-        # once per call, keyed by an end's rules, so the two copies of one
-        # End on a line share each ramp bound and their sweep (a sweep
-        # reads both ends' rules, the same ones in that case)
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
-
-    def ramp_upper(end, n):
-        return once((end.w_fn, end.w_sum_fn, end.mu_fn, end.mu_tail_fn, n),
-                    _ramp_upper, end, n)
-
-    sequences = []
-    for end in ends:
-        if end.mu_is_infinite():
-            sequences.append(CapacitySequence(
-                end.label, "infinite",
-                diagnostics={"basis": "infinite measure: constants are not "
-                                      "integrable, every tail has infinite "
-                                      "capacity"}))
-            continue
-        entries = []
-        tails = [1 << p for p in
-                 range(2, min(solver_tail_max, maxwin // 4).bit_length())]
-        if tails:
-            # one sweep per end: exact on a ray, and on a line bracketed
-            # through the other end (module docstring)
-            other = [e for e in ends if e is not end]
-            depth = fam._depth(maxwin) if other else tails[-1]
-            conds = uppers = once((end.w_fn, end.mu_fn), _end_ladder,
-                                  fam, end, depth)
-            beyond = 0.0
-            if other and other[0].mu_is_infinite():
-                uppers = once((end.w_fn, end.mu_fn, True), _end_ladder,
-                              fam, end, depth, True)
-            elif other:
-                beyond = other[0].mu_tail(depth + 1).upper
-        for n in tails:
-            tail = end.mu_tail(n)
-            cap_sq = conds[n - 1] + tail.value
-            upper_sq = uppers[n - 1] + tail.upper + beyond
-            entries.append(CapacityEntry(
-                n, math.sqrt(cap_sq), cap_sq, math.sqrt(upper_sq),
-                ramp_upper(end, n)))
-        n_tail = 4 << len(tails)
-        analytic_note = None
-        while n_tail <= analytic_tail_max:
-            ramp = ramp_upper(end, n_tail)
-            entries.append(CapacityEntry(n_tail, ramp_upper=ramp))
-            if ramp in (0.0, math.inf):
-                why = ("is 0, and Cap(tail_N) does not increase with N"
-                       if ramp == 0.0 else
-                       "is inf, the rules overflow float range")
-                analytic_note = (f"analytic grid stopped at tail {n_tail}: "
-                                 f"ramp bound {why}")
-                break
-            n_tail *= 2
-
-        uppers = [e.certified_upper for e in entries]
-        cummin = list(np.minimum.accumulate(uppers)) if uppers else []
-        diag = {}
-        if analytic_note:
-            diag["analytic_stopped"] = analytic_note
-        lower = None
-        if end.res_upper is not None and math.isfinite(end.res_upper):
-            # Cap(tail_N) >= (1/mu(1) + sum_{k>=1} 1/w(k))^(-1/2) for every
-            # N >= 1: for admissible u, 1 <= u(N) <= |u(1)| + sum |du| and
-            # Cauchy-Schwarz against the norm. Uniform in N, so it bounds
-            # the boundary capacity from below.
-            mu1 = float(fam.chain(1)[ends.index(end)].mu[1])
-            lower = (1.0 / mu1 + end.res_upper) ** -0.5
-            diag["resistance_lower"] = lower
-        zero_evidence = False
-        regime = "inconclusive"
-        if cummin:
-            finite = [(n, v) for n, v in zip((e.tail_start for e in entries),
-                                             cummin) if math.isfinite(v)]
-            fired = [n for n, v in finite if v < POLAR_THRESHOLD]
-            slope = loglog_slope([n for n, _ in finite[-4:]],
-                                 [v for _, v in finite[-4:]])
-            zero_hit = any(v == 0.0 for _, v in finite)
-            diag["upper_below_threshold_at"] = fired[0] if fired else None
-            diag["upper_loglog_slope"] = slope
-            caps = [e.solver_cap for e in entries if e.solver_cap is not None]
-            if caps:
-                q = last_quartile(len(caps))
-                tailvals = caps[q]
-                rel = max(abs(b - a) / max(abs(b), 1e-300)
-                          for a, b in zip(tailvals, tailvals[1:])) \
-                    if len(tailvals) > 1 else math.inf
-                diag["solver_last_quartile_change"] = rel
-                diag["solver_last"] = caps[-1]
-            zero_evidence = bool(fired) and (
-                zero_hit or (not math.isnan(slope) and slope < POLAR_SLOPE))
-            if lower is not None:
-                if zero_evidence or min(v for _, v in finite) \
-                        < lower * (1 - 1e-9):
-                    raise NumericalError(
-                        f"end {end.label}: certified upper bounds fall below "
-                        f"the certified resistance lower bound {lower:.3e}")
-                regime = "positive-finite"
-            elif zero_evidence:
-                regime = "zero"
-            elif caps and diag.get("solver_last_quartile_change", math.inf) \
-                    < PLATEAU_CHANGE and caps[-1] > POSITIVE_FLOOR:
-                regime = "positive-finite"
-        elif lower is not None:
-            regime = "positive-finite"
-        sequences.append(CapacitySequence(end.label, regime, entries,
-                                          cummin, diag))
+    sequences = [CapacitySequence(end.label, *seq) for end, seq in zip(
+        ends, fam.per_end(lambda end: _end_capacity(
+            fam, end, maxwin, solver_tail_max, analytic_tail_max)))]
 
     regimes = {s.regime for s in sequences}
     if "positive-finite" in regimes:

@@ -9,6 +9,7 @@ from iglab import completeness
 from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
+from iglab import potential
 from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
 from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
@@ -282,6 +283,45 @@ def test_ball_scans_stop_before_lengths_underflow(name, params):
 
 
 # -- combined classification --------------------------------------------------------
+
+@pytest.mark.parametrize("name, ladders, ramps, solves", [
+    ("ex5.1", 1, 21, 1), ("ex5.3", 2, 9, 2)])
+def test_classify_does_per_end_work_once_per_distinct_end(
+        name, ladders, ramps, solves, monkeypatch):
+    # ex5.1's two ends are one End, each wrapped on its own here as a
+    # tracer wraps them; ex5.3's ends differ: its minus end has infinite
+    # measure (no ladder, no ramp), so its plus end sweeps twice, open and
+    # grounded, and its ramp grid stops at 1024, where w overflows
+    calls = []
+    for module, fn in ((potential, "_end_ladder"), (potential, "_ramp_upper"),
+                       (classify_module, "_ray_lambda_solve")):
+        monkeypatch.setattr(module, fn, lambda *args, orig=getattr(
+            module, fn), fn=fn: calls.append(fn) or orig(*args))
+    fam = build_family(name)
+    for end in fam.ends():
+        end.w_fn, end.mu_fn = (lambda x, f=end.w_fn: f(x),
+                               lambda x, f=end.mu_fn: f(x))
+    classify(fam, budget="standard")
+    assert [calls.count(fn) for fn in ("_end_ladder", "_ramp_upper",
+                                       "_ray_lambda_solve")] == \
+        [ladders, ramps, solves]
+
+
+def test_a_resistance_bound_decides_an_end_with_no_finite_upper_bound():
+    # w leaves float range at index 2, so no tail gets a ladder value and
+    # the first ramp bound is inf; the declared tail resistance still makes
+    # the end positive-finite, as the regime rules say
+    mu = lambda x: 2.0 ** -np.asarray(x, dtype=float)
+    fam = RayFamily("huge-w", lambda x: 1e300 ** np.asarray(x, dtype=float),
+                    mu, sigma_fn=mu, sigma_tail_fn=lambda k: 2.0 ** (1 - k),
+                    mu_tail_fn=lambda k: 2.0 ** (1 - k), res_upper=1e-300)
+    assert fam.max_window(1 << 20) == 2
+    rep = classify(fam, budget="standard")
+    (seq,) = rep.capacity.per_end
+    assert [e.certified_upper for e in seq.entries] == [math.inf]
+    assert seq.regime == "positive-finite"
+    assert rep.markov_unique.value == "no"
+
 
 @pytest.fixture(scope="module")
 def reports():

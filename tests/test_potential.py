@@ -12,18 +12,19 @@ import pytest
 
 import iglab
 from iglab.classify import resolve_budget
-from iglab.errors import InputError
+from iglab.errors import FamilyDefinitionError, InputError
 from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
 from iglab.gallery import run_gallery
 import iglab.gallery as gallery
-from iglab.graphs import LineFamily, WeightedGraph
+from iglab.graphs import LineFamily, RayFamily, WeightedGraph
 from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, _end_ladder,
                              _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
                              codim_polarity_test, equilibrium,
                              minkowski_samples)
+from iglab.series import geometric_tail
 
 from conftest import lstsq_capacity, make_random_graph
 
@@ -421,11 +422,9 @@ class WCounter:
             self.in_ramp = False
 
     def wrap(self, fam):
-        """fam with each end's w rule counted; one wrapper per rule, so
-        the two ends of a line still share their ramp bounds."""
-        wrapped = {}
+        """fam with each end's w rule counted, one wrapper per end."""
         for end in fam.ends():
-            end.w_fn = wrapped.setdefault(end.w_fn, self.counted(end.w_fn))
+            end.w_fn = self.counted(end.w_fn)
         return fam
 
     def counted(self, fn):
@@ -871,6 +870,39 @@ def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
     for seq in cap_reports["ex5.1"].per_end:
         assert seq.entries[-1].tail_start == STANDARD["analytic_tail_max"]
         assert "analytic_stopped" not in seq.diagnostics
+
+
+def ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def nan_from_3000(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 3000, 2.0 ** -x, np.nan)
+
+
+def ray_with_nan_measure_terms():
+    # mu underflows to 0 at 1075 and is NaN from 3000, so the measure tail
+    # raises once the ramp grid reads mu_tail(4097), at tail 8192
+    return RayFamily("nan-mu", ones, nan_from_3000, mu_tail_fn=lambda k:
+                     geometric_tail(nan_from_3000, k, 0.5))
+
+
+def ray_without_a_measure_tail():
+    return RayFamily("no-mu-tail", ones, lambda x: 2.0 ** -np.asarray(x))
+
+
+@pytest.mark.parametrize("tails", [2, 3, 4, 8, 128, 256])
+@pytest.mark.parametrize("make, error, message", [
+    (ray_with_nan_measure_terms, FamilyDefinitionError, "nan at index 4097"),
+    (ray_without_a_measure_tail, InputError, "no tail data for the measure"),
+])
+def test_a_bad_measure_tail_raises_at_every_solver_tail(make, error, message,
+                                                        tails):
+    # a measure tail that cannot be certified is an error of the family,
+    # not an inf ramp bound with a note that the rules overflow float range
+    with pytest.raises(error, match=message):
+        boundary_capacity(make(), tails, STANDARD["analytic_tail_max"])
 
 
 def test_thresholds_recorded(cap_reports):
