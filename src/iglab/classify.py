@@ -25,12 +25,13 @@ The diagnostics assembled here:
     balls across windows; completeness plus a uniform bound per ball is
     the hypothesis of the self-adjointness theorem for intrinsic metrics.
 
-classify() runs one ball scan (completeness._ball_scan) at the budget's
-hopf_n_max and reads both the Hopf-Rinow table and the deg-ball table
-from it: the deg-ball radii are the even scan radii. It combines these
-with the capacity regimes and checks the consistency rules (ESA implies
-Markov unique; polar boundary of finite capacity implies Markov unique;
-a tail capacity in (0, inf) refutes it).
+On a locally finite family classify() runs one ball scan
+(completeness._ball_scan) at the budget's hopf_n_max and reads the
+Hopf-Rinow and deg-ball tables from it: the deg-ball radii are the even
+scan radii. No verdict reads a scan of any other family, so it runs
+none. It combines these with the capacity regimes and checks the
+consistency rules (ESA implies Markov unique; polar boundary of finite
+capacity implies Markov unique; a tail capacity in (0, inf) refutes it).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completeness import BallScan, _ball_scan, _hopf_rinow
+from .completeness import INAPPLICABLE, BallScan, _ball_scan, _hopf_rinow
 from .errors import InputError, NumericalError
 from .graphs import GraphFamily, _valid
 from .potential import (CapacityReport, boundary_alternative_evidence,
@@ -337,9 +338,11 @@ def classify(fam: GraphFamily, sigma="canonical",
     uniqueness verdicts, and check their mutual consistency."""
     bud = resolve_budget(budget)
     notes = []
-    scan = _ball_scan(fam, sigma, bud.hopf_n_max)
-    completeness = _hopf_rinow(fam, sigma, scan).verdict
-    deg_ball = _deg_ball(scan)
+    completeness, deg_ball = INAPPLICABLE, None
+    if fam.locally_finite:
+        scan = _ball_scan(fam, sigma, bud.hopf_n_max)
+        completeness = _hopf_rinow(fam, sigma, scan).verdict
+        deg_ball = _deg_ball(scan)
 
     capacity = alt = witness = codim = None
     polarity = "inconclusive"
@@ -367,8 +370,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     esa = Verdict("inconclusive", "no applicable theorem or witness")
     if witness is not None and witness.passed:
         esa = Verdict("no", witness.basis)
-    elif (completeness == "complete-evidence" and fam.locally_finite
-          and deg_ball.bounded_per_ball):
+    elif completeness == "complete-evidence" and deg_ball.bounded_per_ball:
         esa = Verdict("yes",
                       "complete with degree bounded on ball neighborhoods; "
                       "compactly supported functions are a core")
@@ -387,7 +389,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     positive_end = capacity is not None and any(
         s.regime == "positive-finite" for s in capacity.per_end)
     dqmax_sol = any(s.in_max_form_domain for s in lam_sols.values())
-    if completeness == "complete-evidence" and fam.locally_finite:
+    if completeness == "complete-evidence":
         mu_v = Verdict("yes", "metrically complete and locally finite")
     elif positive_end:
         mu_v = Verdict("no", "boundary alternative: a tail capacity lies "

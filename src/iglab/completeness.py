@@ -44,6 +44,8 @@ from .graphs import End, GraphFamily, LinearFamily, WeightedGraph, vertex_id
 from .metrics import (REL_TOL, EdgeLengths, PathMetric, close,
                       natural_scaled, sigma0, sigma1)
 
+INAPPLICABLE = "inapplicable (not locally finite)"   # no dichotomy applies
+
 
 def lengths_for(g: WeightedGraph, choice, family: GraphFamily | None = None
                 ) -> EdgeLengths:
@@ -289,7 +291,7 @@ def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
         notes.append("end lengths are certified only for canonical sigma, "
                      f"not {sigma}")
     if not fam.locally_finite:
-        verdict = "inapplicable (not locally finite)"
+        verdict = INAPPLICABLE
         notes.append("completeness dichotomy needs local finiteness; "
                      "ball sizes reported for the truncation sequence only")
     elif n_finite:

@@ -395,7 +395,7 @@ class GraphFamily:
     canonical_lengths() and, given linear ends, ends(). truncate() goes
     through _window(), the one way from a window to a graph: a window
     outside [smallest_window, window_cap] raises InputError before any
-    rule runs, and any other is built once and kept for the family's life.
+    rule runs, and any other is built on each call: no window is kept.
     window_cap is a memory guard; a ray's or line's max_window lowers it
     to the rules' float range.
     """
@@ -408,14 +408,9 @@ class GraphFamily:
         self.name = name
         self.params = dict(params or {})
         self.window_cap = window_cap
-        self._windows = {}               # window -> its realization
 
     def _window(self, window: int) -> WeightedGraph:
-        window = self._checked(window)
-        g = self._windows.get(window)
-        if g is None:
-            g = self._windows[window] = self._build(window)
-        return g
+        return self._build(self._checked(window))
 
     def _checked(self, window: int) -> int:
         window = int(window)

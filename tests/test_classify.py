@@ -13,7 +13,7 @@ from iglab import potential
 from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
 from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
-from iglab.graphs import End, LineFamily, RayFamily
+from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
 
 # the package re-exports the classify function under the module's name
 classify_module = importlib.import_module("iglab.classify")
@@ -228,11 +228,16 @@ def test_deg_ball_star_grows():
     assert not rep.stable[max(rep.radii)]
 
 
-@pytest.mark.parametrize("label", [run[0] for run in GOLDEN_RUNS])
+LOCALLY_FINITE = [label for label, name, params, _ in GOLDEN_RUNS
+                  if build_family(name, params).locally_finite]
+
+
+@pytest.mark.parametrize("label", LOCALLY_FINITE)
 def test_deg_ball_and_hopf_share_the_ball_scan(label, monkeypatch):
-    # classify runs one ball scan, at hopf_n_max, and reads from it the
-    # same Hopf-Rinow and deg-ball tables that each report builds alone,
-    # at the quick and the standard budget
+    # on a locally finite family classify runs one ball scan, at
+    # hopf_n_max, and reads from it the same Hopf-Rinow and deg-ball
+    # tables that each report builds alone, at the quick and the standard
+    # budget
     _, name, params, _ = next(run for run in GOLDEN_RUNS if run[0] == label)
     scans, hopfs = [], []
 
@@ -264,6 +269,37 @@ def test_deg_ball_and_hopf_share_the_ball_scan(label, monkeypatch):
         hopf, deg = hopfs[0], rep.deg_ball
         assert deg.radii == [hopf.radii[-1] * j / 4 for j in range(1, 5)]
         assert all(deg.ball_sizes[r] == hopf.ball_sizes[r] for r in deg.radii)
+
+
+@pytest.mark.parametrize("label", ["a5.1", "a5.3", "a5.4"])
+def test_star_classify_builds_no_graph(label, monkeypatch):
+    # a star is not locally finite, so no verdict reads a ball scan:
+    # classify runs none and realizes no window at any budget, and its
+    # completeness is the verdict the Hopf-Rinow report, which still
+    # scans, gives
+    assert label not in LOCALLY_FINITE
+    calls = []
+
+    def counted_scan(*args):
+        calls.append("_ball_scan")
+        return _ball_scan(*args)
+
+    build = GraphFamily._window
+
+    def counted_window(self, window):
+        calls.append("_window")
+        return build(self, window)
+
+    for mod in (classify_module, completeness):
+        monkeypatch.setattr(mod, "_ball_scan", counted_scan)
+    monkeypatch.setattr(GraphFamily, "_window", counted_window)
+    for budget in ("quick", "standard", "deep"):
+        fam = build_family(label)
+        calls.clear()
+        rep = classify(fam, budget=budget)
+        assert calls == [] and rep.deg_ball is None
+        assert rep.completeness == hopf_rinow_report(fam).verdict
+        assert calls.count("_ball_scan") == 1
 
 
 def _canonical(d):

@@ -29,6 +29,37 @@ def test_version_subprocess():
     assert proc.stdout.strip() == "iglab 0.1.0"
 
 
+TOP_LEVEL_MODULES = """
+import sys
+{}
+print(" ".join(sorted({{name.split(".")[0] for name in sys.modules}})))
+"""
+
+
+def _top_level_modules(imports):
+    """The top-level names in sys.modules after `imports` in a fresh
+    interpreter that finds iglab where this process did."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           TOP_LEVEL_MODULES.format(imports)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_third_party_package_beyond_numpy_and_scipy():
+    # a cold start is the import of numpy and scipy.sparse; any other
+    # third-party package iglab.cli pulled in would add to it
+    base = _top_level_modules(
+        "import numpy, scipy.sparse.csgraph, scipy.sparse.linalg")
+    got = _top_level_modules("import iglab.cli")
+    stdlib = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
+    assert {"iglab", "numpy", "scipy"} <= got
+    assert got - base - stdlib == {"iglab"}
+
+
 def test_metric_check_json(capsys):
     code, out, err = run(capsys, "metric", "check", "--family", "ex5.4",
                          "--window", "32")

@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,32 @@ def test_star_truncation_matches_the_loop_builder(name):
         assert g.leak == leak
         assert g.frontier == set(leak)
         assert g.origin == 0
+
+
+STAR_WINDOWS_RSS = """
+import resource
+from iglab.gallery import build_family
+families = [build_family(name) for name in ("a5.1", "a5.3", "a5.4")]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for fam in families:
+    for window in range(2, fam.max_window(10 ** 9) + 1):
+        fam.truncate(window)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KB on Linux")
+def test_a_family_keeps_no_window():
+    # every window 2..max_window of the three stars in one process: the
+    # family holds no graph it built, so the peak grows by one window's
+    # arrays, not by the ~2500 graphs a window memo would keep (>100 MB)
+    src = os.path.dirname(os.path.dirname(gallery.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STAR_WINDOWS_RSS],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024      # KB
 
 
 def test_star_ball_grows_with_window():

@@ -207,8 +207,9 @@ def test_cutoff_errors_keep_their_text(case, monkeypatch):
 
 
 def test_standard_gallery_builds_graphs_only_for_stars(monkeypatch):
-    # every ray and line classifies from its rules; the star families
-    # realize the windows their scans read
+    # every ray and line classifies from its rules, and a star, which is
+    # not locally finite, runs no ball scan: the only windows realized are
+    # the ones the stars' golden claims read, each once
     calls = collections.Counter()
     build = GraphFamily._window
 
@@ -218,5 +219,6 @@ def test_standard_gallery_builds_graphs_only_for_stars(monkeypatch):
 
     monkeypatch.setattr(GraphFamily, "_window", spy)
     assert run_gallery(budget="standard").exit_code == 0
-    assert {name for name, _ in calls} == {"a5.1", "a5.3", "a5.4"}
-    assert sum(calls.values()) == 31
+    claims = {(name, window): 1 for name in ("a5.1", "a5.3", "a5.4")
+              for window in (8, 16, 32)}
+    assert calls == {**claims, ("a5.4", 40): 1}
