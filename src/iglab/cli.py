@@ -17,7 +17,7 @@ is the largest tail N that `cap boundary` takes from the ladder sweep
 then "key value" pairs) or an inline spec "NAME" / "NAME:key=val,key=val".
 
 Exit codes: 0 success, 1 golden mismatch or failed identity, 2 invalid
-input, 3 numerical failure.
+input, 3 numerical failure. Output into a closed pipe is dropped.
 """
 
 from __future__ import annotations
@@ -64,12 +64,18 @@ def _resolve_family(spec: str):
 
 
 def _emit(payload: str, out: str | None):
+    """Write payload to the file out, or with a final newline to stdout. Once
+    the reader has closed stdout's pipe, the rest of the run writes to
+    os.devnull (Python docs, "Note on SIGPIPE"): the exit code stays the
+    command's own."""
     if out:
         _write_atomic(out, payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _json(obj) -> str:
@@ -174,8 +180,7 @@ def _cmd_gallery(args) -> int:
     select = args.select.split(",") if args.select else None
     result = run_gallery(select=select, budget=args.budget,
                          out_dir=args.out)
-    for line in result.summary_lines():
-        print(line)
+    _emit("\n".join(result.summary_lines()), None)
     for label, check in result.failed_checks:
         print(f"MISMATCH {label}: {check.name}: expected {check.expected}, "
               f"observed {check.observed}", file=sys.stderr)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import WeightedGraph, combinatorial_neighborhood, vertex_mask
-from .metrics import PathMetric, _squares
+from .metrics import PathMetric
 
 RESIDUAL_TOL = 1e-9
 
@@ -71,8 +71,8 @@ class VertexFunction:
 # The kernels below evaluate the per-vertex and per-edge formulas as array
 # expressions over the CSR entries, with the same operations in the same
 # order as the scalar formulas, and sum each row with math.fsum (see
-# WeightedGraph.row_fsum). Squares of single values use libm pow, as the
-# scalar formulas do (metrics._squares).
+# WeightedGraph.row_fsum). Squares are np.square, t * t, correctly rounded
+# as IEEE-754 requires; one that overflows is inf, as in the scalar t * t.
 
 def _diff(f: VertexFunction) -> np.ndarray:
     """f(x) - f(y) on every CSR entry (x, y)."""
@@ -83,11 +83,11 @@ def _diff(f: VertexFunction) -> np.ndarray:
 def energy(f: VertexFunction) -> float:
     """Q(f) = 1/2 sum_{x,y} w (f(x)-f(y))^2, accumulated once per edge."""
     g, v = f.graph, f.values
-    return math.fsum((g.edge_w * _squares(v[g.edge_u] - v[g.edge_v])).tolist())
+    return math.fsum((g.edge_w * np.square(v[g.edge_u] - v[g.edge_v])).tolist())
 
 
 def norm_sq(f: VertexFunction) -> float:
-    return math.fsum((_squares(f.values) * f.graph.mu).tolist())
+    return math.fsum((np.square(f.values) * f.graph.mu).tolist())
 
 
 def qnorm(f: VertexFunction) -> float:
@@ -98,7 +98,7 @@ def qnorm(f: VertexFunction) -> float:
 def gradient_sq_all(f: VertexFunction) -> np.ndarray:
     """|grad f|^2(x) = sum_y w(x,y)(f(x)-f(y))^2 for every vertex x."""
     g = f.graph
-    return g.row_fsum(g.w * _squares(_diff(f)))
+    return g.row_fsum(g.w * np.square(_diff(f)))
 
 
 def gradient_pairing_all(f: VertexFunction, g: VertexFunction) -> np.ndarray:
@@ -203,9 +203,9 @@ def leibniz_check(f: VertexFunction, g: VertexFunction,
 def caccioppoli_check(u: VertexFunction, v: VertexFunction) -> IdentityCheck:
     """-sum (Delta u) u v^2 mu <= 1/2 sum u^2 |grad v|^2 (slack >= 0)."""
     g = u.graph
-    lhs = -math.fsum((laplacian_all(u) * u.values * _squares(v.values)
+    lhs = -math.fsum((laplacian_all(u) * u.values * np.square(v.values)
                       * g.mu).tolist())
-    rhs = 0.5 * math.fsum((_squares(u.values) * gradient_sq_all(v)).tolist())
+    rhs = 0.5 * math.fsum((np.square(u.values) * gradient_sq_all(v)).tolist())
     sc = _scale(lhs, rhs)
     slack = rhs - lhs
     return IdentityCheck("caccioppoli", {"lhs": lhs, "rhs": rhs,

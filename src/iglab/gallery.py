@@ -444,7 +444,7 @@ def _ex55_claims(fam, rep, bud):
 
 
 def _codim3_claims(fam, rep, bud):
-    pt = codim_polarity_test(fam, depth=min(30, bud.codim_depth + 14))
+    pt = codim_polarity_test(fam)
     bounds_ok = all(e.within_bound for e in pt.entries)
     return [Check("local slope = 3",
                   rep.codim is not None and

@@ -87,25 +87,22 @@ def sigma0(g: WeightedGraph) -> EdgeLengths:
 
     Strongly intrinsic on every graph: on the edge (x,y) the length is at
     most Deg(x)^-1/2, so the weighted square sum at x is at most mu(x).
+    Deg^-1/2 is 1 / sqrt(Deg), two correctly rounded steps; inf at Deg 0.
     """
-    # Python's float ** (libm pow) per vertex, as in the scalar formula;
-    # numpy's array power may differ from it in the last bit
-    inv = np.array([d ** -0.5 if d else math.inf
-                    for d in g.degrees().tolist()])
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.sqrt(g.degrees())
     s = np.minimum(np.minimum(inv[g.edge_u], inv[g.edge_v]), 1.0)
     return EdgeLengths(g, s, kind="sigma0")
 
 
 def sigma1(g: WeightedGraph) -> EdgeLengths:
     """sigma_1(x,y) = w(x,y)^-1/2 min(mu(x)/deg(x), mu(y)/deg(y))^1/2,
-    deg combinatorial. Strongly intrinsic; adapts to the local edge count."""
+    deg combinatorial. Strongly intrinsic; adapts to the local edge count.
+    Each ^1/2 is a correctly rounded sqrt."""
     count = np.diff(g.indptr)
     m = np.minimum(g.mu[g.edge_u] / count[g.edge_u],
                    g.mu[g.edge_v] / count[g.edge_v])
-    # Python's float ** for the roots, as in sigma0
-    s = (np.array([t ** 0.5 for t in m.tolist()])
-         / np.array([t ** 0.5 for t in g.edge_w.tolist()]))
-    return EdgeLengths(g, s, kind="sigma1")
+    return EdgeLengths(g, np.sqrt(m) / np.sqrt(g.edge_w), kind="sigma1")
 
 
 def natural_scaled(g: WeightedGraph, K: float) -> EdgeLengths:
@@ -225,15 +222,10 @@ class IntrinsicCertificate:
                 "tolerance": self.tolerance, "verdict": self.passed}
 
 
-def _squares(values) -> np.ndarray:
-    """t ** 2 per value in libm pow, which numpy's power can miss by 1 ulp."""
-    return np.array([t ** 2 for t in np.asarray(values).tolist()])
-
-
 def _certificate(g: WeightedGraph, entry_len: np.ndarray,
                  kind: str) -> IntrinsicCertificate:
     """Slack 1 - (1/mu(x)) sum_y w(x,y) len(x,y)^2; passes at -REL_TOL."""
-    slack = 1.0 - g.row_fsum(g.w * _squares(entry_len)) / g.mu
+    slack = 1.0 - g.row_fsum(g.w * np.square(entry_len)) / g.mu
     worst = int(np.argmin(slack))
     mn = float(slack[worst])
     return IntrinsicCertificate(kind, slack, mn, worst, REL_TOL,

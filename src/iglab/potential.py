@@ -65,7 +65,6 @@ from .completeness import boundary_end
 from .errors import InputError, NumericalError
 from .forms import VertexFunction, energy, norm_sq
 from .graphs import GraphFamily, WeightedGraph, vertex_mask
-from .metrics import _squares
 from .series import last_quartile, loglog_slope
 
 POLAR_THRESHOLD = 1e-3
@@ -566,8 +565,8 @@ def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult
         R = r_n / 2.0
         eta = np.clip((2 * R - rv[:window]) / R, 0.0, 1.0)
         # energy() and norm_sq() of eta on truncate(window), from its rules
-        en = math.fsum((w[:window - 1] * _squares(np.diff(eta))).tolist())
-        mass_window = math.fsum((_squares(eta) * mu[:window]).tolist())
+        en = math.fsum((w[:window - 1] * np.square(np.diff(eta))).tolist())
+        mass_window = math.fsum((np.square(eta) * mu[:window]).tolist())
         mass_tail = end.mu_tail(window).upper
         value = math.sqrt(en + mass_window + mass_tail)
         mb = end.mu_tail(n).upper

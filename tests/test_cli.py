@@ -340,3 +340,26 @@ def test_numerical_failure_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "--family", "a5.1")
     assert code == 3
     assert "numerical failure: synthetic blowup" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "ex5.1", "--budget", "deep"],
+    ["classify", "--family", "a5.4", "--budget", "deep"],
+    ["gallery", "--select", "ex5.1", "--budget", "standard"]])
+def test_output_into_a_closed_pipe_keeps_the_exit_code(argv):
+    # the reader closes the pipe before any output: the output is dropped
+    # with no traceback, and the exit code is the command's own, not 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "iglab.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -309,6 +309,34 @@ def test_golden_chains_are_strongly_intrinsic(label, name, params):
         assert strongly_intrinsic_check(g, fam.canonical_lengths(g)).passed
 
 
+@pytest.mark.parametrize("label, name, params", LINEAR_RUNS,
+                         ids=[run[0] for run in LINEAR_RUNS])
+def test_chain_loads_are_the_certificates_row_sums(label, name, params,
+                                                   monkeypatch):
+    # at the root and at every interior vertex of the standard window, the
+    # sum of w sigma^2 that the chain's check compares with mu is, bit for
+    # bit, the row sum strongly_intrinsic_check forms on the realized graph
+    fam = build_family(name, params)
+    window = fam.max_window(512)
+    g = fam.truncate(window)
+    lengths = fam.canonical_lengths(g)
+    sums = []
+    row_fsum = WeightedGraph.row_fsum
+    monkeypatch.setattr(WeightedGraph, "row_fsum", lambda self, values:
+                        sums.append(row_fsum(self, values)) or sums[-1])
+    cert = strongly_intrinsic_check(g, lengths)
+    monkeypatch.undo()
+    depth, root = fam._depth(window), fam.root_id(window)
+    loads = [c.w[:depth] * c.sigma ** 2 for c in fam.chain(depth)]
+    ids, want = [root], [sum(t[0] for t in loads)]
+    for end, t in zip(fam.ends(), loads):
+        ids += [root + fam._sign(end) * k for k in range(1, depth)]
+        want += (t[:-1] + t[1:]).tolist()
+    assert sums[0][ids].tobytes() == np.array(want).tobytes()
+    assert cert.slack[ids].tobytes() == (1.0 - sums[0][ids] / g.mu[ids]
+                                         ).tobytes()
+
+
 def test_the_chain_check_names_the_certificates_first_failure():
     # ex5.3a's rules with unit lengths: the load (w(x-1) + w(x)) / mu(x)
     # is 1 at the root and 6 4^(x-1) at x >= 1

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_energy_hand_value():
     assert energy(f) == 2 * 1.0 + 2 * 4.0
     assert norm_sq(f) == 0.0 + 1.0 + 9.0
     assert qnorm(f) == math.sqrt(20.0)
+
+
+def test_squares_are_correctly_rounded():
+    # libm's pow gives t ** 2 one ulp low here (8.928520618513923)
+    t = 2.9880630211750763
+    f = VertexFunction(path_graph(2), [0.0, t])
+    want = float(Fraction(t) ** 2)
+    assert want == 8.928520618513925
+    assert energy(f) == want and norm_sq(f) == want
+
+
+def test_energy_that_overflows_is_inf():
+    # Python's float ** raised OverflowError here; a square past the float
+    # range is inf, as numpy's t * t gives it
+    f = VertexFunction(path_graph(2), [0.0, 1e200])
+    with np.errstate(over="ignore"):
+        assert energy(f) == math.inf
 
 
 def test_laplacian_hand_value():

@@ -3,11 +3,11 @@
 The reference functions below evaluate every formula one vertex or one edge
 at a time over a dict-of-dicts adjacency, as the package did before its
 graphs were stored as CSR arrays: per-vertex Dijkstra for the path
-distances, per-vertex math.fsum over generators, Python's float ** for
-squares and roots, and the equilibrium system assembled from triplets.
+distances, per-vertex math.fsum over generators, t * t for squares and
+math.sqrt for roots, and the equilibrium system assembled from triplets.
 Every kernel result must equal its reference exactly (same bytes), since
-math.fsum is correctly rounded and the kernels keep each elementwise
-operation and its order.
+math.fsum, t * t and sqrt are correctly rounded and the kernels keep each
+elementwise operation and its order.
 """
 
 import math
@@ -32,6 +32,10 @@ from conftest import make_random_graph
 
 
 # -- reference: the scalar formulas over a dict-of-dicts adjacency ------------
+
+def sq(t):
+    return t * t
+
 
 class Ref:
     """A graph as the list of neighbor dicts it was stored as, filled in
@@ -58,7 +62,7 @@ class Ref:
 
 def ref_sigma0(r):
     deg = [r.degree(x) for x in range(r.n)]
-    return {(x, y): min(deg[x] ** -0.5, deg[y] ** -0.5, 1.0)
+    return {(x, y): min(1.0 / math.sqrt(deg[x]), 1.0 / math.sqrt(deg[y]), 1.0)
             for x, y, _ in r.edges()}
 
 
@@ -67,14 +71,14 @@ def ref_sigma1(r):
     for x, y, w in r.edges():
         mx = r.mu[x] / len(r.adj[x])
         my = r.mu[y] / len(r.adj[y])
-        out[(x, y)] = min(mx, my) ** 0.5 / w ** 0.5
+        out[(x, y)] = math.sqrt(min(mx, my)) / math.sqrt(w)
     return out
 
 
 def ref_slack(r, length_of):
     slack = np.empty(r.n)
     for x in range(r.n):
-        s = math.fsum(w * length_of(x, y) ** 2 for y, w in r.adj[x].items())
+        s = math.fsum(w * sq(length_of(x, y)) for y, w in r.adj[x].items())
         slack[x] = 1.0 - s / r.mu[x]
     return slack
 
@@ -105,15 +109,15 @@ def ref_pairing(r, vf, vg, x):
 
 
 def ref_gradient_sq(r, v, x):
-    return math.fsum(w * (v[x] - v[y]) ** 2 for y, w in r.adj[x].items())
+    return math.fsum(w * sq(v[x] - v[y]) for y, w in r.adj[x].items())
 
 
 def ref_energy(r, v):
-    return math.fsum(w * (v[x] - v[y]) ** 2 for x, y, w in r.edges())
+    return math.fsum(w * sq(v[x] - v[y]) for x, y, w in r.edges())
 
 
 def ref_norm_sq(r, v):
-    return math.fsum(float(v[x]) ** 2 * float(r.mu[x]) for x in range(r.n))
+    return math.fsum(sq(float(v[x])) * float(r.mu[x]) for x in range(r.n))
 
 
 def ref_green(r, u, v):
@@ -137,8 +141,8 @@ def ref_leibniz(r, f, g, h):
 
 def ref_caccioppoli(r, u, v):
     lhs = -math.fsum(ref_laplacian(r, u, x) * float(u[x])
-                     * float(v[x]) ** 2 * float(r.mu[x]) for x in range(r.n))
-    rhs = 0.5 * math.fsum(float(u[x]) ** 2 * ref_gradient_sq(r, v, x)
+                     * sq(float(v[x])) * float(r.mu[x]) for x in range(r.n))
+    rhs = 0.5 * math.fsum(sq(float(u[x])) * ref_gradient_sq(r, v, x)
                           for x in range(r.n))
     return lhs, rhs, rhs - lhs
 
@@ -199,8 +203,9 @@ def cases():
         funcs = rng.uniform(-2.0, 2.0, size=(3, g.n))
         U = sorted({0, int(rng.integers(g.n))})
         out.append((g, r, funcs, U))
-    # the last graph has ~12000 entries: enough squares that numpy's
-    # array power, where it differs from libm's pow, shows in the results
+    # the last graph has ~12000 entries: enough squares and roots that a
+    # kernel which rounds one of them otherwise (libm's pow, say, in place
+    # of t * t or sqrt) shows in the results
     for n in (4, 9, 17, 28, 40) * 3 + (200,):
         edges, mu = corpus_shape(rng, n)
         # the input order is not sorted: with one vertex in U, no free

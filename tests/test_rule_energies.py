@@ -20,7 +20,6 @@ from iglab.errors import FamilyDefinitionError, InputError
 from iglab.forms import VertexFunction, energy, laplacian_all, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family, run_gallery
 from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
-from iglab.metrics import _squares
 from iglab.potential import codim_polarity_test
 
 CUTOFF = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
@@ -76,8 +75,8 @@ def test_rule_energies_match_energy_and_norm_sq(label, name, params):
         assert w.tobytes() == g.edge_w.tobytes()
         assert mu.tobytes() == g.mu.tobytes()
         f = VertexFunction(g, eta)
-        en = math.fsum((w * _squares(eta[:-1] - eta[1:])).tolist())
-        mass = math.fsum((_squares(eta) * mu).tolist())
+        en = math.fsum((w * np.square(eta[:-1] - eta[1:])).tolist())
+        mass = math.fsum((np.square(eta) * mu).tolist())
         assert (en.hex(), mass.hex()) == (energy(f).hex(), norm_sq(f).hex())
 
 
