@@ -90,8 +90,8 @@ def test_squares_are_correctly_rounded():
 
 
 def test_energy_that_overflows_is_inf():
-    # Python's float ** raised OverflowError here; a square past the float
-    # range is inf, as numpy's t * t gives it
+    # a square past the float range is inf, as t * t gives it; Python's
+    # float ** raises OverflowError on it
     f = VertexFunction(path_graph(2), [0.0, 1e200])
     with np.errstate(over="ignore"):
         assert energy(f) == math.inf

@@ -1,8 +1,8 @@
 """The array kernels against the scalar formulas they replace, bit for bit.
 
 The reference functions below evaluate every formula one vertex or one edge
-at a time over a dict-of-dicts adjacency, as the package did before its
-graphs were stored as CSR arrays: per-vertex Dijkstra for the path
+at a time over a dict-of-dicts adjacency, the layout the package used before
+its graphs were stored as CSR arrays: per-vertex Dijkstra for the path
 distances, per-vertex math.fsum over generators, t * t for squares and
 math.sqrt for roots, and the equilibrium system assembled from triplets.
 Every kernel result must equal its reference exactly (same bytes), since
@@ -62,7 +62,8 @@ class Ref:
 
 def ref_sigma0(r):
     deg = [r.degree(x) for x in range(r.n)]
-    return {(x, y): min(1.0 / math.sqrt(deg[x]), 1.0 / math.sqrt(deg[y]), 1.0)
+    return {(x, y): min(1.0 / math.sqrt(deg[x]), 1.0 / math.sqrt(deg[y]),
+                        1.0)
             for x, y, _ in r.edges()}
 
 
