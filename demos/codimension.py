@@ -41,7 +41,7 @@ def main():
     # codim > 2 forces zero capacity: the cutoff sequence of the theorem
     # is computable and its Q-norms must fall below any threshold
     print("\ncodim-3 family: ||eta_n||_Q along the proof's cutoffs")
-    res = codim_polarity_test(build_family("codim3"), depth=30)
+    res = codim_polarity_test(build_family("codim3"))
     for e in res.entries[::7]:
         print(f"  n = {e.n:2d}: value {e.value:.3e}  "
               f"(proof bound {e.bound:.3e})")

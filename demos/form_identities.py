@@ -47,7 +47,7 @@ def main():
     cc = caccioppoli_check(u, eta)
     print(f"Caccioppoli slack {cc.terms['slack']:+.3e}  (>= 0 expected)")
 
-    clipped = u.clip(0.0, 1.0)
+    clipped = u.clip()
     print(f"contraction: Q((u v 0) ^ 1) = {energy(clipped):.6f} "
           f"<= Q(u) = {energy(u):.6f}\n")
 

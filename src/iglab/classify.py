@@ -2,13 +2,15 @@
 
 The diagnostics assembled here:
 
-  * lambda_solve: on a ray, every solution of (Delta + lambda) u = 0 is a
+  * lambda_solve: on a ray, every solution of (Delta + 1) u = 0 is a
     multiple of the one generated from u(0) = 1 by summing the equation,
 
-        u(x+1) - u(x) = (lambda / w(x,x+1)) * sum_{y <= x} u(y) mu(y),
+        u(x+1) - u(x) = (1 / w(x,x+1)) * sum_{y <= x} u(y) mu(y),
 
-    which is positive and increasing for lambda > 0. Whether u stays
-    bounded is equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf.
+    which is positive and increasing. Whether u stays bounded is
+    equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf, which holds
+    for one lambda > 0 exactly when it holds for all, so lambda = 1 stands
+    for every lambda > 0.
     A bounded solution that is square-summable with finite energy lies in
     the maximal form domain and separates D(Q) from D(Q^max). The
     recursion stops before a rule value mu or w leaves the rules' float
@@ -80,7 +82,6 @@ def resolve_budget(budget) -> Budget:
 
 @dataclass
 class LambdaSolution:
-    lam: float
     window: int                   # vertices kept after the float-range cut
     u: np.ndarray
     residual: float               # sup defect of the summed first-order form
@@ -92,7 +93,7 @@ class LambdaSolution:
     in_max_form_domain: bool      # bounded, square-summable, finite energy
 
     def to_dict(self):
-        return {"lambda": self.lam, "window": self.window,
+        return {"lambda": 1.0, "window": self.window,
                 "residual": self.residual, "increasing": self.increasing,
                 "bounded": self.bounded,
                 "criterion": self.criterion.verdict,
@@ -101,22 +102,22 @@ class LambdaSolution:
                 "u_last": float(self.u[-1])}
 
 
-def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
+def _ray_lambda_solve(w, mu) -> LambdaSolution:
     """The recursion on the vertices x of mu and the edges (x, x+1) of w,
     cut before the first x where mu(x) or w(x-1) is not finite and
     positive, or u(x), u(x)^2 mu(x) or w(x-1) (u(x) - u(x-1))^2 is not
     finite. Raises NumericalError when fewer than 2 vertices remain."""
     window = mu.size
-    # the recursion runs over Python floats; lam / w is an array division,
+    # the recursion runs over Python floats; 1 / w is an array division,
     # so a zero or inf weight gives inf or nan, never ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_w = (lam / w).tolist()
+        inv_w = (1.0 / w).tolist()
     mu_l = mu.tolist()
     u = [1.0]
     s = 0.0
     for x in range(window - 1):
         s += u[x] * mu_l[x]
-        u.append(u[x] + lam_w[x] * s)
+        u.append(u[x] + inv_w[x] * s)
     u = np.array(u)
     with np.errstate(over="ignore", invalid="ignore"):
         inc = np.diff(u)
@@ -133,12 +134,12 @@ def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
         edges = slice(window - 1)
         w, inc, en_terms = w[edges], inc[edges], en_terms[edges]
     # Verify the summed first-order form w(x) (u(x+1) - u(x)) =
-    # lambda sum_{y<=x} u(y) mu(y) against an independently accumulated
-    # right-hand side. (The raw three-term residual of (Delta+lambda)u is
+    # sum_{y<=x} u(y) mu(y) against an independently accumulated
+    # right-hand side. (The raw three-term residual of (Delta+1)u is
     # cancellation-limited once w spans many decades, so it would measure
     # rounding, not correctness.)
     scale = max(1.0, float(np.max(np.abs(u))))
-    sums = np.array([lam * s for s in prefix_fsums((u * mu)[:-1].tolist())])
+    sums = np.array(prefix_fsums((u * mu)[:-1].tolist()))
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.abs(u[1:] - u[:-1] - sums / w)
     res = max([0.0, *dev.tolist()]) / scale
@@ -154,12 +155,12 @@ def _ray_lambda_solve(w, mu, lam: float) -> LambdaSolution:
         bounded = "inconclusive"
     in_dom = (bounded == "bounded" and l2.verdict == "converged"
               and en.verdict == "converged")
-    return LambdaSolution(lam, window, u, res, bool(np.all(inc > 0)),
+    return LambdaSolution(window, u, res, bool(np.all(inc > 0)),
                           bounded, criterion, l2, en, in_dom)
 
 
-def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
-    """Generate the lambda-harmonic solution along each ray of the family.
+def lambda_solve(fam: GraphFamily, window: int = 200):
+    """Generate the solution of (Delta + 1) u = 0 along each ray of the family.
 
     Returns {end_label: LambdaSolution}. For a line family each half is
     solved independently as a one-sided ray from its own mu(0) (split
@@ -168,8 +169,6 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
     keeps the vertices before its rules or its recursion leave float
     range (_ray_lambda_solve), so its window may be below `window`.
     """
-    if not 0 < lam < math.inf:
-        raise InputError(f"lambda must be positive and finite, got {lam}")
     if window < 2:
         raise InputError(f"lambda recursion needs window >= 2, got {window}")
     if not fam.ends():
@@ -177,7 +176,7 @@ def lambda_solve(fam: GraphFamily, lam: float = 1.0, window: int = 200):
             f"{fam.describe()}: lambda recursion needs a ray or line")
     chains = dict(zip(fam.ends(), fam.chain(window - 1)))
     sols = fam.per_end(lambda end: _ray_lambda_solve(
-        chains[end].w[:window - 1], chains[end].mu, lam))
+        chains[end].w[:window - 1], chains[end].mu))
     return {end.label: sol for end, sol in zip(fam.ends(), sols)}
 
 
@@ -235,8 +234,9 @@ def harmonic_witness_check(fam: GraphFamily,
     n_chk = min(window, 64)
     w, mu = fam._window_arrays(n_chk)
     res = float(np.max(np.abs((w[:-1] - w[1:]) / mu[1:-1]), initial=0.0))
-    # h changes by 1 on every edge: Q(h) on truncate(n) is its weights' fsum
-    energies = [(n, math.fsum(fam._window_arrays(n)[0].tolist()))
+    # h changes by 1 on every edge: Q(h) on truncate(n) is its weights' fsum,
+    # and those are the middle 2n weights of truncate(n_chk)
+    energies = [(n, math.fsum(w[n_chk - n:n_chk + n].tolist()))
                 for n in (8, 16, 32, 64) if n <= n_chk]
     passed = (res <= 1e-12 and l2.verdict == "converged")
     basis = ("harmonic coordinate in L2 with window energy growing like 2N: "
@@ -353,7 +353,7 @@ def classify(fam: GraphFamily, sigma="canonical",
             analytic_tail_max=bud.analytic_tail_max)
         polarity = capacity.polarity
         alt = boundary_alternative_evidence(capacity)
-        lam_sols = lambda_solve(fam, 1.0, window=bud.lambda_window)
+        lam_sols = lambda_solve(fam, window=bud.lambda_window)
         if len(fam.ends()) == 2:
             try:
                 witness = harmonic_witness_check(fam, bud.lambda_window)

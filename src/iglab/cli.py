@@ -119,7 +119,7 @@ def _cmd_forms_check(args) -> int:
         # Caccioppoli wants a [0,1]-valued cutoff-like second argument
         eta = VertexFunction(g, np.clip(np.abs(vals[3]), 0.0, 1.0))
         cc = caccioppoli_check(u, eta)
-        contraction_ok = energy(u.clip(0.0, 1.0)) <= energy(u) * (1 + 1e-12)
+        contraction_ok = energy(u.clip()) <= energy(u) * (1 + 1e-12)
         worst["green"] = max(worst["green"], gr.residual)
         worst["leibniz"] = max(worst["leibniz"], lb.residual)
         worst["caccioppoli"] = max(worst["caccioppoli"], cc.residual)

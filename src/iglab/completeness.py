@@ -43,6 +43,7 @@ from .errors import InputError
 from .graphs import End, GraphFamily, LinearFamily, WeightedGraph, vertex_id
 from .metrics import (REL_TOL, EdgeLengths, PathMetric, close,
                       natural_scaled, sigma0, sigma1)
+from .series import prefix_fsums
 
 INAPPLICABLE = "inapplicable (not locally finite)"   # no dichotomy applies
 
@@ -102,24 +103,20 @@ def find_geodesic(metric: PathMetric, origin: int, n: int) -> Geodesic:
     best_path = min(_lex_min_path(metric, origin, z, inside, dist_o, dist_z)
                     for z, dist_z in zip(sphere, dist[1:])
                     if close(dist_o[z], best_len))
-    length = math.fsum(metric.lengths.of(a, b)
-                       for a, b in zip(best_path, best_path[1:]))
-    return Geodesic(tuple(best_path), length,
-                    _prefixes_realize_distance(metric, best_path))
+    prefixes, verified = _prefix_lengths(metric, best_path)
+    return Geodesic(tuple(best_path), prefixes[-1] if prefixes else 0.0,
+                    verified)
 
 
-def _prefixes_realize_distance(metric, path) -> bool:
-    """Whether every prefix of path is as long as the path distance from
-    path[0] to its last vertex (metrics.close: relative only, since
-    lengths can lie far below any absolute floor)."""
-    return all(close(_restricted_prefix_len(metric, path, k),
-                     metric.distance(path[0], path[k]))
-               for k in range(1, len(path)))
-
-
-def _restricted_prefix_len(metric, path, k):
-    return math.fsum(metric.lengths.of(a, b)
-                     for a, b in zip(path[:k], path[1:k + 1]))
+def _prefix_lengths(metric, path):
+    """The length of each prefix path[:k + 1], k >= 1, from one prefix_fsums
+    pass, and whether each is the path distance from path[0] to path[k]
+    (metrics.close: relative only, since lengths can lie far below any
+    absolute floor)."""
+    prefixes = prefix_fsums([metric.lengths.of(a, b)
+                             for a, b in zip(path, path[1:])])
+    dist = metric.distances_from(path[0])
+    return prefixes, all(close(p, dist[v]) for p, v in zip(prefixes, path[1:]))
 
 
 def _lex_min_path(metric, origin, z, inside, dist_o, dist_z):

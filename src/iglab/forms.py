@@ -63,9 +63,9 @@ class VertexFunction:
             return VertexFunction(self.graph, self.values * other.values)
         return VertexFunction(self.graph, self.values * float(other))
 
-    def clip(self, lo=0.0, hi=1.0):
-        """Normal contraction (f v lo) ^ hi; never increases the energy."""
-        return VertexFunction(self.graph, np.clip(self.values, lo, hi))
+    def clip(self):
+        """Unit contraction (f v 0) ^ 1: normal, so never raises the energy."""
+        return VertexFunction(self.graph, np.clip(self.values, 0.0, 1.0))
 
 
 # The kernels below evaluate the per-vertex and per-edge formulas as array

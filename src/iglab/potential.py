@@ -76,6 +76,8 @@ POSITIVE_FLOOR = 1e-2
 OUTER_PER_TAIL = 16
 # the ramp's w sum evaluates w on this many points at a time (256 KB)
 W_BLOCK = 1 << 15
+# codim_polarity_test puts its cutoffs at the scales r_n / 2 for these n
+CUTOFF_SCALES = range(2, 31)
 
 
 @dataclass
@@ -529,20 +531,18 @@ class PolarityTestResult:
     fires: bool             # some value < 1e-3 (capacity upper bound)
 
 
-def codim_polarity_test(fam: GraphFamily, depth: int = 30) -> PolarityTestResult:
-    """Cutoffs eta at scales r_n/2 witness Cap(boundary) = 0 when the
-    boundary has Minkowski codimension > 2.
+def codim_polarity_test(fam: GraphFamily) -> PolarityTestResult:
+    """Cutoffs eta at scales r_n/2, n in CUTOFF_SCALES, witness
+    Cap(boundary) = 0 when the boundary has Minkowski codimension > 2.
 
     eta(x) = ((2R - d(x, boundary)) / R)_+ ^ 1 with R = r_n / 2: equal to 1
     where d <= r_n/2, zero where d >= r_n. Each ||eta||_Q is an upper bound
     for the capacity of a boundary neighborhood and is checked against the
     bound sqrt(mu(B_{r_n}) + 4 mu(B_{r_n}) / r_n^2).
     """
-    if depth < 2:
-        raise InputError(f"polarity test needs depth >= 2, got {depth}")
     end = boundary_end(fam, "polarity test")
     cuts = []
-    for n in range(2, depth + 1):
+    for n in CUTOFF_SCALES:
         r_n = end.sigma_tail(n).value
         R = r_n / 2.0
         # support of the ramp: vertices x with r(x) < r_n, i.e. x > n;

@@ -48,7 +48,7 @@ def test_budget_table_is_sane():
 def test_lambda_recursion_unit_ray_exact():
     # w = mu = 1, lambda = 1: u(x+1) = u(x) + sum_{y<=x} u(y) gives the
     # odd-indexed Fibonacci numbers
-    sols = lambda_solve(unit_ray(), lam=1.0, window=8)
+    sols = lambda_solve(unit_ray(), window=8)
     u = sols["plus"].u
     assert u.tolist() == [1.0, 2.0, 5.0, 13.0, 34.0, 89.0, 233.0, 610.0]
     assert sols["plus"].residual == 0.0
@@ -59,14 +59,13 @@ def test_lambda_recursion_unit_ray_exact():
 
 def test_lambda_residual_small_across_gallery():
     for name in ("ex5.2", "ex5.3a"):
-        sols = lambda_solve(build_family(name), lam=1.0, window=200)
+        sols = lambda_solve(build_family(name), window=200)
         for lab, sol in sols.items():
             assert sol.residual <= 1e-12, (name, lab)
 
 
 def test_lambda_ex53a_in_max_form_domain():
-    (sol,) = lambda_solve(build_family("ex5.3a"), lam=1.0,
-                          window=200).values()
+    (sol,) = lambda_solve(build_family("ex5.3a"), window=200).values()
     assert sol.bounded == "bounded"
     assert sol.criterion.verdict == "converged"
     assert sol.l2.verdict == "converged"
@@ -77,8 +76,7 @@ def test_lambda_ex53a_in_max_form_domain():
 
 
 def test_lambda_ex52_unbounded_mass():
-    (sol,) = lambda_solve(build_family("ex5.2"), lam=1.0,
-                          window=200).values()
+    (sol,) = lambda_solve(build_family("ex5.2"), window=200).values()
     assert sol.increasing
     assert sol.bounded == "bounded"          # sum (sum mu)/w converges
     assert sol.l2.verdict == "diverged"      # infinite measure
@@ -86,7 +84,7 @@ def test_lambda_ex52_unbounded_mass():
 
 
 def test_lambda_solve_on_line_family_splits():
-    sols = lambda_solve(build_family("ex5.3"), lam=1.0, window=60)
+    sols = lambda_solve(build_family("ex5.3"), window=60)
     assert set(sols) == {"minus", "plus"}
     assert sols["plus"].bounded == "bounded"
 
@@ -140,9 +138,9 @@ def test_lambda_solve_matches_the_scalar_loops():
              *[(end.w_fn, end.mu_fn) for end in
                build_family("ex5.6", {"alpha": 0.3}).ends()]]
     for w_fn, mu_fn in rays:
-        for lam, window in ((1.0, 40), (1.0, 200), (0.7, 200)):
-            u, res = scalar_lambda_loops(w_fn, mu_fn, lam, window)
-            sol = _ray_lambda_solve(*rule_arrays(w_fn, mu_fn, window), lam)
+        for window in (40, 200):
+            u, res = scalar_lambda_loops(w_fn, mu_fn, 1.0, window)
+            sol = _ray_lambda_solve(*rule_arrays(w_fn, mu_fn, window))
             assert sol.window == u.size
             assert sol.u.tobytes() == u.tobytes()
             assert float(sol.residual).hex() == float(res).hex()
@@ -150,14 +148,11 @@ def test_lambda_solve_matches_the_scalar_loops():
 
 def test_lambda_solve_validation():
     with pytest.raises(InputError):
-        lambda_solve(unit_ray(), lam=0.0)
-    with pytest.raises(InputError):
         lambda_solve(build_family("a5.1"))
     # w(0) = 0 sends u(1) to inf: no two vertices to judge the series on
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(NumericalError, match="x = 1"):
-        _ray_lambda_solve(*rule_arrays(zero, lambda x: zero(x) + 1.0, 40),
-                          1.0)
+        _ray_lambda_solve(*rule_arrays(zero, lambda x: zero(x) + 1.0, 40))
 
 
 def unit_line():
@@ -175,12 +170,6 @@ def test_lambda_solve_and_witness_reject_shallow_windows(window):
         lambda_solve(unit_ray(), window=window)
     with pytest.raises(InputError, match="needs window >= 2"):
         harmonic_witness_check(unit_line(), window=window)
-
-
-@pytest.mark.parametrize("lam", [0.0, -3.0, math.nan, math.inf, -math.inf])
-def test_lambda_solve_rejects_lambda_outside_zero_to_inf(lam):
-    with pytest.raises(InputError, match="positive and finite"):
-        lambda_solve(unit_ray(), lam=lam, window=40)
 
 
 # -- harmonic witness -------------------------------------------------------------
@@ -442,7 +431,7 @@ def test_lambda_and_witness_keep_only_valid_rule_values(label, name, params,
     fam = build_family(name, params)
     window = BUDGETS[budget].lambda_window
     chains = fam.chain(window - 1)
-    sols = lambda_solve(fam, 1.0, window)
+    sols = lambda_solve(fam, window)
     for end, c in zip(fam.ends(), chains):
         kept = sols[end.label].window
         assert finite_positive(c.mu[:kept]), end.label
@@ -468,7 +457,7 @@ def test_lambda_stops_where_mu_underflows(name, params):
     fam = build_family(name, params)
     (c,) = fam.chain(399)
     assert c.mu[358] > 0.0 and c.mu[359] == 0.0
-    assert lambda_solve(fam, 1.0, 400)["plus"].window == 359
+    assert lambda_solve(fam, 400)["plus"].window == 359
 
 
 def test_witness_stops_where_mu_underflows():

@@ -9,9 +9,9 @@ import pytest
 
 import iglab
 from iglab.classify import BUDGETS, classify
-from iglab.completeness import (_not_intrinsic, _prefixes_realize_distance,
-                                _restricted_prefix_len, boundary_end,
-                                find_geodesic, hopf_rinow_report, lengths_for)
+from iglab.completeness import (_not_intrinsic, _prefix_lengths,
+                                boundary_end, find_geodesic,
+                                hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import RayFamily, WeightedGraph
@@ -166,14 +166,14 @@ def test_verified_flag_is_relative_at_tiny_scale():
     g = fam.truncate(64)
     m = PathMetric(fam.canonical_lengths(g))
     detour = [0, 126, fam.extra_id(64), 128]
-    prefix = [_restricted_prefix_len(m, detour, k) for k in (1, 2, 3)]
+    prefix, verified = _prefix_lengths(m, detour)
     direct = [m.distance(0, v) for v in detour[1:]]
     assert all(abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 1e-15)
                for a, b in zip(prefix, direct))                 # the old test
     assert not all(close(a, b) for a, b in zip(prefix, direct))
     assert prefix[-1] > 2.0 * direct[-1]
-    assert not _prefixes_realize_distance(m, detour)
-    assert _prefixes_realize_distance(m, [0, 128, fam.extra_id(64)])
+    assert not verified
+    assert _prefix_lengths(m, [0, 128, fam.extra_id(64)])[1]
 
 
 # -- Hopf-Rinow evidence ----------------------------------------------------------

@@ -75,18 +75,18 @@ LINEAR = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
           if build_family(name, params).ends()]
 
 
-def ray_solve(w_fn, mu_fn, lam, window):
+def ray_solve(w_fn, mu_fn, window):
     """_ray_lambda_solve on w over the edges 0..window-2 and mu over the
     vertices 0..window-1."""
     xs = np.arange(window, dtype=float)
     return _ray_lambda_solve(np.asarray(w_fn(xs[:-1]), dtype=float),
-                             np.asarray(mu_fn(xs), dtype=float), lam)
+                             np.asarray(mu_fn(xs), dtype=float))
 
 
 def lambda_terms(end, window):
     """u(y) mu(y) over the vertices the recursion keeps, as its check
     sums them."""
-    sol = ray_solve(end.w_fn, end.mu_fn, 1.0, window)
+    sol = ray_solve(end.w_fn, end.mu_fn, window)
     mu = np.asarray(end.mu_fn(np.arange(window, dtype=float)), dtype=float)
     return (sol.u * mu[:sol.window]).tolist()
 
@@ -141,7 +141,7 @@ def test_lambda_residuals_match_the_quadratic_check(label, name, params):
     for end in build_family(name, params).ends():
         for budget in BUDGETS.values():
             win = budget.lambda_window
-            sol = ray_solve(end.w_fn, end.mu_fn, 1.0, win)
+            sol = ray_solve(end.w_fn, end.mu_fn, win)
             window, res = reference_residual(end.w_fn, end.mu_fn, 1.0, win)
             assert sol.window == window
             assert sol.residual.hex() == res.hex()

@@ -138,11 +138,11 @@ def test_each_reader_sees_the_realized_window(label, grown):
     for window in lam_windows:
         # each end from its own mu(0), on the vertices 0..window-1
         xs = np.arange(window, dtype=float)
-        sols = lambda_solve(fam, 1.0, window)
+        sols = lambda_solve(fam, window)
         for end in fam.ends():
             want = _ray_lambda_solve(
                 np.asarray(end.w_fn(xs[:-1]), dtype=float),
-                np.asarray(end.mu_fn(xs), dtype=float), 1.0)
+                np.asarray(end.mu_fn(xs), dtype=float))
             got = sols[end.label]
             assert (got.window, got.u.tobytes(), got.residual.hex()) == \
                 (want.window, want.u.tobytes(), want.residual.hex())

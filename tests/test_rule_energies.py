@@ -24,7 +24,7 @@ from iglab.potential import codim_polarity_test
 
 CUTOFF = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
           if name in ("codim3", "ex5.4", "ex5.5", "ex5.6")]
-DEPTH = 30                  # the gallery's depth at every budget
+DEPTH = 30                  # the cutoff test's largest scale n
 
 
 def reference_polarity_test(fam, depth):
@@ -56,7 +56,7 @@ def refuse(*args, **kwargs):
 def test_cutoff_values_match_the_realized_windows(label, name, params,
                                                   monkeypatch):
     monkeypatch.setattr(GraphFamily, "_window", refuse)
-    got = codim_polarity_test(build_family(name, params), depth=DEPTH)
+    got = codim_polarity_test(build_family(name, params))
     monkeypatch.undo()
     want = reference_polarity_test(build_family(name, params), DEPTH)
     assert [(e.n, e.value.hex()) for e in got.entries] == \
@@ -196,7 +196,7 @@ def test_cutoff_errors_keep_their_text(case, monkeypatch):
     make = bad_families()[case]
     want = raised(reference_polarity_test, make(), DEPTH)
     monkeypatch.setattr(GraphFamily, "_window", refuse)
-    assert raised(codim_polarity_test, make(), DEPTH) == want
+    assert raised(codim_polarity_test, make()) == want
     expect = {"window cap": "window 21 is not between the smallest window 2 "
                             "and the window cap 20",
               "weight rule": "weight rule invalid at edge index 9",
