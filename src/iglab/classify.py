@@ -341,7 +341,8 @@ def classify(fam: GraphFamily, sigma="canonical",
     completeness, deg_ball = INAPPLICABLE, None
     if fam.locally_finite:
         scan = _ball_scan(fam, sigma, bud.hopf_n_max)
-        completeness = _hopf_rinow(fam, sigma, scan).verdict
+        hopf = _hopf_rinow(fam, sigma, scan)
+        completeness, notes = hopf.verdict, hopf.notes
         deg_ball = _deg_ball(scan)
 
     capacity = alt = witness = codim = None

@@ -505,15 +505,17 @@ def intrinsic_unit_line():
 def test_a_non_intrinsic_complete_metric_decides_nothing(budget):
     # the completeness evidence holds (stable balls, infinite length), but
     # the first theorem needs an intrinsic metric: Markov uniqueness must
-    # come from the positive tail capacity instead, as on ex5.3a
+    # come from the positive tail capacity instead, as on ex5.3a; the
+    # record names the vertex, as the completeness report does
     rep = classify(geometric_ray_with_unit_lengths(), budget=budget)
     assert rep.completeness == "inconclusive"
     assert rep.capacity.boundary_regime == "positive-finite"
     assert rep.markov_unique.value == "no"
     assert rep.esa.value == "no"
-    notes = hopf_rinow_report(geometric_ray_with_unit_lengths()).notes
-    assert any("not strongly intrinsic at vertex 1 of end plus" in note
-               for note in notes), notes
+    for notes in (rep.to_dict()["notes"],
+                  hopf_rinow_report(geometric_ray_with_unit_lengths()).notes):
+        assert any("not strongly intrinsic at vertex 1 of end plus" in note
+                   for note in notes), notes
 
 
 @pytest.mark.parametrize("budget", list(BUDGETS))
