@@ -8,14 +8,13 @@ The diagnostics assembled here:
         u(x+1) - u(x) = (1 / w(x,x+1)) * sum_{y <= x} u(y) mu(y),
 
     which is positive and increasing. Whether u stays bounded is
-    equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf, which holds
-    for one lambda > 0 exactly when it holds for all, so lambda = 1 stands
-    for every lambda > 0.
-    A bounded solution that is square-summable with finite energy lies in
-    the maximal form domain and separates D(Q) from D(Q^max). The
-    recursion stops before a rule value mu or w leaves the rules' float
-    range (finite and positive, as max_window reads them), or u, u^2 mu
-    or w (du)^2 leaves float range.
+    equivalent to sum_x (sum_{y<=x} mu(y)) / w(x,x+1) < inf, a test with
+    no lambda in it, so lambda = 1 stands for every lambda > 0. A bounded
+    solution that is square-summable with finite energy lies in the
+    maximal form domain and separates D(Q) from D(Q^max). The recursion
+    stops before a rule value mu or w leaves the rules' float range
+    (finite and positive, as max_window reads them), or u, u^2 mu or
+    w (du)^2 leaves float range.
 
   * harmonic_witness_check: on a line with constant weights, h(x) = x is
     harmonic; if sum x^2 sqrt(mu(x)) < inf then h is square-summable while
@@ -30,10 +29,11 @@ The diagnostics assembled here:
 On a locally finite family classify() runs one ball scan
 (completeness._ball_scan) at the budget's hopf_n_max and reads the
 Hopf-Rinow and deg-ball tables from it: the deg-ball radii are the even
-scan radii. No verdict reads a scan of any other family, so it runs
-none. It combines these with the capacity regimes and checks the
-consistency rules (ESA implies Markov unique; polar boundary of finite
-capacity implies Markov unique; a tail capacity in (0, inf) refutes it).
+scan radii; the Hopf-Rinow notes open the report's notes. No verdict
+reads a scan of any other family, so it runs none. It combines these
+with the capacity regimes and checks the consistency rules (ESA implies
+Markov unique; polar boundary of finite capacity implies Markov unique;
+a tail capacity in (0, inf) refutes it).
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     if fam.locally_finite:
         scan = _ball_scan(fam, sigma, bud.hopf_n_max)
         hopf = _hopf_rinow(fam, sigma, scan)
-        completeness, notes = hopf.verdict, hopf.notes
+        completeness, notes = hopf.verdict, list(hopf.notes)
         deg_ball = _deg_ball(scan)
 
     capacity = alt = witness = codim = None

@@ -41,7 +41,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
 from .graphs import End, GraphFamily, LinearFamily, WeightedGraph, vertex_id
-from .metrics import (REL_TOL, EdgeLengths, PathMetric, close,
+from .metrics import (REL_TOL, EdgeLengths, PathMetric, _loads, close,
                       natural_scaled, sigma0, sigma1)
 from .series import prefix_fsums
 
@@ -319,7 +319,7 @@ def _not_intrinsic(fam: LinearFamily, window: int) -> str | None:
     chains = fam.chain(depth)
     bound = 1.0 + REL_TOL
     with np.errstate(all="ignore"):
-        loads = [c.w[:depth] * c.sigma ** 2 for c in chains]    # per edge
+        loads = [_loads(c.w[:depth], c.sigma) for c in chains]   # per edge
         if not sum(t[0] for t in loads) / chains[-1].mu[0] <= bound:
             return "the root"
         for end, c, t in zip(fam.ends(), chains, loads):

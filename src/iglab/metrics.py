@@ -222,10 +222,18 @@ class IntrinsicCertificate:
                 "tolerance": self.tolerance, "verdict": self.passed}
 
 
+def _loads(w: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """w len^2 per edge as w * len^2, or as (w * len) * len where len^2
+    overflows: a tiny weight can bring the load back into float range."""
+    with np.errstate(over="ignore"):
+        sq = np.square(length)
+        return np.where(np.isinf(sq), w * length * length, w * sq)
+
+
 def _certificate(g: WeightedGraph, entry_len: np.ndarray,
                  kind: str) -> IntrinsicCertificate:
     """Slack 1 - (1/mu(x)) sum_y w(x,y) len(x,y)^2; passes at -REL_TOL."""
-    slack = 1.0 - g.row_fsum(g.w * np.square(entry_len)) / g.mu
+    slack = 1.0 - g.row_fsum(_loads(g.w, entry_len)) / g.mu
     worst = int(np.argmin(slack))
     mn = float(slack[worst])
     return IntrinsicCertificate(kind, slack, mn, worst, REL_TOL,

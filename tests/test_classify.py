@@ -83,6 +83,21 @@ def test_lambda_ex52_unbounded_mass():
     assert not sol.in_max_form_domain
 
 
+@pytest.mark.parametrize("window", [b.lambda_window for b in BUDGETS.values()])
+def test_lambda_solve_is_inconclusive_on_a_harmonic_criterion(window):
+    # mu = 1, w = (x+1)^2: the criterion sum (x+1) / (x+1)^2 diverges too
+    # slowly to be read as diverged, and u does not plateau
+    ray = RayFamily("harmonic-criterion",
+                    w_fn=lambda x: (np.asarray(x, dtype=float) + 1.0) ** 2,
+                    mu_fn=lambda x: np.ones(np.shape(x)),
+                    sigma_tail_fn=lambda k: math.inf,
+                    mu_tail_fn=lambda k: math.inf)
+    (sol,) = lambda_solve(ray, window).values()
+    assert sol.criterion.verdict == "inconclusive"
+    assert sol.bounded == "inconclusive"
+    assert not sol.in_max_form_domain
+
+
 def test_lambda_solve_on_line_family_splits():
     sols = lambda_solve(build_family("ex5.3"), window=60)
     assert set(sols) == {"minus", "plus"}
@@ -183,6 +198,11 @@ def test_witness_ex51():
     # window energies are exactly 2N for the integer ramp h(x) = x
     assert rep.energy_per_window == [(8, 16.0), (16, 32.0), (32, 64.0),
                                      (64, 128.0)]
+
+
+def test_witness_needs_a_line():
+    with pytest.raises(InputError, match="lives on a line family"):
+        harmonic_witness_check(unit_ray())
 
 
 def test_witness_does_not_fire_on_ex53():

@@ -349,3 +349,16 @@ def test_the_chain_check_names_the_certificates_first_failure():
     first = int(np.argmax(cert.slack < -REL_TOL))
     assert first == 1
     assert _not_intrinsic(fam, 16) == f"vertex {first} of end plus"
+
+
+def test_the_chain_check_passes_a_load_whose_square_overflows():
+    # w = 1e-310 and sigma = (0.5 / w)^1/2 = 7.1e154: sigma^2 overflows,
+    # but the load w sigma^2 on each edge is 1/2 up to rounding
+    sigma = float(np.sqrt(0.5) / np.sqrt(1e-310))
+    fam = RayFamily("tiny-weights",
+                    w_fn=lambda x: np.full(np.shape(x), 1e-310),
+                    mu_fn=lambda x: np.ones(np.shape(x)),
+                    sigma_fn=lambda x: np.full(np.shape(x), sigma))
+    g = fam.truncate(16)
+    assert strongly_intrinsic_check(g, fam.canonical_lengths(g)).passed
+    assert _not_intrinsic(fam, 16) is None

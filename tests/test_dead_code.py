@@ -1,17 +1,23 @@
-"""Every private function, method and class of the package has a reader.
+"""Every function, method and class of the package has a reader.
 
 A name is referenced when it appears in src/iglab as a name, an attribute
 or an imported name, outside the definition's own body. Matching is by
-name, so two private methods of one name share their references.
+name, so two methods of one name share their references. A private name
+needs a reference. A public one (a module-level function or class, or a
+method of such a class) needs a reference outside src/iglab/__init__.py,
+whose re-exports do not count, or in demos/, perfbench/ or tools/, or
+must appear in a code span of README.md.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 import iglab
 
 SRC = pathlib.Path(iglab.__file__).parent
+ROOT = SRC.parent.parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -47,4 +53,34 @@ def test_every_private_definition_is_referenced():
     defs = list(_private_definitions())
     assert len(defs) > 50                 # the walk found the package
     unread = [where for where, n in defs if n == 0]
+    assert unread == []
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFS) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_definition_has_a_reader():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    refs = sum((_references(t) for module, t in trees.items()
+                if module != "__init__.py"), collections.Counter())
+    for folder in ("demos", "perfbench", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            refs += _references(ast.parse(path.read_text()))
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    documented = {word for span in spans for word in re.findall(r"\w+", span)}
+    defs = [(f"{module}:{node.lineno} {qualname}", node)
+            for module, tree in trees.items()
+            for qualname, node in _public_definitions(tree)]
+    assert len(defs) > 100                # the walk found the package
+    unread = [where for where, node in defs
+              if refs[node.name] == _references(node)[node.name]
+              and node.name not in documented]
     assert unread == []

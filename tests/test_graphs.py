@@ -268,6 +268,10 @@ def test_loads_rejects_garbage():
         loads("not json at all {")
     with pytest.raises(InputError):
         loads("{}")
+    with pytest.raises(InputError, match="missing 'graph <n>' header"):
+        loads("mu 0 1.0")
+    with pytest.raises(InputError, match="must cover exactly the vertices"):
+        loads("graph 2\nmu 0 1.0")
 
 
 # -- family config files ------------------------------------------------------

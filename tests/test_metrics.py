@@ -77,6 +77,16 @@ def test_sigma1_strongly_intrinsic(g):
     assert cert.min_slack >= -1e-15
 
 
+def test_a_load_whose_square_overflows_is_finite():
+    # sigma1 = 1e155 on one edge of weight 1e-310: sigma1^2 overflows, but
+    # w sigma1^2 is 1 up to rounding, so both certificates pass
+    g = WeightedGraph(2, [(0, 1, 1e-310)], [1.0, 1.0])
+    for cert in (strongly_intrinsic_check(g, sigma1(g)),
+                 intrinsic_check(g, PathMetric(sigma1(g)))):
+        assert cert.passed
+        assert 0.0 <= cert.min_slack <= 1e-15
+
+
 def test_certificate_flags_violation():
     g = WeightedGraph(2, [(0, 1, 4.0)], [1.0, 1.0])
     bad = custom_lengths(g, {(0, 1): 10.0})
@@ -96,6 +106,16 @@ def test_natural_scaled():
     assert cert.passed
     with pytest.raises(InputError):
         natural_scaled(g, 1.0)  # Deg = 2 > 1 at interior vertices
+    with pytest.raises(InputError, match="K must be positive"):
+        natural_scaled(g, 0)
+
+
+def test_certificates_reject_another_graphs_lengths():
+    g, h = path_graph(4), path_graph(5)
+    with pytest.raises(InputError, match="lengths live on a different graph"):
+        strongly_intrinsic_check(g, sigma0(h))
+    with pytest.raises(InputError, match="metric lives on a different graph"):
+        intrinsic_check(g, PathMetric(sigma0(h)))
 
 
 def test_custom_lengths_validation():

@@ -12,7 +12,7 @@ import pytest
 
 import iglab
 from iglab.classify import resolve_budget
-from iglab.errors import FamilyDefinitionError, InputError
+from iglab.errors import FamilyDefinitionError, InputError, NumericalError
 from iglab.forms import VertexFunction, energy, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family
 import iglab.potential as potential
@@ -120,6 +120,25 @@ def test_equilibrium_maximum_principle():
         assert res.bounds_ok
         v = res.e.values
         assert v.min() >= -1e-10 and v.max() <= 1.0 + 1e-10
+
+
+def test_boundary_capacity_needs_an_end():
+    with pytest.raises(InputError, match="no ends, no boundary capacity"):
+        boundary_capacity(build_family("a5.1"))
+
+
+def test_a_false_resistance_bound_fails_the_cross_check():
+    # w = 1, mu = 2^-x: the certified upper bounds on Cap(tail_N) fall
+    # under the lower bound (1/mu(1) + 1e-6)^(-1/2) = 0.707 that the
+    # declared tail resistance 1e-6 would give
+    fam = RayFamily("false-resistance",
+                    w_fn=lambda x: np.ones(np.shape(x)),
+                    mu_fn=lambda x: 2.0 ** -np.asarray(x, dtype=float),
+                    sigma_tail_fn=lambda k: math.inf,
+                    mu_tail_fn=lambda k: 2.0 ** (1 - k), res_upper=1e-6)
+    with pytest.raises(NumericalError, match="fall below the certified "
+                                             "resistance lower bound 7.071e-01"):
+        boundary_capacity(fam)
 
 
 def test_capacity_monotone_in_U():

@@ -14,8 +14,8 @@ from iglab.completeness import hopf_rinow_report
 from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import build_family
 from iglab.graphs import RayFamily
-from iglab.series import (TAIL_BLOCK, TAIL_DEPTH, TailSum, bounded_tail,
-                          geometric_tail)
+from iglab.series import (TAIL_BLOCK, TAIL_DEPTH, TAIL_MAX_TERMS, TailSum,
+                          bounded_tail, geometric_tail)
 
 
 def quadratic_loop(floats, ratio_bound, rel_tol=1e-13):
@@ -57,6 +57,23 @@ def test_geometric_tail_matches_the_quadratic_loop(term_fn, ratio):
     for start in (0, 50):
         assert geometric_tail(term_fn, start, ratio) == \
             quadratic_geometric_tail(term_fn, start, ratio)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_geometric_tail_needs_a_ratio_bound_in_zero_to_one(ratio):
+    with pytest.raises(ValueError, match="must lie in"):
+        geometric_tail(lambda x: 0.5 ** x, 0, ratio)
+
+
+def test_geometric_tail_stops_at_its_term_cap():
+    # ratio 1 - 1e-6: after TAIL_MAX_TERMS terms the remainder bound is
+    # still about 8.2e5, four times the partial sum
+    r = 1.0 - 1e-6
+    floats = rule_floats(lambda x: r ** x, 0, TAIL_MAX_TERMS)
+    ts = geometric_tail(lambda x: r ** x, 0, r)
+    assert ts.value == math.fsum(floats)
+    assert ts.bound == floats[-1] * r / (1.0 - r)
+    assert 8.1e5 < ts.bound < 8.3e5
 
 
 def test_ex51_tails_match_the_quadratic_loop():
