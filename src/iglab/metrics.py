@@ -37,6 +37,7 @@ limit). Each block holds at most SOURCE_BLOCK_ENTRIES distances.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ REL_TOL = 1e-12
 # Distance entries per Dijkstra block in PathMetric.edge_distances: the
 # block of source rows holds at most this many floats (32 MB).
 SOURCE_BLOCK_ENTRIES = 1 << 22
+# The largest float whose square is finite.
+SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 def close(a: float, b: float) -> bool:
@@ -225,9 +228,11 @@ class IntrinsicCertificate:
 def _loads(w: np.ndarray, length: np.ndarray) -> np.ndarray:
     """w len^2 per edge as w * len^2, or as (w * len) * len where len^2
     overflows: a tiny weight can bring the load back into float range."""
+    big = length > SQUARE_MAX
+    if not big.any():
+        return w * np.square(length)
     with np.errstate(over="ignore"):
-        sq = np.square(length)
-        return np.where(np.isinf(sq), w * length * length, w * sq)
+        return np.where(big, w * length * length, w * np.square(length))
 
 
 def _certificate(g: WeightedGraph, entry_len: np.ndarray,

@@ -104,7 +104,7 @@ def test_lambda_solve_on_line_family_splits():
     assert sols["plus"].bounded == "bounded"
 
 
-def scalar_lambda_loops(w_fn, mu_fn, lam, window):
+def scalar_lambda_loops(w_fn, mu_fn, window):
     """The recursion and its residual as loops over numpy scalars, cut
     before the first x where u, u^2 mu or w (du)^2 is not finite."""
     xs = np.arange(window, dtype=float)
@@ -116,7 +116,7 @@ def scalar_lambda_loops(w_fn, mu_fn, lam, window):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for x in range(window - 1):
             s += u[x] * mu[x]
-            u[x + 1] = u[x] + lam / w[x] * s
+            u[x + 1] = u[x] + 1.0 / w[x] * s
         for x in range(window):
             du = u[x] - u[x - 1] if x else 0.0
             if not (np.isfinite(u[x]) and np.isfinite(u[x] * u[x] * mu[x])
@@ -128,7 +128,7 @@ def scalar_lambda_loops(w_fn, mu_fn, lam, window):
         scale = max(1.0, float(np.max(np.abs(u))))
         um = u * mu[:window]
         for x in range(window - 1):
-            rhs = lam * math.fsum(um[:x + 1]) / w[x]
+            rhs = math.fsum(um[:x + 1]) / w[x]
             res = max(res, abs(u[x + 1] - u[x] - rhs))
     return u, res / scale
 
@@ -154,7 +154,7 @@ def test_lambda_solve_matches_the_scalar_loops():
                build_family("ex5.6", {"alpha": 0.3}).ends()]]
     for w_fn, mu_fn in rays:
         for window in (40, 200):
-            u, res = scalar_lambda_loops(w_fn, mu_fn, 1.0, window)
+            u, res = scalar_lambda_loops(w_fn, mu_fn, window)
             sol = _ray_lambda_solve(*rule_arrays(w_fn, mu_fn, window))
             assert sol.window == u.size
             assert sol.u.tobytes() == u.tobytes()

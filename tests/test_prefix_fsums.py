@@ -100,20 +100,20 @@ def test_every_golden_ends_lambda_terms(label, name, params):
             assert_hex_equal(prefix_fsums(terms), fsum_prefixes(terms))
 
 
-def reference_residual(w_fn, mu_fn, lam, window):
+def reference_residual(w_fn, mu_fn, window):
     """The residual of _ray_lambda_solve as it was computed before
     prefix_fsums: the same recursion and cut, one fsum per prefix."""
     xs = np.arange(window, dtype=float)
     w = np.asarray(w_fn(xs[:-1]), dtype=float)
     mu = np.asarray(mu_fn(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_w = (lam / w).tolist()
+        inv_w = (1.0 / w).tolist()
     mu_l = mu.tolist()
     u = [1.0]
     s = 0.0
     for x in range(window - 1):
         s += u[x] * mu_l[x]
-        u.append(u[x] + lam_w[x] * s)
+        u.append(u[x] + inv_w[x] * s)
     u = np.array(u)
     with np.errstate(over="ignore", invalid="ignore"):
         inc = np.diff(u)
@@ -129,7 +129,7 @@ def reference_residual(w_fn, mu_fn, lam, window):
         w = w[:window - 1]
     scale = max(1.0, float(np.max(np.abs(u))))
     um = (u * mu).tolist()
-    sums = np.array([lam * math.fsum(um[:x + 1]) for x in range(window - 1)])
+    sums = np.array([math.fsum(um[:x + 1]) for x in range(window - 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.abs(u[1:] - u[:-1] - sums / w)
     return window, max([0.0, *dev.tolist()]) / scale
@@ -142,6 +142,6 @@ def test_lambda_residuals_match_the_quadratic_check(label, name, params):
         for budget in BUDGETS.values():
             win = budget.lambda_window
             sol = ray_solve(end.w_fn, end.mu_fn, win)
-            window, res = reference_residual(end.w_fn, end.mu_fn, 1.0, win)
+            window, res = reference_residual(end.w_fn, end.mu_fn, win)
             assert sol.window == window
             assert sol.residual.hex() == res.hex()
