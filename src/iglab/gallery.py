@@ -348,19 +348,19 @@ def _verdict_checks(rep, expect: dict) -> list:
 class Golden:
     """The golden claims of one run, as data: the expected verdicts
     (report field -> value, a trailing "*" matches a prefix), then claims
-    that compute something, each a function (fam, rep, bud) -> [Check].
+    that compute something, each a function (fam, rep) -> [Check].
     Calling it checks one classification."""
     verdicts: dict
     claims: tuple = ()
 
-    def __call__(self, fam, rep, bud) -> list:
+    def __call__(self, fam, rep) -> list:
         out = _verdict_checks(rep, self.verdicts)
         for claim in self.claims:
-            out += claim(fam, rep, bud)
+            out += claim(fam, rep)
         return out
 
 
-def _codim_claim(fam, rep, bud):
+def _codim_claim(fam, rep):
     target, tol = fam.codim_closed_form, 0.05
     est = rep.codim
     if est is None:
@@ -369,13 +369,13 @@ def _codim_claim(fam, rep, bud):
     return [Check("codim", ok, f"{est.codim:.4f}", f"{target:.4f} +- {tol}")]
 
 
-def _inapplicable_claim(fam, rep, bud):
+def _inapplicable_claim(fam, rep):
     return [Check("completeness verdict inapplicable",
                   rep.completeness.startswith("inapplicable"),
                   rep.completeness, "inapplicable*")]
 
 
-def _ex51_claims(fam, rep, bud):
+def _ex51_claims(fam, rep):
     ends = rep.capacity.per_end
     return [Check("two polar ends", len(ends) == 2 and
                   all(s.regime == "zero" for s in ends),
@@ -385,7 +385,7 @@ def _ex51_claims(fam, rep, bud):
                   str(rep.witness and rep.witness.passed), "True")]
 
 
-def _ex52_claims(fam, rep, bud):
+def _ex52_claims(fam, rep):
     sol = rep.lambda_solutions["plus"]
     return [Check("lambda solution increasing, not square-summable",
                   sol.increasing and sol.l2.verdict == "diverged",
@@ -396,7 +396,7 @@ def _ex52_claims(fam, rep, bud):
                   sol.criterion.verdict, "converged")]
 
 
-def _ex53a_claims(fam, rep, bud):
+def _ex53a_claims(fam, rep):
     sol = rep.lambda_solutions["plus"]
     alt = rep.boundary_alternative.verdict
     return [Check("lambda solution in maximal form domain",
@@ -407,14 +407,14 @@ def _ex53a_claims(fam, rep, bud):
                   alt.startswith("forms differ"), alt, "forms differ*")]
 
 
-def _ex53_claims(fam, rep, bud):
+def _ex53_claims(fam, rep):
     regimes = {s.end_label: s.regime for s in rep.capacity.per_end}
     return [Check("per-end regimes",
                   regimes == {"minus": "infinite", "plus": "positive-finite"},
                   str(regimes), "minus: infinite, plus: positive-finite")]
 
 
-def _ex54_claims(fam, rep, bud):
+def _ex54_claims(fam, rep):
     est = rep.codim
     end = fam.ends()[0]
     exact = all(
@@ -430,7 +430,7 @@ def _ex54_claims(fam, rep, bud):
                   "exact" if exact else "drift", "exact")]
 
 
-def _ex55_claims(fam, rep, bud):
+def _ex55_claims(fam, rep):
     est = rep.codim
     if est is None:
         return [Check("codim ratios", False, "missing", "")]
@@ -443,7 +443,7 @@ def _ex55_claims(fam, rep, bud):
                   f"{est.codim_local:.4f}", "in [1.85, 2]")]
 
 
-def _codim3_claims(fam, rep, bud):
+def _codim3_claims(fam, rep):
     pt = codim_polarity_test(fam)
     bounds_ok = all(e.within_bound for e in pt.entries)
     return [Check("local slope = 3",
@@ -462,7 +462,7 @@ def _star_metric(fam, window):
     return PathMetric(lengths_for(fam.truncate(window), "canonical", fam))
 
 
-def _a51_claims(fam, rep, bud):
+def _a51_claims(fam, rep):
     sizes = []
     ok_d = True
     for win in (8, 16, 32):
@@ -475,7 +475,7 @@ def _a51_claims(fam, rep, bud):
                   sizes == [9, 17, 33], str(sizes), "[9, 17, 33]")]
 
 
-def _a53_claims(fam, rep, bud):
+def _a53_claims(fam, rep):
     wins = (8, 16, 32)
     ds = [_star_metric(fam, w).distance(0, fam.extra_id(w)) for w in wins]
     ok = all(d <= 2.0 * 2.0 ** -w * 1.0001 for d, w in zip(ds, wins))
@@ -485,7 +485,7 @@ def _a53_claims(fam, rep, bud):
                   "decreasing, <= 2*2^-window")]
 
 
-def _a54_claims(fam, rep, bud):
+def _a54_claims(fam, rep):
     d_far = _star_metric(fam, 40).distance(0, 80)   # tip of ray 40
     sizes = [len(_star_metric(fam, win).ball(0, 0.25)) for win in (8, 16, 32)]
     return [Check("d(hub, tip of ray n) ~ 2^(-n/2) -> 0",
@@ -633,7 +633,7 @@ def run_gallery(select=None, budget="standard", out_dir=None) -> GalleryResult:
             fam = build_family(name, params)
             rep = classify(fam, "canonical", bud)
             rep_dict = rep.to_dict()
-            checks = checker(fam, rep, bud)
+            checks = checker(fam, rep)
         except NumericalError as exc:
             error = str(exc)
             numfail.append((label, error))

@@ -541,6 +541,8 @@ def codim_polarity_test(fam: GraphFamily) -> PolarityTestResult:
     bound sqrt(mu(B_{r_n}) + 4 mu(B_{r_n}) / r_n^2).
     """
     end = boundary_end(fam, "polarity test")
+    if len(fam.ends()) != 1:
+        raise InputError(f"{fam.describe()}: the cutoff test needs a ray")
     cuts = []
     for n in CUTOFF_SCALES:
         r_n = end.sigma_tail(n).value
@@ -556,9 +558,6 @@ def codim_polarity_test(fam: GraphFamily) -> PolarityTestResult:
     # each window's rule arrays are a prefix of the deepest window's
     top = max(window for _, _, window in cuts)
     w, mu = fam._window_arrays(top)
-    if mu.size != top:                  # a line's window holds two ends
-        raise InputError("values must have length "
-                         f"{fam._window_arrays(cuts[0][2])[1].size}")
     rv = np.array([end.sigma_tail(k).value for k in range(top)])
     entries = []
     for n, r_n, window in cuts:

@@ -9,7 +9,8 @@ verdicts can stay honest about what is exact and what is bracketed.
 
 The summing helpers call their term rule on float arrays of indices, as
 the End rules are called, never one index at a time: bounded_tail makes
-one call, geometric_tail one per block of a doubling size. A term that is
+one call of TAIL_DEPTH terms, geometric_tail one call of as many terms
+as its ratio bound needs to reach TAIL_REL_TOL. A term that is
 NaN or negative, or a rule that does not return one float per index,
 raises FamilyDefinitionError. Their TailSums round outward, so upper and
 lower enclose the exact sum of the floats summed plus the remainder.
@@ -27,7 +28,6 @@ from .errors import FamilyDefinitionError
 TINY = np.finfo(float).tiny     # the smallest normal float
 TAIL_REL_TOL = 1e-13            # geometric_tail's relative remainder target
 TAIL_MAX_TERMS = 200000         # geometric_tail's term cap
-TAIL_BLOCK = 128                # geometric_tail's first block of terms
 TAIL_DEPTH = 2000               # terms bounded_tail sums before its bound
 PLATEAU_REL = 1e-6              # plateau's last-quartile relative change
 
@@ -85,42 +85,38 @@ def _bad_term(terms: np.ndarray, start: int):
 def geometric_tail(term_fn, start: int, ratio_bound: float) -> TailSum:
     """Sum term_fn(start) + term_fn(start+1) + ... given a uniform ratio bound.
 
-    ratio_bound must satisfy term(x+1) <= ratio_bound * term(x) for all
-    x >= start with 0 < ratio_bound < 1; the remainder after the partial
-    sum is then bounded by last_term * r / (1 - r). The sum stops at a
-    zero term, at the first remainder <= TAIL_REL_TOL * fsum(terms so
-    far), or after TAIL_MAX_TERMS terms. term_fn is called on index
-    arrays of TAIL_BLOCK, 2 TAIL_BLOCK, 4 TAIL_BLOCK, ... entries until a
-    block holds the stop index, so it may see indices past it, where its
-    floats are not read. The plain running sum of n nonnegative terms is
-    within n 2^-53 of the exact one, so fsum runs only where the remainder
-    is at most twice TAIL_REL_TOL times it, or where that product is
-    subnormal and loses the relative bound.
+    ratio_bound r must satisfy term(x+1) <= r term(x) for all x >= start
+    with 0 < r < 1; the remainder after the partial sum is then bounded by
+    last_term * r / (1 - r). term_fn is called once, on the
+    n = ceil(log((1 - r) TAIL_REL_TOL / 2) / log r) + 1 indices (at most
+    TAIL_MAX_TERMS) by whose last that bound is under TAIL_REL_TOL / 2
+    times the first term. The sum stops at a zero term, at the first
+    remainder <= TAIL_REL_TOL * fsum(terms so far), or at the last index;
+    floats past the stop are not read. The plain running sum of n
+    nonnegative terms is within n 2^-53 of the exact one, so fsum runs
+    only where the remainder is at most twice TAIL_REL_TOL times it, or
+    where that product is subnormal and loses the relative bound.
     """
     if not 0.0 < ratio_bound < 1.0:
         raise ValueError("ratio_bound must lie in (0, 1)")
-    terms = np.empty(0)
-    size = TAIL_BLOCK
+    r = ratio_bound
+    n = min(math.ceil(math.log((1.0 - r) * TAIL_REL_TOL / 2) / math.log(r))
+            + 1, TAIL_MAX_TERMS)
     with np.errstate(all="ignore"):
-        while terms.size < TAIL_MAX_TERMS:
-            lo = terms.size
-            size = min(size, TAIL_MAX_TERMS - lo)
-            block = _terms(term_fn, start + lo, size)
-            terms = np.concatenate((terms, block)) if lo else block
-            remainder = block * ratio_bound / (1.0 - ratio_bound)
-            scale = TAIL_REL_TOL * terms.cumsum()[lo:]
-            ok = block >= 0.0                   # False at NaN or negative
-            good = size if ok.all() else int(ok.argmin())
-            # a zero term has remainder 0, so it passes the first test
-            candidates = ((remainder[:good] <= 2 * scale[:good])
-                          | (scale[:good] < TINY)).nonzero()[0]
-            for i in candidates.tolist():
-                partial = math.fsum(terms[:lo + i + 1].tolist())
-                if remainder[i] <= TAIL_REL_TOL * partial or block[i] == 0.0:
-                    return TailSum(partial, float(remainder[i]), exact=False)
-            if good < size:
-                raise _bad_term(block, start + lo)
-            size *= 2
+        terms = _terms(term_fn, start, n)
+        remainder = terms * r / (1.0 - r)
+        scale = TAIL_REL_TOL * terms.cumsum()
+        ok = terms >= 0.0                   # False at NaN or negative
+        good = n if ok.all() else int(ok.argmin())
+        # a zero term has remainder 0, so it passes the first test
+        candidates = ((remainder[:good] <= 2 * scale[:good])
+                      | (scale[:good] < TINY)).nonzero()[0]
+    for i in candidates.tolist():
+        partial = math.fsum(terms[:i + 1].tolist())
+        if remainder[i] <= TAIL_REL_TOL * partial or terms[i] == 0.0:
+            return TailSum(partial, float(remainder[i]), exact=False)
+    if good < n:
+        raise _bad_term(terms, start)
     return TailSum(math.fsum(terms.tolist()), float(remainder[-1]),
                    exact=False)
 

@@ -19,7 +19,8 @@ from iglab.completeness import boundary_end
 from iglab.errors import FamilyDefinitionError, InputError
 from iglab.forms import VertexFunction, energy, laplacian_all, norm_sq
 from iglab.gallery import GOLDEN_RUNS, build_family, run_gallery
-from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
+from iglab.graphs import (End, GraphFamily, LinearFamily, LineFamily,
+                          RayFamily)
 from iglab.potential import codim_polarity_test
 
 CUTOFF = [(label, name, params) for label, name, params, _ in GOLDEN_RUNS
@@ -165,8 +166,7 @@ def at_nine(rule, value):
 
 def bad_families():
     """Builders of families on which the cutoff test fails: a window past
-    the cap, a weight and a measure rule invalid at index 9, and a line
-    with one boundary end, whose windows hold both ends."""
+    the cap, and a weight and a measure rule invalid at index 9."""
     def capped():
         fam = build_family("codim3")
         fam.window_cap = 20
@@ -175,20 +175,10 @@ def bad_families():
     def bad_rule(**kw):
         return lambda: RayFamily("bad", **codim3_rules(**kw))
 
-    def half_line():
-        rules = codim3_rules()
-        plus = End(rules.pop("w_fn"), rules.pop("mu_fn"), rules.pop("sigma_fn"),
-                   **rules)
-        minus = End(np.ones_like, lambda x: 8.0 ** -np.asarray(x),
-                    np.ones_like, sigma_tail_fn=lambda k: math.inf,
-                    mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k)
-        return LineFamily("half", minus, plus)
-
     (end,) = build_family("codim3").ends()
     return {"window cap": capped,
             "weight rule": bad_rule(w_fn=at_nine(end.w_fn, np.nan)),
-            "measure rule": bad_rule(mu_fn=at_nine(end.mu_fn, 0.0)),
-            "line family": half_line}
+            "measure rule": bad_rule(mu_fn=at_nine(end.mu_fn, 0.0))}
 
 
 @pytest.mark.parametrize("case", sorted(bad_families()))
@@ -200,9 +190,39 @@ def test_cutoff_errors_keep_their_text(case, monkeypatch):
     expect = {"window cap": "window 21 is not between the smallest window 2 "
                             "and the window cap 20",
               "weight rule": "weight rule invalid at edge index 9",
-              "measure rule": "measure rule invalid at vertex 9",
-              "line family": "values must have length"}[case]
+              "measure rule": "measure rule invalid at vertex 9"}[case]
     assert expect in want[1]
+
+
+def half_line():
+    """codim3's end on a line whose other end has infinite length: one
+    boundary end, but every window holds both ends."""
+    rules = codim3_rules()
+    plus = End(rules.pop("w_fn"), rules.pop("mu_fn"), rules.pop("sigma_fn"),
+               **rules)
+    minus = End(np.ones_like, lambda x: 8.0 ** -np.asarray(x),
+                np.ones_like, sigma_tail_fn=lambda k: math.inf,
+                mu_tail_fn=lambda k: (8.0 / 7.0) * 8.0 ** -k)
+    return LineFamily("half", minus, plus)
+
+
+def test_cutoff_test_on_a_line_needs_a_ray(monkeypatch):
+    monkeypatch.setattr(GraphFamily, "_window", refuse)
+    monkeypatch.setattr(LinearFamily, "_window_arrays", refuse)
+    assert raised(codim_polarity_test, half_line()) == \
+        (InputError, "half: the cutoff test needs a ray")
+
+
+def test_cutoff_test_reads_one_window_of_rule_arrays(monkeypatch):
+    windows = []
+    arrays = LinearFamily._window_arrays
+
+    def spy(self, window):
+        windows.append(window)
+        return arrays(self, window)
+    monkeypatch.setattr(LinearFamily, "_window_arrays", spy)
+    codim_polarity_test(build_family("codim3"))
+    assert len(windows) == 1
 
 
 def test_standard_gallery_builds_graphs_only_for_stars(monkeypatch):

@@ -14,8 +14,14 @@ from iglab.completeness import hopf_rinow_report
 from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import build_family
 from iglab.graphs import RayFamily
-from iglab.series import (TAIL_BLOCK, TAIL_DEPTH, TAIL_MAX_TERMS, TailSum,
+from iglab.series import (TAIL_DEPTH, TAIL_MAX_TERMS, TAIL_REL_TOL, TailSum,
                           bounded_tail, geometric_tail)
+
+
+def tail_terms(r):
+    """The number of indices geometric_tail passes to its one rule call."""
+    n = math.ceil(math.log((1.0 - r) * TAIL_REL_TOL / 2) / math.log(r)) + 1
+    return min(n, TAIL_MAX_TERMS)
 
 
 def quadratic_loop(floats, ratio_bound, rel_tol=1e-13):
@@ -154,8 +160,8 @@ def test_a_bad_term_is_a_family_error(rule, match):
 
 
 def test_geometric_tail_reads_no_term_past_its_stop():
-    # 0.5^x stops near x = 45, inside the first block; its NaN at 100 is
-    # evaluated but not summed, while bounded_tail sums every term
+    # 0.5^x stops near x = 45, inside its one call of 47 indices, so its
+    # NaN at 100 is not evaluated, while bounded_tail sums every term
     ts = geometric_tail(_nan_at(100), 0, 0.5)
     assert ts == quadratic_geometric_tail(lambda x: 0.5 ** x, 0, 0.5)
     with pytest.raises(FamilyDefinitionError, match="at index 100"):
@@ -187,7 +193,7 @@ def _recording(helper, calls):
     return wrapped
 
 
-def test_tail_rules_are_called_once_per_array_block(monkeypatch):
+def test_tail_rules_are_called_once_per_tail(monkeypatch):
     calls = {}
     for helper in (bounded_tail, geometric_tail):
         monkeypatch.setattr(gallery, helper.__name__,
@@ -195,21 +201,48 @@ def test_tail_rules_are_called_once_per_array_block(monkeypatch):
     for name in ("ex5.1", "ex5.2", "ex5.3"):
         classify(build_family(name), budget="standard")
     assert {name for name, *_ in calls} == {"bounded_tail", "geometric_tail"}
-    for (name, rule, start, args), seen in calls.items():
-        *blocks, ts = seen
-        lo = start
-        for i, xs in enumerate(blocks):
-            size = TAIL_DEPTH if name == "bounded_tail" else TAIL_BLOCK << i
-            assert xs.tolist() == list(range(lo, lo + size))
-            lo += size
-        if name == "bounded_tail":
-            assert len(blocks) == 1
-            continue
-        # the last block holds the stop index, and no earlier one does
-        floats = [t for xs in blocks for t in rule(xs).tolist()]
-        got, n = quadratic_loop(floats, *args)
-        assert got == ts
-        assert lo - len(blocks[-1]) < start + n <= lo
+    for (name, rule, start, args), (xs, ts) in calls.items():
+        size = TAIL_DEPTH if name == "bounded_tail" else tail_terms(*args)
+        assert xs.tolist() == list(range(start, start + size))
+        if name == "geometric_tail":
+            # the one call holds the stop index
+            got, _ = quadratic_loop(rule(xs).tolist(), *args)
+            assert got == ts and ts.bound <= TAIL_REL_TOL * ts.value
+
+
+def test_the_ratio_bound_sizes_the_one_call():
+    # ex5.1's two tails, at ratios 1/2 and 2^-1/2
+    assert (tail_terms(0.5), tail_terms(2.0 ** -0.5)) == (47, 93)
+    assert tail_terms(0.9999) == TAIL_MAX_TERMS
+
+
+def _power_rules(rng):
+    """Seeded (rule, ratio, start): c r^k, exact in its ratio bound, and
+    c r^k (1 + k)^-2, which decays faster than r."""
+    for _ in range(20):
+        r = float(rng.uniform(0.01, 0.999))
+        c = 10.0 ** rng.uniform(-100, 100)
+        start = int(rng.integers(0, 50))
+        yield (lambda x, r=r, c=c: c * r ** x), r, start
+        yield (lambda x, r=r, c=c: c * r ** x / (1.0 + x) ** 2), r, start
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_geometric_tail_stops_inside_its_one_call(seed):
+    for rule, r, start in _power_rules(np.random.default_rng(seed)):
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return rule(x)
+        ts = geometric_tail(spy, start, r)
+        (xs,) = seen
+        assert xs.tolist() == list(range(start, start + tail_terms(r)))
+        floats = rule(xs).tolist()
+        got, n = quadratic_loop(floats, r)
+        assert ts == got
+        assert ts.value == math.fsum(floats[:n])
+        assert ts.bound <= TAIL_REL_TOL * ts.value
 
 
 SLOW_RATIO = """
