@@ -36,15 +36,18 @@ windows via truncate(). A truncation carries the id of the model origin
 (origin) and the edge mass each frontier vertex lost to the cut (leak),
 which downstream modules use for leak bounds.
 
-Each family builds each window once, each ray or line evaluates each of
-its rules w, mu and sigma once per index (LinearFamily.chain), and each
-End evaluates each tail rule once per index: all three keep a memo that
-lives as long as the family (or End) object does. The gallery and the
-CLI build one family per run, so one classification reads every rule
-value, window and tail once, and the witness and the golden claims share
-them. The ball scan, the capacity ladder, the lambda recursion, the
-witness and the cutoff test of a ray or line read the rules from the
-chain, the arrays a realization reads, and build no graph.
+A family builds a window on each truncate call and keeps none. Each End
+evaluates each tail rule once per index, and a ray or line keeps one
+memo of its rules w, mu and sigma per end (LinearFamily.chain); both
+live as long as the End or family does. The ball scan, the capacity
+ladder, the lambda recursion, the witness and the cutoff test of a ray
+or line slice the chain, the arrays a realization reads, and build no
+graph. Three readers call the rules on index arrays of their own, so
+they may evaluate an index the chain also holds: the ramp grid's w sum
+(potential._w_sum, where the End declares no w_sum_fn) and its mass
+(the mu rule in potential._ramp_upper), and the summed tail rules
+(series.geometric_tail and bounded_tail). The gallery and the CLI build
+one family per run, so the witness and the golden claims share its memos.
 """
 
 from __future__ import annotations
@@ -619,11 +622,11 @@ class LinearFamily(GraphFamily):
 
     def chain(self, depth: int) -> tuple:
         """One Chain of this depth per end of ends(), sliced from the memo
-        that every reader of the rules w, mu and sigma shares, max_window
-        and truncate included. The memo is filled on first use (never at
+        that the chain's readers (module docstring), max_window and
+        truncate share. The memo is filled on first use (never at
         construction) and grows to at least twice its length when too
-        short, so each rule runs once per index. Values are raw: valid ones
-        lie within the depth of max_window."""
+        short, so it runs each rule once per index. Values are raw: valid
+        ones lie within the depth of max_window."""
         depth = int(depth)
         if depth >= self._size:
             self._grow(max(depth + 1, 2 * self._size))

@@ -205,7 +205,8 @@ class CapacitySequence:
                  "certified_upper": _json_number(e.certified_upper)}
                 for e in self.entries],
             "cummin_upper": self.cummin_upper,
-            "diagnostics": self.diagnostics,
+            "diagnostics": {k: _json_number(v) if isinstance(v, float) else v
+                            for k, v in self.diagnostics.items()},
         }
 
 
@@ -354,7 +355,8 @@ def _end_capacity(fam, end, maxwin: int, solver_tail_max: int,
                              [v for _, v in finite[-4:]])
         zero_hit = any(v == 0.0 for _, v in finite)
         diag["upper_below_threshold_at"] = fired[0] if fired else None
-        diag["upper_loglog_slope"] = slope
+        # the fit skips a 0 bound, so past one it spans the underflow
+        diag["upper_loglog_slope"] = None if zero_hit else slope
         caps = [e.solver_cap for e in entries if e.solver_cap is not None]
         if caps:
             tailvals = caps[last_quartile(len(caps))]
@@ -394,8 +396,9 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
     Analytic ramp bounds extend the tail grid beyond any window; the ramp
     grid stops after the first bound that is 0 (final: Cap(tail_N) does
     not increase with N) or inf (the rules overflow float range), and
-    diagnostics["analytic_stopped"] names the tail and the reason. Each
-    end is computed once per distinct End (LinearFamily.per_end).
+    diagnostics["analytic_stopped"] names the tail and the reason, and
+    diagnostics["upper_loglog_slope"] is then None where that bound is 0.
+    Each end is computed once per distinct End (LinearFamily.per_end).
     Regime rules:
 
       infinite:        the end has infinite measure (no sweep needed)

@@ -10,6 +10,7 @@ import pytest
 
 import iglab.cli as cli
 from iglab.errors import NumericalError
+from iglab.gallery import GOLDEN_RUNS, build_family
 
 
 def run(capsys, *argv):
@@ -303,16 +304,38 @@ def test_window_past_the_float_range_exit_2(capsys):
     assert "ex5.3a: weight rule invalid at edge index 1024 (value inf)" in err
 
 
+def not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+LINEAR_SPECS = [name + "".join(f"{',' if i else ':'}{k}={v}"
+                               for i, (k, v) in enumerate(params.items()))
+                for _, name, params, _ in GOLDEN_RUNS
+                if build_family(name, params).ends()]
+
+
+@pytest.mark.parametrize("tails", [4, 8, 128])
+@pytest.mark.parametrize("spec", LINEAR_SPECS)
+def test_cap_boundary_is_strict_json_at_any_tail_count(capsys, spec, tails):
+    # at --tails 4 each end has one ladder cap, whose last quartile has
+    # no change to measure: that diagnostic is written as null
+    code, out, err = run(capsys, "cap", "boundary", "--family", spec,
+                         "--tails", str(tails))
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=not_json)
+    diags = [seq["diagnostics"] for seq in doc["per_end"]]
+    changes = [d["solver_last_quartile_change"] for d in diags
+               if "solver_last_quartile_change" in d]
+    assert all((c is None) == (tails == 4) for c in changes)
+
+
 @pytest.mark.parametrize("argv", [["cap", "boundary", "--family", "ex5.3a"],
                                   ["codim", "--family", "codim3"]])
 def test_json_output_is_strict_json(capsys, argv):
     # an infinite ramp_upper and a NaN codimension ratio are written as null
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    doc = json.loads(out, parse_constant=refuse)
+    doc = json.loads(out, parse_constant=not_json)
     if argv[0] == "cap":
         values = [e["ramp_upper"] for seq in doc["per_end"]
                   for e in seq["entries"]]

@@ -7,6 +7,9 @@ needs a reference. A public one (a module-level function or class, or a
 method of such a class) needs a reference outside src/iglab/__init__.py,
 whose re-exports do not count, or in demos/, perfbench/ or tools/, or
 must appear in a code span of README.md.
+
+Every parameter of a function or method is read in its body, apart from
+a method's self or cls and the signatures a protocol fixes (PROTOCOL).
 """
 
 import ast
@@ -15,6 +18,7 @@ import pathlib
 import re
 
 import iglab
+from iglab.gallery import GOLDEN_RUNS
 
 SRC = pathlib.Path(iglab.__file__).parent
 ROOT = SRC.parent.parent
@@ -83,4 +87,56 @@ def test_every_public_definition_has_a_reader():
     unread = [where for where, node in defs
               if refs[node.name] == _references(node)[node.name]
               and node.name not in documented]
+    assert unread == []
+
+
+# parameters a shared signature makes a function take without reading
+# them: qualified name -> (parameters, why)
+CLAIMS = {claim.__name__ for *_, golden in GOLDEN_RUNS
+          for claim in golden.claims}
+PROTOCOL = {
+    **{name: ({"fam", "rep"}, "Golden calls every claim as claim(fam, rep)")
+       for name in CLAIMS},
+    "_chain_balls": ({"sigma"}, "one dispatch calls it or _graph_balls, "
+                                "which reads sigma"),
+    "LinearFamily.root_id": ({"window"}, "LineFamily.root_id reads it"),
+    "_build_unsupported.build": ({"params"}, "build_family calls every "
+                                             "builder as build(**params)"),
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, function node, is a method) for every def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFS):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child, isinstance(node, ast.ClassDef)
+            yield from _functions(child, name + ".")
+
+
+def _unread_parameters(fn, is_method):
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    if is_method and not static:
+        params = params[1:]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {p for p in params if p not in read}
+
+
+def test_every_parameter_is_read():
+    names, unread = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn, is_method in _functions(ast.parse(path.read_text())):
+            names.add(name)
+            allowed = PROTOCOL.get(name, (set(), ""))[0]
+            extra = _unread_parameters(fn, is_method) - allowed
+            if extra:
+                unread.append(f"{path.name}:{fn.lineno} {name} {sorted(extra)}")
+    assert len(names) > 200               # the walk found the package
+    assert len(CLAIMS) == 12 and set(PROTOCOL) <= names
     assert unread == []

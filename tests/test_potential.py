@@ -886,6 +886,8 @@ def test_analytic_grid_stops_at_inf_or_zero(cap_reports):
     assert seq.entries[-1].ramp_upper == 0.0
     note = seq.diagnostics["analytic_stopped"]
     assert "tail 4096" in note and "is 0" in note
+    # past a 0 bound no slope is fitted
+    assert seq.diagnostics["upper_loglog_slope"] is None
     for seq in cap_reports["ex5.1"].per_end:
         assert seq.entries[-1].tail_start == STANDARD["analytic_tail_max"]
         assert "analytic_stopped" not in seq.diagnostics
