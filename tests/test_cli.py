@@ -308,8 +308,8 @@ def not_json(token):
     raise ValueError(f"{token} is not JSON")
 
 
-LINEAR_SPECS = [name + "".join(f"{',' if i else ':'}{k}={v}"
-                               for i, (k, v) in enumerate(params.items()))
+LINEAR_SPECS = [name + (":" + ",".join(f"{k}={v}" for k, v in params.items())
+                        if params else "")
                 for _, name, params, _ in GOLDEN_RUNS
                 if build_family(name, params).ends()]
 
