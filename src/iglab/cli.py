@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -38,10 +39,57 @@ from .errors import InputError, NumericalError
 from .forms import (VertexFunction, caccioppoli_check, energy,
                     green_identity_check, leibniz_check)
 from .gallery import _write_atomic, build_family, run_gallery
-from .graphs import _cast, load_family_config
 from .metrics import (PathMetric, discovered_jump_size, intrinsic_check,
                       strongly_intrinsic_check)
 from .potential import boundary_capacity, minkowski_samples
+
+
+# -- family specs ---------------------------------------------------------
+#
+# A family config file has key-value lines, one per line, '#' comments
+# allowed:
+#     family ex5.6
+#     alpha 1.0
+#     case 2
+# 'family' is required and each key appears once; remaining keys are
+# parsed as int, then float, then kept as strings, and passed to the
+# registry builder.
+
+def load_family_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read family config {path}: {exc}") from None
+    name = None
+    params = {}
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise InputError(f"bad config line {ln}: {raw.rstrip()!r}")
+        key, val = parts[0], parts[1].strip()
+        if key in params or (key == "family" and name is not None):
+            raise InputError(f"repeated key {key!r} on config line {ln}")
+        if key == "family":
+            name = val
+        else:
+            params[key] = _cast(val)
+    if name is None:
+        raise InputError("config file missing 'family <name>' line")
+    return name, params
+
+
+def _cast(text: str):
+    """A parameter value: int if it parses as one, else float, else str."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _resolve_family(spec: str):
@@ -80,6 +128,17 @@ def _emit(payload: str, out: str | None):
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _csv(header, rows) -> str:
+    """header and rows as CSV. A missing (None) or non-finite number is an
+    empty field, as JSON writes it null."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([None if isinstance(v, float) and not math.isfinite(v)
+                      else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _cmd_metric_check(args) -> int:
@@ -136,17 +195,11 @@ def _cmd_cap_boundary(args) -> int:
     fam = _resolve_family(args.family)
     rep = boundary_capacity(fam, solver_tail_max=args.tails)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["end", "tail", "cap", "bracket_upper", "ramp_upper",
-                         "certified_upper"])
-        for seq in rep.per_end:
-            for e in seq.entries:
-                cu = e.certified_upper
-                writer.writerow([seq.end_label, e.tail_start, e.solver_cap,
-                                 e.bracket_upper, e.ramp_upper,
-                                 "" if cu == float("inf") else cu])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(["end", "tail", "cap", "bracket_upper", "ramp_upper",
+                    "certified_upper"],
+                   ([seq.end_label, e.tail_start, e.solver_cap,
+                     e.bracket_upper, e.ramp_upper, e.certified_upper]
+                    for seq in rep.per_end for e in seq.entries)), args.out)
     else:
         _emit(_json(rep.to_dict()), args.out)
     return 0
@@ -156,14 +209,10 @@ def _cmd_codim(args) -> int:
     fam = _resolve_family(args.family)
     est = minkowski_samples(fam, depth=args.depth)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["x", "r", "mu_ball", "ratio", "local_slope"])
-        loc = [""] + list(est.local_slopes)
-        for i, x in enumerate(est.xs):
-            writer.writerow([int(x), est.r[i], est.mu_ball[i],
-                             est.ratios[i], loc[i]])
-        _emit(buf.getvalue(), args.out)
+        loc = [None] + list(est.local_slopes)
+        _emit(_csv(["x", "r", "mu_ball", "ratio", "local_slope"],
+                   ([int(x), est.r[i], est.mu_ball[i], est.ratios[i], loc[i]]
+                    for i, x in enumerate(est.xs))), args.out)
     else:
         _emit(_json(est.to_dict()), args.out)
     return 0

@@ -195,7 +195,8 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     chain = isinstance(fam, LinearFamily) and sigma == "canonical"
     scan = None
     for win in windows:
-        ecc, balls = (_chain_balls if chain else _graph_balls)(fam, sigma, win)
+        ecc, balls = (_chain_balls(fam, win) if chain
+                      else _graph_balls(fam, sigma, win))
         if scan is None:
             scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
         scan.windows.append(win)
@@ -228,7 +229,7 @@ def _graph_balls(fam: GraphFamily, sigma, win: int):
     return metric.eccentricity(g.origin), balls
 
 
-def _chain_balls(fam: LinearFamily, sigma, win: int):
+def _chain_balls(fam: LinearFamily, win: int):
     """_graph_balls for canonical sigma on a ray or line, with no graph:
     distances are running sums of each end's lengths, a ball is an index
     range per end and its neighborhood that range widened by one, and Deg

@@ -327,53 +327,6 @@ def load_path(path) -> WeightedGraph:
         return loads(fh.read())
 
 
-# -- family configuration files -------------------------------------------
-#
-# Key-value lines, one per line, '#' comments allowed:
-#     family ex5.6
-#     alpha 1.0
-#     case 2
-# 'family' is required and each key appears once; remaining keys are
-# parsed as int, then float, then kept as strings, and passed to the
-# registry builder.
-
-def load_family_config(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read family config {path}: {exc}") from None
-    name = None
-    params = {}
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise InputError(f"bad config line {ln}: {raw.rstrip()!r}")
-        key, val = parts[0], parts[1].strip()
-        if key in params or (key == "family" and name is not None):
-            raise InputError(f"repeated key {key!r} on config line {ln}")
-        if key == "family":
-            name = val
-        else:
-            params[key] = _cast(val)
-    if name is None:
-        raise InputError("config file missing 'family <name>' line")
-    return name, params
-
-
-def _cast(text: str):
-    """A parameter value: int if it parses as one, else float, else str."""
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
-
-
 # -- rule families ---------------------------------------------------------
 
 def _valid(values):

@@ -463,7 +463,8 @@ class CodimEstimate:
                 "mu_ball": self.mu_ball.tolist(),
                 "ratios": [_json_number(v) for v in self.ratios.tolist()],
                 "local_slopes": self.local_slopes.tolist(),
-                "fit_slope": self.fit_slope, "codim": self.codim,
+                "fit_slope": self.fit_slope,
+                "codim": _json_number(self.codim),
                 "codim_local": self.codim_local, "exact": self.exact,
                 "closed_form": self.closed_form}
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from iglab import completeness
+import iglab.classify as classify_module
 from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
@@ -14,9 +14,6 @@ from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
 from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
-
-# the package re-exports the classify function under the module's name
-classify_module = importlib.import_module("iglab.classify")
 
 
 def unit_ray():

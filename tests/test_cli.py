@@ -330,9 +330,12 @@ def test_cap_boundary_is_strict_json_at_any_tail_count(capsys, spec, tails):
 
 
 @pytest.mark.parametrize("argv", [["cap", "boundary", "--family", "ex5.3a"],
-                                  ["codim", "--family", "codim3"]])
+                                  ["codim", "--family", "codim3"],
+                                  ["codim", "--family", "ex5.6:alpha=0.55",
+                                   "--depth", "2"]])
 def test_json_output_is_strict_json(capsys, argv):
-    # an infinite ramp_upper and a NaN codimension ratio are written as null
+    # an infinite ramp_upper, a NaN codimension ratio and the NaN codim of
+    # a deepest quartile with no r < 1 are written as null
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     doc = json.loads(out, parse_constant=not_json)
@@ -342,6 +345,26 @@ def test_json_output_is_strict_json(capsys, argv):
     else:
         values = doc["ratios"]
     assert None in values
+
+
+def _csv_number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("argv", [["cap", "boundary", "--family", "ex5.3a"],
+                                  ["codim", "--family", "codim3"]])
+def test_csv_writes_no_number_as_an_empty_field(capsys, argv):
+    # where JSON writes null (an infinite ramp_upper or certified_upper, a
+    # NaN ratio), CSV leaves the field empty: no inf or nan token
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    fields = [f for row in list(csv.reader(io.StringIO(out)))[1:] for f in row]
+    assert "" in fields
+    numbers = [v for v in map(_csv_number, fields) if v is not None]
+    assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 def test_sigma_only_where_it_is_read():

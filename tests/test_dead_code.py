@@ -4,9 +4,8 @@ A name is referenced when it appears in src/iglab as a name, an attribute
 or an imported name, outside the definition's own body. Matching is by
 name, so two methods of one name share their references. A private name
 needs a reference. A public one (a module-level function or class, or a
-method of such a class) needs a reference outside src/iglab/__init__.py,
-whose re-exports do not count, or in demos/, perfbench/ or tools/, or
-must appear in a code span of README.md.
+method of such a class) needs a reference in src/iglab, demos/, perfbench/
+or tools/, or must appear in a code span of README.md.
 
 Every parameter of a function or method is read in its body, apart from
 a method's self or cls and the signatures a protocol fixes (PROTOCOL).
@@ -73,8 +72,8 @@ def _public_definitions(tree):
 def test_every_public_definition_has_a_reader():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
-    refs = sum((_references(t) for module, t in trees.items()
-                if module != "__init__.py"), collections.Counter())
+    refs = sum((_references(t) for t in trees.values()),
+               collections.Counter())
     for folder in ("demos", "perfbench", "tools"):
         for path in sorted((ROOT / folder).glob("*.py")):
             refs += _references(ast.parse(path.read_text()))
@@ -97,8 +96,6 @@ CLAIMS = {claim.__name__ for *_, golden in GOLDEN_RUNS
 PROTOCOL = {
     **{name: ({"fam", "rep"}, "Golden calls every claim as claim(fam, rep)")
        for name in CLAIMS},
-    "_chain_balls": ({"sigma"}, "one dispatch calls it or _graph_balls, "
-                                "which reads sigma"),
     "LinearFamily.root_id": ({"window"}, "LineFamily.root_id reads it"),
     "_build_unsupported.build": ({"params"}, "build_family calls every "
                                              "builder as build(**params)"),

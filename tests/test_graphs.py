@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from iglab.cli import load_family_config
 from iglab.errors import FamilyDefinitionError, InputError
 from iglab.gallery import REGISTRY, build_family
 from iglab.graphs import (RayFamily, WeightedGraph, combinatorial_neighborhood,
-                          dumps, dump_path, load_family_config, load_path,
-                          loads, vertex_id, vertex_mask)
+                          dumps, dump_path, load_path, loads, vertex_id,
+                          vertex_mask)
 
 from conftest import make_random_graph
 
