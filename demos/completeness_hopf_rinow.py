@@ -2,11 +2,12 @@
 
 Locally finite graphs with an intrinsic path metric satisfy a Hopf-Rinow
 type theorem: completeness, ball compactness (= finiteness here) and
-geodesic completeness line up.  The report gathers finite evidence:
-stabilized ball sizes across growing windows and the total length of each
-end.  A finite end length is decisive incompleteness evidence; the stars
-of the appendix are not locally finite, and the report says the dichotomy
-is inapplicable instead of pretending.
+geodesic completeness line up.  The verdict reads the total length of
+each end: a finite end length is decisive incompleteness evidence, and
+ends all certified infinitely long make every ball finite.  The report
+adds ball sizes across growing windows as evidence.  The stars of the
+appendix are not locally finite, and the report says the dichotomy is
+inapplicable instead of pretending.
 """
 
 from iglab.completeness import boundary_end, hopf_rinow_report

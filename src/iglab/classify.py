@@ -23,17 +23,18 @@ The diagnostics assembled here:
     rules' float range.
 
   * deg_ball_boundedness: tables of max Deg over neighborhoods of distance
-    balls across windows; completeness plus a uniform bound per ball is
-    the hypothesis of the self-adjointness theorem for intrinsic metrics.
+    balls across windows; no verdict reads them.
 
-On a locally finite family classify() runs one ball scan
-(completeness._ball_scan) at the budget's hopf_n_max and reads the
-Hopf-Rinow and deg-ball tables from it: the deg-ball radii are the even
-scan radii; the Hopf-Rinow notes open the report's notes. No verdict
-reads a scan of any other family, so it runs none. It combines these
-with the capacity regimes and checks the consistency rules (ESA implies
-Markov unique; polar boundary of finite capacity implies Markov unique;
-a tail capacity in (0, inf) refutes it).
+classify() reads completeness from completeness_verdict at the budget's
+hopf_n_max, whose notes open the report's notes, and runs no ball scan.
+The paper's first result: "for locally finite graphs and a certain
+family of metrics, completeness of the graph implies uniqueness of these
+extensions". A complete path metric on a locally finite graph has finite
+balls (Hopf-Rinow, completeness.py), so Deg is bounded on every ball
+neighbourhood, and complete-evidence alone gives ESA "yes". classify()
+combines these with the capacity regimes and checks the consistency
+rules (ESA implies Markov unique; polar boundary of finite capacity
+implies Markov unique; a tail capacity in (0, inf) refutes it).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completeness import INAPPLICABLE, BallScan, _ball_scan, _hopf_rinow
+from .completeness import _ball_scan, completeness_verdict
 from .errors import InputError, NumericalError
 from .graphs import GraphFamily, _valid
 from .potential import (CapacityReport, boundary_alternative_evidence,
@@ -272,10 +273,7 @@ def deg_ball_boundedness(fam: GraphFamily, sigma="canonical",
     failure of the bounded-degree hypothesis at that radius. The radii are
     the quarters of the origin's eccentricity in the first window.
     """
-    return _deg_ball(_ball_scan(fam, sigma, n_max))
-
-
-def _deg_ball(scan: BallScan) -> DegBallReport:
+    scan = _ball_scan(fam, sigma, n_max)
     radii = scan.radii[1::2]
     sizes = {r: scan.sizes[r] for r in radii}
     stable = {}
@@ -312,7 +310,6 @@ class ClassificationReport:
     capacity: CapacityReport | None = None
     lambda_solutions: dict = field(default_factory=dict)
     witness: WitnessReport | None = None
-    deg_ball: DegBallReport | None = None
     codim: object | None = None
     boundary_alternative: object | None = None
     consistency: list = field(default_factory=list)
@@ -335,15 +332,12 @@ class ClassificationReport:
 def classify(fam: GraphFamily, sigma="canonical",
              budget="standard") -> ClassificationReport:
     """Assemble completeness, capacity, spectral and witness evidence into
-    uniqueness verdicts, and check their mutual consistency."""
+    uniqueness verdicts, and check their mutual consistency. sigma must be
+    "canonical", the only lengths whose end lengths are certified."""
+    if sigma != "canonical":
+        raise InputError(f"classify needs canonical sigma, not {sigma!r}")
     bud = resolve_budget(budget)
-    notes = []
-    completeness, deg_ball = INAPPLICABLE, None
-    if fam.locally_finite:
-        scan = _ball_scan(fam, sigma, bud.hopf_n_max)
-        hopf = _hopf_rinow(fam, sigma, scan)
-        completeness, notes = hopf.verdict, list(hopf.notes)
-        deg_ball = _deg_ball(scan)
+    completeness, _, notes = completeness_verdict(fam, sigma, bud.hopf_n_max)
 
     capacity = alt = witness = codim = None
     polarity = "inconclusive"
@@ -371,7 +365,7 @@ def classify(fam: GraphFamily, sigma="canonical",
     esa = Verdict("inconclusive", "no applicable theorem or witness")
     if witness is not None and witness.passed:
         esa = Verdict("no", witness.basis)
-    elif completeness == "complete-evidence" and deg_ball.bounded_per_ball:
+    elif completeness == "complete-evidence":
         esa = Verdict("yes",
                       "complete with degree bounded on ball neighborhoods; "
                       "compactly supported functions are a core")
@@ -427,9 +421,9 @@ def classify(fam: GraphFamily, sigma="canonical",
         raise AssertionError(f"inconsistent verdicts: {consistency}")
 
     return ClassificationReport(
-        family=fam.name, params=dict(fam.params), sigma=str(sigma),
+        family=fam.name, params=dict(fam.params), sigma=sigma,
         budget=bud.name, locally_finite=fam.locally_finite,
         completeness=completeness, markov_unique=mu_v, esa=esa,
         polarity=polarity, capacity=capacity, lambda_solutions=lam_sols,
-        witness=witness, deg_ball=deg_ball, codim=codim,
+        witness=witness, codim=codim,
         boundary_alternative=alt, consistency=consistency, notes=notes)

@@ -5,7 +5,7 @@
     iglab forms check    --family F [--window N] [--trials T] [--seed S]
     iglab cap boundary   --family F [--tails N] [--format csv]
     iglab codim          --family F [--depth D] [--format csv]
-    iglab classify       --family F [--sigma S] [--budget B]
+    iglab classify       --family F [--budget B]
     iglab gallery        [--select L1,L2,...] [--budget B] [--out DIR]
 
 --sigma is sigma0 | sigma1 | natural:K | canonical (the default). The
@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import classify, resolve_budget
+from .classify import classify
 from .completeness import hopf_rinow_report, lengths_for
 from .errors import InputError, NumericalError
 from .forms import (VertexFunction, caccioppoli_check, energy,
@@ -220,7 +220,7 @@ def _cmd_codim(args) -> int:
 
 def _cmd_classify(args) -> int:
     fam = _resolve_family(args.family)
-    rep = classify(fam, args.sigma, resolve_budget(args.budget))
+    rep = classify(fam, budget=args.budget)
     _emit(_json(rep.to_dict()), args.out)
     return 0
 
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(fn=_cmd_codim)
 
     pl = sub.add_parser("classify", help="combined uniqueness verdicts")
-    _add_family_opts(pl, sigma=True)
+    _add_family_opts(pl)
     pl.add_argument("--budget", default="standard")
     pl.set_defaults(fn=_cmd_classify)
 

@@ -2,15 +2,15 @@
 
 For locally finite graphs the Hopf-Rinow dichotomy ties together metric
 completeness, geodesic completeness, finiteness of distance balls, and
-compactness of bounded closed sets. On truncations of an infinite family
-we can only gather evidence: ball sizes that stabilize as the window
-grows, and the total edge length of each ray end (a finite total length
-means the end is a Cauchy boundary point, so the graph is incomplete).
-Completeness decides Markov uniqueness and, with degrees bounded on
-balls, essential self-adjointness only for an intrinsic metric, so a ray
-or line is called complete only where its canonical lengths are strongly
-intrinsic, sum_y w(x,y) sigma(x,y)^2 <= mu(x), at the root and every
-interior vertex of the deepest scanned window (_not_intrinsic).
+compactness of bounded closed sets. On a ray or line the ends alone
+decide completeness (completeness_verdict): an end of finite total
+length is a Cauchy boundary point, and when every end is certified
+infinitely long every ball is finite. Completeness decides Markov
+uniqueness and essential self-adjointness only for an intrinsic metric,
+so a ray or line is called complete only where its canonical lengths are
+strongly intrinsic, sum_y w(x,y) sigma(x,y)^2 <= mu(x), at the root and
+every interior vertex of the largest usable window (_not_intrinsic).
+hopf_rinow_report adds ball sizes as evidence that no verdict reads.
 
 The ball scan takes its distances from one of two sources. A ray or
 line with canonical sigma needs no graph: on a chain the only path from
@@ -261,20 +261,30 @@ def _chain_balls(fam: LinearFamily, win: int):
 
 def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
                       n_max: int = 256) -> HopfRinowReport:
-    """Ball-stabilization evidence for the completeness dichotomy.
-
-    Evidence, not proof: ball sizes |B_r(x0)| are tracked over doubling
-    windows and compared, and each linear end contributes its certified
-    total length (finite length => Cauchy boundary point => incomplete).
-    For families that are not locally finite the dichotomy does not apply
-    and the verdict says so.
-    """
-    return _hopf_rinow(fam, sigma, _ball_scan(fam, sigma, n_max))
-
-
-def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
+    """completeness_verdict with its evidence: the end lengths, and ball
+    sizes |B_r(x0)| over doubling windows with whether each radius
+    stabilized, which no verdict reads. For families that are not locally
+    finite the dichotomy does not apply and the verdict says so."""
+    scan = _ball_scan(fam, sigma, n_max)
     stabilized = {r: len(s) >= 4 and len(set(s[-4:])) == 1
                   for r, s in scan.sizes.items()}
+    verdict, end_lengths, notes = completeness_verdict(fam, sigma, n_max)
+    if not fam.locally_finite:
+        notes.append("completeness dichotomy needs local finiteness; "
+                     "ball sizes reported for the truncation sequence only")
+    return HopfRinowReport(fam.describe(), str(sigma), scan.windows,
+                           scan.radii, scan.sizes, stabilized, end_lengths,
+                           verdict, notes)
+
+
+def completeness_verdict(fam: GraphFamily, sigma, n_max: int):
+    """(verdict, end_lengths, notes) from each end's certified length
+    sigma_tail(0), which only canonical sigma has, and the intrinsic check
+    at max_window(n_max). When every end is infinitely long every ball is
+    already finite, so no ball scan is read. A family that is not locally
+    finite is INAPPLICABLE, and no end is read."""
+    if not fam.locally_finite:
+        return INAPPLICABLE, [], []
     canonical = sigma == "canonical"    # what the sigma tail rules sum
     end_lengths = []
     for end in fam.ends():
@@ -288,27 +298,19 @@ def _hopf_rinow(fam: GraphFamily, sigma, scan: BallScan) -> HopfRinowReport:
     if end_lengths and not canonical:
         notes.append("end lengths are certified only for canonical sigma, "
                      f"not {sigma}")
-    if not fam.locally_finite:
-        verdict = INAPPLICABLE
-        notes.append("completeness dichotomy needs local finiteness; "
-                     "ball sizes reported for the truncation sequence only")
-    elif n_finite:
+    if n_finite:
         verdict = "incomplete-evidence"
         notes.append(f"{n_finite} end(s) with finite total length "
                      "(Cauchy boundary points)")
-    elif not (all(stabilized.values()) and
-              all(fin is False for _, _, fin in end_lengths)):
+    elif not (end_lengths and all(fin is False for _, _, fin in end_lengths)):
         verdict = "inconclusive"
-    elif isinstance(fam, LinearFamily) and \
-            (vertex := _not_intrinsic(fam, scan.windows[-1])):
+    elif vertex := _not_intrinsic(fam, fam.max_window(n_max)):
         verdict = "inconclusive"
         notes.append(f"canonical lengths not strongly intrinsic at {vertex}: "
                      "the completeness theorems need an intrinsic metric")
     else:
         verdict = "complete-evidence"
-    return HopfRinowReport(fam.describe(), str(sigma), scan.windows,
-                           scan.radii, scan.sizes, stabilized, end_lengths,
-                           verdict, notes)
+    return verdict, end_lengths, notes
 
 
 def _not_intrinsic(fam: LinearFamily, window: int) -> str | None:

@@ -110,8 +110,8 @@ def sigma1(g: WeightedGraph) -> EdgeLengths:
 
 def natural_scaled(g: WeightedGraph, K: float) -> EdgeLengths:
     """Constant lengths 1/sqrt(K). Requires Deg(x) <= K for all x."""
-    if not K > 0:
-        raise InputError("K must be positive")
+    if not 0 < K < math.inf:
+        raise InputError("K must be finite and positive")
     deg = g.degrees()
     worst = int(np.argmax(deg))
     if deg[worst] > K * (1 + REL_TOL):

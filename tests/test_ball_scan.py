@@ -276,9 +276,3 @@ def test_classify_reaches_a_verdict_on_overflowing_weights(w_fn):
         assert rep.completeness == "incomplete-evidence"
         assert hopf_rinow_report(overflow_ray(w_fn), n_max=64).windows[-1] \
             == overflow_ray(w_fn).max_window(64)
-
-
-def test_classify_does_not_reach_the_graph_scan_on_rays(monkeypatch):
-    # the shared scan of classify is the rule scan on a ray
-    monkeypatch.setattr(completeness, "_graph_balls", refuse)
-    assert classify(build_family("ex5.4"), budget="quick").completeness

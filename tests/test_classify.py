@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from iglab.classify import (BUDGETS, Budget, _ray_lambda_solve, classify,
                             deg_ball_boundedness, harmonic_witness_check,
                             lambda_solve, resolve_budget)
 from iglab import potential
-from iglab.completeness import _ball_scan, _hopf_rinow, hopf_rinow_report
+from iglab.completeness import _ball_scan, hopf_rinow_report
 from iglab.errors import InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import End, GraphFamily, LineFamily, RayFamily
@@ -234,82 +233,62 @@ def test_deg_ball_star_grows():
     assert not rep.stable[max(rep.radii)]
 
 
-LOCALLY_FINITE = [label for label, name, params, _ in GOLDEN_RUNS
-                  if build_family(name, params).locally_finite]
-
-
-@pytest.mark.parametrize("label", LOCALLY_FINITE)
-def test_deg_ball_and_hopf_share_the_ball_scan(label, monkeypatch):
-    # on a locally finite family classify runs one ball scan, at
-    # hopf_n_max, and reads from it the same Hopf-Rinow and deg-ball
-    # tables that each report builds alone, at the quick and the standard
-    # budget
+@pytest.mark.parametrize("label", [run[0] for run in GOLDEN_RUNS])
+def test_classify_runs_no_ball_scan(label, monkeypatch):
+    # completeness is decided by the ends alone: classify runs no ball
+    # scan on any family at any budget, and its verdict is the one the
+    # Hopf-Rinow report, which still scans, gives at the budget's n_max
     _, name, params, _ = next(run for run in GOLDEN_RUNS if run[0] == label)
-    scans, hopfs = [], []
+    scans = []
 
     def counted_scan(*args):
         scans.append(args)
         return _ball_scan(*args)
 
-    def kept_hopf(*args):
-        hopfs.append(_hopf_rinow(*args))
-        return hopfs[-1]
-
     for mod in (classify_module, completeness):
         monkeypatch.setattr(mod, "_ball_scan", counted_scan)
-    monkeypatch.setattr(classify_module, "_hopf_rinow", kept_hopf)
-    for budget in ("quick", "standard"):
-        n_max = BUDGETS[budget].hopf_n_max
+    for budget, bud in BUDGETS.items():
         fam = build_family(name, params)
         scans.clear()
-        hopfs.clear()
         rep = classify(fam, budget=budget)
-        assert len(scans) == 1
-        assert _canonical(rep.deg_ball.to_dict()) == _canonical(
-            deg_ball_boundedness(fam, n_max=n_max).to_dict())
-        assert _canonical(hopfs[0].to_dict()) == _canonical(
-            hopf_rinow_report(fam, n_max=n_max).to_dict())
-        assert hopfs[0].verdict == rep.completeness
-        # the deg-ball radii, the even eighths of the eccentricity, are
-        # bit-equal to its quarters, and both tables count the same balls
-        hopf, deg = hopfs[0], rep.deg_ball
+        assert scans == [], budget
+        assert "deg_ball" not in rep.to_dict()
+        hopf = hopf_rinow_report(fam, n_max=bud.hopf_n_max)
+        assert rep.completeness == hopf.verdict, budget
+        # the two reports that still scan read one table: the deg-ball
+        # radii, the even eighths of the eccentricity, are bit-equal to
+        # its quarters, and both count the same balls
+        deg = deg_ball_boundedness(fam, n_max=bud.hopf_n_max)
         assert deg.radii == [hopf.radii[-1] * j / 4 for j in range(1, 5)]
         assert all(deg.ball_sizes[r] == hopf.ball_sizes[r] for r in deg.radii)
 
 
 @pytest.mark.parametrize("label", ["a5.1", "a5.3", "a5.4"])
 def test_star_classify_builds_no_graph(label, monkeypatch):
-    # a star is not locally finite, so no verdict reads a ball scan:
-    # classify runs none and realizes no window at any budget, and its
-    # completeness is the verdict the Hopf-Rinow report, which still
-    # scans, gives
-    assert label not in LOCALLY_FINITE
+    # a star is not locally finite, so its completeness is inapplicable
+    # and classify realizes no window at any budget
     calls = []
-
-    def counted_scan(*args):
-        calls.append("_ball_scan")
-        return _ball_scan(*args)
-
     build = GraphFamily._window
 
     def counted_window(self, window):
-        calls.append("_window")
+        calls.append(window)
         return build(self, window)
 
-    for mod in (classify_module, completeness):
-        monkeypatch.setattr(mod, "_ball_scan", counted_scan)
     monkeypatch.setattr(GraphFamily, "_window", counted_window)
     for budget in ("quick", "standard", "deep"):
-        fam = build_family(label)
-        calls.clear()
-        rep = classify(fam, budget=budget)
-        assert calls == [] and rep.deg_ball is None
-        assert rep.completeness == hopf_rinow_report(fam).verdict
-        assert calls.count("_ball_scan") == 1
+        rep = classify(build_family(label), budget=budget)
+        assert calls == [] and rep.completeness == completeness.INAPPLICABLE
 
 
-def _canonical(d):
-    return json.dumps(d, sort_keys=True)
+def test_classify_refuses_a_sigma_other_than_canonical():
+    # no other sigma has certified end lengths; a star reads no sigma at
+    # all, so the refusal must not wait for one
+    with pytest.raises(InputError, match="canonical"):
+        classify(build_family("a5.1"), "bogus")
+    with pytest.raises(InputError, match="canonical"):
+        classify(build_family("ex5.4"), "sigma0")
+    assert classify(build_family("ex5.4"), "canonical",
+                    "quick").to_dict()["sigma"] == "canonical"
 
 
 @pytest.mark.parametrize("name, params", [
@@ -544,3 +523,30 @@ def test_complete_intrinsic_unit_chains_are_unique(make, budget):
     assert rep.completeness == "complete-evidence"
     assert rep.markov_unique.value == "yes"
     assert rep.esa.value == "yes"
+
+
+def doubly_exponential_measure_ray():
+    """w = 1, mu(k) = 2^(2^k): the canonical sigma_0 lengths are all 1, so
+    the ray is infinitely long, and mu leaves float range at k = 10, so
+    max_window(64) is 10 and a ball scan sees only windows 8 and 10."""
+    return RayFamily("doubly-exponential-measure",
+                     w_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                     mu_fn=lambda x: 2.0 ** 2.0 ** np.asarray(x, dtype=float),
+                     sigma_tail_fn=lambda k: math.inf,
+                     mu_tail_fn=lambda k: math.inf)
+
+
+def test_completeness_does_not_wait_for_balls_to_stabilize():
+    # two windows cannot show a ball stabilizing, but an end certified
+    # infinitely long already makes every ball finite: the ray is complete
+    fam = doubly_exponential_measure_ray()
+    assert fam.max_window(64) == 10
+    hopf = hopf_rinow_report(fam, n_max=64)
+    assert hopf.windows == [8, 10]
+    assert not any(hopf.stabilized.values())
+    assert hopf.verdict == "complete-evidence"
+    for budget in BUDGETS:
+        rep = classify(doubly_exponential_measure_ray(), budget=budget)
+        assert rep.completeness == "complete-evidence", budget
+        assert rep.esa.value == "yes", budget
+        assert rep.markov_unique.value == "yes", budget

@@ -369,18 +369,19 @@ def test_csv_writes_no_number_as_an_empty_field(capsys, argv):
 
 def test_sigma_only_where_it_is_read():
     parser = cli.build_parser()
-    for argv in (["metric", "check"], ["complete", "report"], ["classify"]):
+    for argv in (["metric", "check"], ["complete", "report"]):
         args = parser.parse_args(argv + ["--family", "ex5.4", "--sigma",
                                          "sigma1"])
         assert args.sigma == "sigma1"
-    for argv in (["cap", "boundary"], ["codim"], ["forms", "check"]):
+    for argv in (["cap", "boundary"], ["codim"], ["forms", "check"],
+                 ["classify"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--family", "ex5.4", "--sigma",
                                       "sigma1"])
 
 
 def test_numerical_failure_exit_3(capsys, monkeypatch):
-    def boom(fam, sigma, budget):
+    def boom(fam, budget):
         raise NumericalError("synthetic blowup")
     monkeypatch.setattr(cli, "classify", boom)
     code, _, err = run(capsys, "classify", "--family", "a5.1")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import iglab
-from iglab.classify import BUDGETS, classify
+from iglab.classify import BUDGETS
 from iglab.completeness import (_not_intrinsic, _prefix_lengths,
                                 boundary_end, find_geodesic,
                                 hopf_rinow_report, lengths_for)
@@ -47,6 +47,8 @@ def test_lengths_for_natural():
         lengths_for(g, "natural:1")      # Deg = 2 at the middle vertex
     with pytest.raises(InputError):
         lengths_for(g, "natural:bogus")
+    with pytest.raises(InputError, match="K must be finite and positive"):
+        lengths_for(g, "natural:inf")      # 1/sqrt(inf) = 0 is no length
 
 
 def test_canonical_requires_family():
@@ -210,9 +212,8 @@ def test_end_lengths_only_for_canonical_sigma():
     fam = build_family("ex5.6", {"alpha": 0.5})
     rep = hopf_rinow_report(fam, "natural:2", n_max=64)
     assert rep.end_lengths == [("plus", None, None)]
-    assert rep.verdict != "incomplete-evidence"
+    assert rep.verdict == "inconclusive"
     assert "certified only for canonical sigma" in " ".join(rep.notes)
-    assert classify(fam, "natural:2").completeness == rep.verdict
     rep = hopf_rinow_report(fam, "canonical", n_max=64)
     assert rep.verdict == "incomplete-evidence"
     assert rep.end_lengths[0][1].value == pytest.approx(1.0 + math.sqrt(2.0))

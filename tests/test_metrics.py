@@ -106,7 +106,7 @@ def test_natural_scaled():
     assert cert.passed
     with pytest.raises(InputError):
         natural_scaled(g, 1.0)  # Deg = 2 > 1 at interior vertices
-    with pytest.raises(InputError, match="K must be positive"):
+    with pytest.raises(InputError, match="K must be finite and positive"):
         natural_scaled(g, 0)
 
 
