@@ -269,6 +269,15 @@ def test_a_row_sum_past_float_range_is_a_numerical_error():
         overflow_ray(doubling_big).truncate(1025)
 
 
+def test_classify_does_not_reach_the_graph_scan_on_rays(monkeypatch):
+    # classify decides a ray's completeness from its end, so neither the
+    # graph scan nor the rule scan is reached
+    monkeypatch.setattr(completeness, "_graph_balls", refuse)
+    monkeypatch.setattr(completeness, "_ball_scan", refuse)
+    monkeypatch.setattr("iglab.classify._ball_scan", refuse)
+    assert classify(build_family("ex5.4"), budget="quick").completeness
+
+
 @pytest.mark.parametrize("w_fn", [constant_big, doubling_big])
 def test_classify_reaches_a_verdict_on_overflowing_weights(w_fn):
     for budget in ("quick", "standard"):

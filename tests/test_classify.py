@@ -255,10 +255,34 @@ def test_classify_runs_no_ball_scan(label, monkeypatch):
         assert "deg_ball" not in rep.to_dict()
         hopf = hopf_rinow_report(fam, n_max=bud.hopf_n_max)
         assert rep.completeness == hopf.verdict, budget
-        # the two reports that still scan read one table: the deg-ball
-        # radii, the even eighths of the eccentricity, are bit-equal to
-        # its quarters, and both count the same balls
-        deg = deg_ball_boundedness(fam, n_max=bud.hopf_n_max)
+
+
+LOCALLY_FINITE = [label for label, name, params, _ in GOLDEN_RUNS
+                  if build_family(name, params).locally_finite]
+
+
+@pytest.mark.parametrize("label", LOCALLY_FINITE)
+def test_deg_ball_and_hopf_share_the_ball_scan(label, monkeypatch):
+    # the two reports that still scan ask for the same ball scan, at the
+    # budget's hopf_n_max, and read one table from it: the deg-ball radii,
+    # the even eighths of the eccentricity, are bit-equal to its quarters,
+    # and both count the same balls
+    _, name, params, _ = next(run for run in GOLDEN_RUNS if run[0] == label)
+    scans = []
+
+    def counted_scan(*args):
+        scans.append(args[1:])
+        return _ball_scan(*args)
+
+    for mod in (classify_module, completeness):
+        monkeypatch.setattr(mod, "_ball_scan", counted_scan)
+    for budget in ("quick", "standard"):
+        n_max = BUDGETS[budget].hopf_n_max
+        fam = build_family(name, params)
+        scans.clear()
+        hopf = hopf_rinow_report(fam, n_max=n_max)
+        deg = deg_ball_boundedness(fam, n_max=n_max)
+        assert scans == [("canonical", n_max)] * 2, budget
         assert deg.radii == [hopf.radii[-1] * j / 4 for j in range(1, 5)]
         assert all(deg.ball_sizes[r] == hopf.ball_sizes[r] for r in deg.radii)
 
