@@ -17,7 +17,8 @@ is the largest tail N that `cap boundary` takes from the ladder sweep
 then "key value" pairs) or an inline spec "NAME" / "NAME:key=val,key=val".
 
 Exit codes: 0 success, 1 golden mismatch or failed identity, 2 invalid
-input, 3 numerical failure. Output into a closed pipe is dropped.
+input or an --out that cannot be written, 3 numerical failure. Output
+into a closed pipe is dropped.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def _cmd_complete_report(args) -> int:
 
 
 def _cmd_forms_check(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, not {args.trials}")
     fam = _resolve_family(args.family)
     g = fam.truncate(args.window)
     rng = np.random.default_rng(args.seed)
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:    # OSError: an unwritable --out
         print(f"iglab: input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

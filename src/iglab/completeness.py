@@ -12,18 +12,11 @@ strongly intrinsic, sum_y w(x,y) sigma(x,y)^2 <= mu(x), at the root and
 every interior vertex of the largest usable window (_not_intrinsic).
 hopf_rinow_report adds ball sizes as evidence that no verdict reads.
 
-The ball scan takes its distances from one of two sources. A ray or
-line with canonical sigma needs no graph: on a chain the only path from
-the root to an end's k-th vertex runs along the end, so Dijkstra's
-distance there is the (k-1)-th distance plus one length, added outward,
-which is np.cumsum of the lengths bit for bit. The lengths, weights and
-measures come from the family's chain (LinearFamily.chain), the arrays
-the window's realization reads, so degrees are bit-equal too. Stars,
-and every other sigma choice, realize each window and run Dijkstra on it.
-
-Geodesics are searched with the metric's own Dijkstra kernel
-(scipy.sparse.csgraph): hop counts give the combinatorial ball, and its
-induced submatrix gives the distances restricted to that ball.
+The ball scan realizes each doubling window, puts the sigma choice's
+lengths on it and runs Dijkstra from the origin. Geodesics are searched
+with the same kernel (scipy.sparse.csgraph): hop counts give the
+combinatorial ball, and its induced submatrix gives the distances
+restricted to that ball.
 
 Boundary distances: boundary_end picks the one end of finite total
 length. For that end with edge lengths sigma, the distance from vertex x
@@ -180,83 +173,37 @@ class BallScan:
 
 def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     """Balls around the origin over doubling windows 8, 16, ... up to the
-    family's usable cap at n_max.
+    family's usable cap at n_max, one _graph_balls row per window.
 
     The radii are the eighths j/8 (j = 1..8) of the origin's eccentricity
     in the first window, and stay fixed across windows. Per window the
     scan counts every ball and, at the even radii radii[1::2], takes the
     largest weighted degree over the ball's combinatorial neighborhood.
-    Rays and lines with canonical sigma take the balls from prefix sums
-    of the rules (_chain_balls), the rest from Dijkstra on each realized
-    window (_graph_balls); the module docstring says why both agree.
     """
     cap = fam.max_window(n_max)
     windows = [1 << p for p in range(3, (cap - 1).bit_length())] + [cap]
-    chain = isinstance(fam, LinearFamily) and sigma == "canonical"
-    scan = None
+    scan = BallScan(windows, [], {}, {})
     for win in windows:
-        ecc, balls = (_chain_balls(fam, win) if chain
-                      else _graph_balls(fam, sigma, win))
-        if scan is None:
-            scan = BallScan([], [ecc * j / 8 for j in range(1, 9)], {}, {})
-        scan.windows.append(win)
-        sizes, max_deg = balls(scan.radii)
-        for r, size in zip(scan.radii, sizes):
-            scan.sizes.setdefault(r, []).append(size)
-        for r, deg in zip(scan.radii[1::2], max_deg):
-            scan.max_deg.setdefault(r, []).append(deg)
+        _graph_balls(fam, sigma, win, scan)
     return scan
 
 
-def _graph_balls(fam: GraphFamily, sigma, win: int):
-    """The origin's eccentricity in the realized window, and its balls
-    radii -> (|B_r(x0)| per radius, max Deg over n(B_r(x0)) per radius
-    of radii[1::2]), from Dijkstra distances."""
+def _graph_balls(fam: GraphFamily, sigma, win: int, scan: BallScan):
+    """Append window win's row to scan from Dijkstra distances on its
+    realization: |B_r(x0)| per radius, and max Deg over n(B_r(x0)) per
+    radius of radii[1::2]. The first window sets the radii."""
     g = fam.truncate(win)
     metric = PathMetric(lengths_for(g, sigma, fam))
     d, deg = metric.distances_from(g.origin), g.degrees()
-
-    def balls(radii):
-        sizes, max_deg = [], []
-        for j, r in enumerate(radii):
-            inside = d <= r
-            sizes.append(int(np.count_nonzero(inside)))
-            if j % 2:
-                inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
-                max_deg.append(float(deg[inside].max()))
-        return sizes, max_deg
-
-    return metric.eccentricity(g.origin), balls
-
-
-def _chain_balls(fam: LinearFamily, win: int):
-    """_graph_balls for canonical sigma on a ray or line, with no graph:
-    distances are running sums of each end's lengths, a ball is an index
-    range per end and its neighborhood that range widened by one, and Deg
-    is (w_left + w_right) / mu, with no right edge at the outermost vertex,
-    as the realization's row sums have it."""
-    depth = fam._depth(win)
-    chains = fam.chain(depth)
-    dists, degs = [], []
-    with np.errstate(over="ignore"):
-        # the root's measure is the last end's
-        root = sum(c.w[0] for c in chains) / chains[-1].mu[0]
-        for c in chains:
-            w = c.w[:depth]
-            rows = np.concatenate((w[:-1] + w[1:], w[-1:]))   # vertices 1..
-            degs.append(np.maximum.accumulate(
-                np.concatenate(([root], rows / c.mu[1:]))))
-            dists.append(np.cumsum(c.sigma))
-    ecc = max(float(d[np.isfinite(d)].max(initial=0.0)) for d in dists)
-
-    def balls(radii):
-        # vertices within r on each end, the root not counted
-        counts = [np.searchsorted(d, radii, side="right") for d in dists]
-        near = [deg[np.minimum(k[1::2] + 1, depth)]
-                for deg, k in zip(degs, counts)]
-        return (1 + sum(counts)).tolist(), np.max(near, axis=0).tolist()
-
-    return ecc, balls
+    if not scan.radii:
+        ecc = metric.eccentricity(g.origin)
+        scan.radii = [ecc * j / 8 for j in range(1, 9)]
+    for j, r in enumerate(scan.radii):
+        inside = d <= r
+        scan.sizes.setdefault(r, []).append(int(np.count_nonzero(inside)))
+        if j % 2:
+            inside[g.indices[inside[g.rows]]] = True    # n(B_r(x0))
+            scan.max_deg.setdefault(r, []).append(float(deg[inside].max()))
 
 
 def hopf_rinow_report(fam: GraphFamily, sigma="canonical",

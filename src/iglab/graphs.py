@@ -39,10 +39,10 @@ which downstream modules use for leak bounds.
 A family builds a window on each truncate call and keeps none. Each End
 evaluates each tail rule once per index, and a ray or line keeps one
 memo of its rules w, mu and sigma per end (LinearFamily.chain); both
-live as long as the End or family does. The ball scan, the capacity
-ladder, the lambda recursion, the witness and the cutoff test of a ray
-or line slice the chain, the arrays a realization reads, and build no
-graph. Three readers call the rules on index arrays of their own, so
+live as long as the End or family does. The capacity ladder, the lambda
+recursion, the witness and the cutoff test of a ray or line slice the
+chain, the arrays a realization reads, and build no graph; the ball
+scan realizes each window it reads. Three readers call the rules on index arrays of their own, so
 they may evaluate an index the chain also holds: the ramp grid's w sum
 (potential._w_sum, where the End declares no w_sum_fn) and its mass
 (the mu rule in potential._ramp_upper), and the summed tail rules

@@ -411,8 +411,12 @@ def boundary_capacity(fam: GraphFamily, solver_tail_max: int = 256,
                        (or hitting exact zero by underflow)
 
     Contradictory certificates (an upper bound under the resistance lower
-    bound) raise NumericalError.
+    bound) raise NumericalError. A solver_tail_max below 1 raises
+    InputError before any end is read.
     """
+    if solver_tail_max < 1:
+        raise InputError(f"solver_tail_max must be at least 1, "
+                         f"not {solver_tail_max}")
     ends = fam.ends()
     if not ends:
         raise InputError(f"{fam.describe()}: no ends, no boundary capacity")

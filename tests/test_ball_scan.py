@@ -1,18 +1,16 @@
-"""The ball scan on rays and lines, from the rules, against the graph scan.
+"""The ball scan against an independent copy of the graph scan.
 
-reference_scan below is the scan as it ran on every family before rays
-and lines took their distances from prefix sums of the rules: each window
-realized, its canonical lengths put on the graph and Dijkstra run from the
-origin. On a ray or line with canonical sigma, _ball_scan must give the
-same table bit for bit; every other family and sigma choice still runs
-this graph path.
+reference_scan below realizes each window itself (a ray or line by
+reference_window, which builds the graph from the rules as realizations
+did before they read the rules as arrays), puts the sigma choice's
+lengths on it and runs Dijkstra from the origin. _ball_scan, which does
+the same for every family and sigma choice through truncate, must give
+the same table bit for bit. The "rule scan" tests are those on rays and
+lines with canonical sigma.
 """
-
-import math
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph
 
 from iglab import completeness, metrics
 from iglab.classify import BUDGETS, classify
@@ -20,15 +18,16 @@ from iglab.completeness import (BallScan, PathMetric, _ball_scan,
                                 hopf_rinow_report, lengths_for)
 from iglab.errors import FamilyDefinitionError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
-from iglab.graphs import GraphFamily, LineFamily, RayFamily, WeightedGraph
+from iglab.graphs import LineFamily, RayFamily, WeightedGraph
 from iglab.metrics import EdgeLengths
 
 
 def reference_window(fam, win):
     """A ray or line window and its canonical lengths as they were realized
-    before the rule scan, one array per rule and end: w on 0..depth-1, mu
-    on 0..depth (the last end, which holds the root) or 1..depth, and
-    sigma on each edge's model coordinate (reversed on the minus end)."""
+    before realizations read the rules as arrays, one array per rule and
+    end: w on 0..depth-1, mu on 0..depth (the last end, which holds the
+    root) or 1..depth, and sigma on each edge's model coordinate
+    (reversed on the minus end)."""
     ends = fam.ends()
     depth, root = fam._depth(win), fam.root_id(win)
     ks = np.arange(depth + 1.0)
@@ -181,19 +180,9 @@ def refuse(*args, **kwargs):
     raise AssertionError("a graph was built or searched")
 
 
-@pytest.mark.parametrize("label, name, params", LINEAR_RUNS,
-                         ids=[label for label, _n, _p in LINEAR_RUNS])
-def test_rule_scan_builds_no_graph(label, name, params, monkeypatch):
-    monkeypatch.setattr(GraphFamily, "_window", refuse)
-    for mod in (completeness, metrics, scipy.sparse.csgraph):
-        monkeypatch.setattr(mod, "dijkstra", refuse)
-    fam = build_family(name, params)
-    for budget in ("quick", "standard"):
-        _ball_scan(fam, "canonical", BUDGETS[budget].hopf_n_max)
-
-
 @pytest.mark.parametrize("name, sigma", [
     ("a5.1", "canonical"), ("a5.3", "canonical"), ("a5.4", "canonical"),
+    ("ex5.4", "canonical"), ("ex5.3", "canonical"),
     ("ex5.4", "sigma0"), ("ex5.3", "sigma0"), ("ex5.5", "sigma1")])
 def test_stars_and_other_sigmas_run_dijkstra(name, sigma, monkeypatch):
     calls = []
@@ -270,8 +259,8 @@ def test_a_row_sum_past_float_range_is_a_numerical_error():
 
 
 def test_classify_does_not_reach_the_graph_scan_on_rays(monkeypatch):
-    # classify decides a ray's completeness from its end, so neither the
-    # graph scan nor the rule scan is reached
+    # classify decides a ray's completeness from its end, so the ball
+    # scan is not reached
     monkeypatch.setattr(completeness, "_graph_balls", refuse)
     monkeypatch.setattr(completeness, "_ball_scan", refuse)
     monkeypatch.setattr("iglab.classify._ball_scan", refuse)

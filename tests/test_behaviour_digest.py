@@ -1,15 +1,15 @@
-"""The gallery's classifications and golden checks, pinned by their sha256.
+"""The gallery's classifications and golden checks, pinned as JSON records.
 
-tests/data/gallery_quick_sha256.json and gallery_standard_sha256.json map
-every golden run label to the sha256 of json.dumps(classification,
-sort_keys=True) at budgets "quick" and "standard".
-tests/data/gallery_checks_sha256.json maps every label to the sha256 of
-json.dumps(checks, sort_keys=True) at budgets "quick" and "standard".
-tests/data/gallery_deep_sha256.json maps every label to the sha256 of its
-classification and of its checks at budget "deep".
-A change meant to keep behaviour keeps every digest. A change that alters
-classifications or checks on purpose regenerates the four files, from the
-repository root, with
+tests/data/gallery_quick.json, gallery_standard.json and gallery_deep.json
+map every golden run label to {"classification": ..., "checks": ...} at
+that budget, written with sorted keys and indent=1, so a change to a
+record shows in a diff. A run's record matches when its canonical text,
+json.dumps(..., sort_keys=True), equals the file's: floats round-trip
+through repr, so -0.0 against 0.0, 1 against 1.0 or one ulp all fail.
+A failure names the first key path that differs, with both values.
+A change meant to keep behaviour keeps every file. A change that alters
+classifications or checks on purpose regenerates the three files, from
+the repository root, with
 
     PYTHONPATH=src python tests/test_behaviour_digest.py
 
@@ -17,77 +17,81 @@ and says in its description which runs changed and why.
 """
 
 import functools
-import hashlib
 import json
 from pathlib import Path
 
 from iglab.gallery import run_gallery
 
 DATA = Path(__file__).parent / "data"
-QUICK = DATA / "gallery_quick_sha256.json"
-STANDARD = DATA / "gallery_standard_sha256.json"
-CHECKS = DATA / "gallery_checks_sha256.json"
-DEEP = DATA / "gallery_deep_sha256.json"
 
 
-def _sha256(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+def _path(budget: str) -> Path:
+    return DATA / f"gallery_{budget}.json"
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
 @functools.cache
-def _records(budget: str) -> tuple:
-    return tuple(run_gallery(budget=budget).records)
+def records(budget: str) -> dict:
+    """label -> {"classification", "checks"} of a fresh gallery run, read
+    back from its canonical text as the files are."""
+    return json.loads(_canonical(
+        {rec.label: {"classification": rec.classification,
+                     "checks": rec.checks}
+         for rec in run_gallery(budget=budget).records}))
 
 
-def classification_digests(budget: str) -> dict:
-    return {rec.label: _sha256(rec.classification)
-            for rec in _records(budget)}
+def first_difference(got, want, path: str = "") -> str | None:
+    """The first key path, in sorted order, where got and want differ as
+    canonical JSON, with both values there; None where they agree."""
+    if _canonical(got) == _canonical(want):
+        return None
+    if isinstance(got, dict) and isinstance(want, dict):
+        if got.keys() != want.keys():
+            return f"{path or '/'}: keys {sorted(got)}, want {sorted(want)}"
+        pairs = [(f"{path}/{key}", got[key], want[key]) for key in sorted(want)]
+    elif isinstance(got, list) and isinstance(want, list) \
+            and len(got) == len(want):
+        pairs = [(f"{path}/{i}", a, b) for i, (a, b) in enumerate(zip(got,
+                                                                      want))]
+    else:
+        return f"{path or '/'}: got {_canonical(got)}, want {_canonical(want)}"
+    return next(diff for sub, a, b in pairs
+                if (diff := first_difference(a, b, sub)))
 
 
-def checks_digests() -> dict:
-    out = {}
-    for budget in ("quick", "standard"):
-        for rec in _records(budget):
-            out.setdefault(rec.label, {})[budget] = _sha256(rec.checks)
-    return out
-
-
-def deep_digests() -> dict:
-    return {rec.label: {"classification": _sha256(rec.classification),
-                        "checks": _sha256(rec.checks)}
-            for rec in _records("deep")}
-
-
-def _changed(got: dict, want: dict) -> list:
-    assert sorted(got) == sorted(want)
-    return sorted(label for label in want if got[label] != want[label])
+def _pinned(budget: str, part: str) -> tuple:
+    """(this run's, the file's) label -> part at budget."""
+    want = json.loads(_path(budget).read_text())
+    return ({label: rec[part] for label, rec in records(budget).items()},
+            {label: rec[part] for label, rec in want.items()})
 
 
 def test_quick_gallery_classifications_unchanged():
-    changed = _changed(classification_digests("quick"),
-                       json.loads(QUICK.read_text()))
-    assert not changed, f"classification changed for {changed}"
+    diff = first_difference(*_pinned("quick", "classification"))
+    assert diff is None, f"quick classification changed at {diff}"
 
 
 def test_standard_gallery_classifications_unchanged():
-    changed = _changed(classification_digests("standard"),
-                       json.loads(STANDARD.read_text()))
-    assert not changed, f"classification changed for {changed}"
+    diff = first_difference(*_pinned("standard", "classification"))
+    assert diff is None, f"standard classification changed at {diff}"
 
 
 def test_gallery_checks_unchanged():
-    changed = _changed(checks_digests(), json.loads(CHECKS.read_text()))
-    assert not changed, f"golden checks changed for {changed}"
+    for budget in ("quick", "standard"):
+        diff = first_difference(*_pinned(budget, "checks"))
+        assert diff is None, f"{budget} golden checks changed at {diff}"
 
 
 def test_deep_gallery_unchanged():
-    changed = _changed(deep_digests(), json.loads(DEEP.read_text()))
-    assert not changed, f"deep classification or checks changed for {changed}"
+    diff = first_difference(records("deep"),
+                            json.loads(_path("deep").read_text()))
+    assert diff is None, f"deep classification or checks changed at {diff}"
 
 
 if __name__ == "__main__":
-    for path, digests in ((QUICK, classification_digests("quick")),
-                          (STANDARD, classification_digests("standard")),
-                          (CHECKS, checks_digests()),
-                          (DEEP, deep_digests())):
-        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    for budget in ("quick", "standard", "deep"):
+        _path(budget).write_text(
+            json.dumps(records(budget), sort_keys=True, indent=1) + "\n")

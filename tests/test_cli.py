@@ -283,6 +283,42 @@ def test_config_with_a_repeated_key_exit_2(capsys, tmp_path, text, line):
     assert line in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_forms_check_refuses_no_trials(capsys, trials):
+    code, out, err = run(capsys, "forms", "check", "--family", "ex5.4",
+                         "--trials", trials)
+    assert code == 2 and out == ""
+    assert f"--trials must be at least 1, not {trials}" in err
+
+
+@pytest.mark.parametrize("name", ["ex5.2", "ex5.4"])
+def test_cap_boundary_refuses_no_tails_exit_2(capsys, name):
+    code, out, err = run(capsys, "cap", "boundary", "--family", name,
+                         "--tails", "0")
+    assert code == 2 and out == ""
+    assert "solver_tail_max must be at least 1, not 0" in err
+
+
+def test_unwritable_gallery_out_exit_2(capsys, tmp_path):
+    # --out names a file, where the gallery wants a directory
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _out, err = run(capsys, "gallery", "--select", "ex5.4",
+                          "--out", str(taken))
+    assert code == 2
+    assert err.startswith("iglab: input error: ") and "File exists" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_out_in_a_missing_directory_exit_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "classify", "--family", "ex5.4",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("iglab: input error: ") and str(path) in err
+    assert len(err.splitlines()) == 1 and not path.parent.exists()
+
+
 def test_window_above_the_cap_exit_2(capsys):
     # the memory guard 2^20 refuses the window before any rule runs
     code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",

@@ -127,6 +127,23 @@ def test_boundary_capacity_needs_an_end():
         boundary_capacity(build_family("a5.1"))
 
 
+def no_end_read(*args, **kwargs):
+    raise AssertionError("an end was read")
+
+
+@pytest.mark.parametrize("tails", [0, -5])
+@pytest.mark.parametrize("name", ["ex5.2", "ex5.4"])
+def test_boundary_capacity_refuses_a_tail_cap_below_one(name, tails,
+                                                        monkeypatch):
+    # ex5.2's end has infinite measure and never probes a window, so no
+    # window cap can refuse it; the tail cap is refused by name first
+    fam = build_family(name)
+    monkeypatch.setattr(fam, "ends", no_end_read)
+    with pytest.raises(InputError, match=f"solver_tail_max must be at "
+                                         f"least 1, not {tails}"):
+        boundary_capacity(fam, solver_tail_max=tails)
+
+
 def test_a_false_resistance_bound_fails_the_cross_check():
     # w = 1, mu = 2^-x: the certified upper bounds on Cap(tail_N) fall
     # under the lower bound (1/mu(1) + 1e-6)^(-1/2) = 0.707 that the
