@@ -563,11 +563,16 @@ class RunRecord:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write text, newline-terminated, to a temporary file that then
-    replaces path, so readers never see a partial file."""
+    replaces path, so readers never see a partial file. A path that
+    cannot be replaced (a directory) leaves no temporary file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text if text.endswith("\n") else text + "\n")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
 
 
 def write_record_atomic(record: RunRecord, out_dir: str) -> str:

@@ -42,12 +42,13 @@ memo of its rules w, mu and sigma per end (LinearFamily.chain); both
 live as long as the End or family does. The capacity ladder, the lambda
 recursion, the witness and the cutoff test of a ray or line slice the
 chain, the arrays a realization reads, and build no graph; the ball
-scan realizes each window it reads. Three readers call the rules on index arrays of their own, so
-they may evaluate an index the chain also holds: the ramp grid's w sum
-(potential._w_sum, where the End declares no w_sum_fn) and its mass
-(the mu rule in potential._ramp_upper), and the summed tail rules
-(series.geometric_tail and bounded_tail). The gallery and the CLI build
-one family per run, so the witness and the golden claims share its memos.
+scan realizes each window it reads. Three readers call the rules on
+index arrays of their own, so they may evaluate an index the chain also
+holds: the ramp grid's w sum (potential._w_sum, where the End declares
+no w_sum_fn) and its mass (the mu rule in potential._ramp_upper), and
+the summed tail rules (series.geometric_tail and bounded_tail). The
+gallery and the CLI build one family per run, so the witness and the
+golden claims share its memos.
 """
 
 from __future__ import annotations

@@ -319,6 +319,15 @@ def test_out_in_a_missing_directory_exit_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and not path.parent.exists()
 
 
+def test_out_naming_a_directory_exit_2_and_leaves_no_temporary_file(
+        capsys, tmp_path):
+    code, out, err = run(capsys, "classify", "--family", "ex5.4",
+                         "--budget", "quick", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("iglab: input error: ") and "Is a directory" in err
+    assert not os.path.exists(f"{tmp_path}.tmp")
+
+
 def test_window_above_the_cap_exit_2(capsys):
     # the memory guard 2^20 refuses the window before any rule runs
     code, out, err = run(capsys, "metric", "check", "--family", "ex5.3a",
