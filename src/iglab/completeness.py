@@ -169,6 +169,7 @@ class BallScan:
     radii: list             # eighths ecc*j/8 (j = 1..8) of the first window
     sizes: dict             # radius -> |B_r(x0)| per window
     max_deg: dict           # even radius -> max Deg over n(B_r(x0)) per window
+    stopped: str | None = None      # why the scan ended before the cap
 
 
 def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
@@ -179,12 +180,23 @@ def _ball_scan(fam: GraphFamily, sigma, n_max: int) -> BallScan:
     in the first window, and stay fixed across windows. Per window the
     scan counts every ball and, at the even radii radii[1::2], takes the
     largest weighted degree over the ball's combinatorial neighborhood.
+    The cap is the float range of the rules and the canonical lengths;
+    sigma0 and sigma1 can leave it earlier (Deg^-1/2 rounds to 0 once Deg
+    overflows), so the scan stops before the first later window where
+    their lengths are not all positive, and `stopped` says where and why.
     """
     cap = fam.max_window(n_max)
-    windows = [1 << p for p in range(3, (cap - 1).bit_length())] + [cap]
-    scan = BallScan(windows, [], {}, {})
-    for win in windows:
-        _graph_balls(fam, sigma, win, scan)
+    scan = BallScan([], [], {}, {})
+    for win in [1 << p for p in range(3, (cap - 1).bit_length())] + [cap]:
+        try:
+            _graph_balls(fam, sigma, win, scan)
+        except InputError as err:
+            if not scan.windows or sigma not in ("sigma0", "sigma1"):
+                raise
+            scan.stopped = f"ball scan stopped before window {win}: " \
+                           f"{sigma} {err}"
+            break
+        scan.windows.append(win)
     return scan
 
 
@@ -216,6 +228,8 @@ def hopf_rinow_report(fam: GraphFamily, sigma="canonical",
     stabilized = {r: len(s) >= 4 and len(set(s[-4:])) == 1
                   for r, s in scan.sizes.items()}
     verdict, end_lengths, notes = completeness_verdict(fam, sigma, n_max)
+    if scan.stopped:
+        notes.append(scan.stopped)
     if not fam.locally_finite:
         notes.append("completeness dichotomy needs local finiteness; "
                      "ball sizes reported for the truncation sequence only")

@@ -48,10 +48,10 @@ import numpy as np
 
 from . import __version__
 from .classify import classify, resolve_budget
-from .completeness import PathMetric, lengths_for
+from .completeness import lengths_for
 from .errors import InputError, NumericalError, UnsupportedFamilyError
 from .graphs import End, GraphFamily, LineFamily, RayFamily, WeightedGraph
-from .metrics import sigma0
+from .metrics import PathMetric, sigma0
 from .potential import codim_polarity_test
 from .series import bounded_tail, geometric_tail
 
@@ -80,11 +80,9 @@ def _build_ex51(p=4.0):
     def sig(a):
         # edge between |x| = a and |x| = a + 1; every vertex has two unit
         # edges, so Deg = 2 / mu and sigma_0 = min over endpoints of
-        # sqrt(mu / 2), capped at 1
-        a = np.asarray(a, dtype=float)
-        return np.minimum(
-            np.minimum(np.sqrt(mu_of(a) / 2.0), np.sqrt(mu_of(a + 1.0) / 2.0)),
-            1.0)
+        # sqrt(mu / 2), capped at 1. mu decreases and sqrt(mu(1) / 2) < 1,
+        # so that is the outer endpoint's sqrt(mu(a + 1) / 2)
+        return np.sqrt(mu_of(np.asarray(a, dtype=float) + 1.0) / 2.0)
 
     side = End(_ones, mu_of, sig,
                sigma_tail_fn=lambda k: geometric_tail(sig, k, 2.0 ** -0.5),

@@ -41,7 +41,7 @@ of a window is a free vertex, and the sweep starts there with its measure.
 An explicit admissible ramp (0 below N/2, linear up to 1 at N) gives a
 certified upper bound at any N (_ramp_upper). Its energy needs the sum of
 w over [N/2, N): the end's declared closed form (End.w_sum_fn) where it
-has one, else a blocked partial sum over the rule. The dyadic ramp grid
+has one, else one array sum of the rule. The dyadic ramp grid
 stops at the first bound that is 0 (tails are nested, so Cap(tail_N)
 cannot grow again) or inf (the rules left float range). Smallness claims
 (polar) run on certified upper bounds, positivity claims on the plateau
@@ -74,8 +74,6 @@ POSITIVE_FLOOR = 1e-2
 # boundary_capacity's sweep on a line runs in from the depth of the largest
 # window in float range up to this multiple of the largest solver tail
 OUTER_PER_TAIL = 16
-# the ramp's w sum evaluates w on this many points at a time (256 KB)
-W_BLOCK = 1 << 15
 # codim_polarity_test puts its cutoffs at the scales r_n / 2 for these n
 CUTOFF_SCALES = range(2, 31)
 
@@ -224,25 +222,12 @@ class CapacityReport:
 
 def _w_sum(end, a: int, b: int) -> float:
     """sum_{k=a}^{b-1} w(k): the end's w_sum_fn(a, b) where it gives one,
-    else bit-equal to one np.sum of w over [a, b).
-
-    numpy sums float64 pairwise, halving a power-of-two length >= 256 down
-    to 128-element leaves. So over W_BLOCK * 2^j points, the block sums
-    added in a balanced tree are that sum, and one block of w is held at a
-    time; any other span is one block. Callers set np.errstate."""
+    else one np.add.reduce of w over [a, b). Callers set np.errstate."""
     total = end.w_sum_fn and end.w_sum_fn(a, b)
     if total is not None:
         return total
-    blocks, rem = divmod(b - a, W_BLOCK)
-    size = b - a if rem or blocks & (blocks - 1) else W_BLOCK
-    offsets = np.arange(size, dtype=float)      # + start: exact below 2^53
-    xs = np.empty(size)                         # one x buffer for the blocks
-    sums = [float(np.add.reduce(np.asarray(
-        end.w_fn(np.add(offsets, start, out=xs)), dtype=float)))
-        for start in range(a, b, size)]
-    while len(sums) > 1:
-        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
-    return sums[0]
+    return float(np.add.reduce(np.asarray(
+        end.w_fn(np.arange(a, b, dtype=float)), dtype=float)))
 
 
 def _ramp_upper(end, N: int) -> float:
@@ -250,11 +235,11 @@ def _ramp_upper(end, N: int) -> float:
     constant 1 on the tail. A true upper bound for Cap(tail_N), N >= 4.
 
     The squared norm is energy + mass + mu_tail(N); the energy's w sum is
-    the end's declared closed form or a blocked sum bit-equal to one np.sum
-    (_w_sum). Since eta vanishes up to N/2 and never exceeds 1, mass +
-    mu_tail(N) <= mu_tail(N/2 + 1); when adding that bound to the energy
-    leaves the energy unchanged in floating point, so does the full sum
-    (rounding is monotone), and the measure rule is not evaluated."""
+    the end's declared closed form or one array sum of w (_w_sum). Since
+    eta vanishes up to N/2 and never exceeds 1, mass + mu_tail(N) <=
+    mu_tail(N/2 + 1); when adding that bound to the energy leaves the
+    energy unchanged in floating point, so does the full sum (rounding is
+    monotone), and the measure rule is not evaluated."""
     a, b = N // 2, N
     inc = 1.0 / (b - a)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -49,6 +49,34 @@ def test_higher_is_better_and_the_regression_bound():
     assert not v["within_bound"] and v["losses"] == 10
 
 
+def test_a_parent_spread_over_the_bound_is_unresolved(capsys, monkeypatch):
+    # the parent's IQR is 31% of its median, over a 25% bound: a change 10%
+    # better is unresolved, as is one 10% worse, unless every run of the
+    # change is better than every run of the parent
+    v = ab.judge(PARENT, [p * 0.9 for p in PARENT], bound=0.25)
+    assert v["parent_spread"] == pytest.approx(0.45 / 1.45)
+    assert v["unresolved"] and v["within_bound"]
+    assert ab.judge(PARENT, [p * 1.1 for p in PARENT], bound=0.25)[
+        "unresolved"]
+    assert not ab.judge(PARENT, [p - 1.0 for p in PARENT],
+                        bound=0.25)["unresolved"]
+    assert not ab.judge(PARENT, [p + 1.0 for p in PARENT], better="higher",
+                        bound=0.25)["unresolved"]
+    assert not ab.judge(PARENT, PARENT, bound=0.5)["unresolved"]
+    assert "unresolved" not in ab.judge(PARENT, PARENT)
+    # the printed verdict says so
+    monkeypatch.setattr(ab, "run_bench", lambda checkout, workload, seed, s: {
+        "metrics": {"setup_s": {"value": PARENT[seed], "unit": "s"}},
+        "failed": 0, "attempted": 1, "env": None})
+    monkeypatch.setattr(ab, "metric_specs",
+                        lambda checkout: {"setup_s": ("lower", 0.25)})
+    assert ab.main(["parent", "change", "--workload", "w", "--seed", "0"]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("setup_s")]
+    assert line[0].endswith("no gain, unresolved: parent spread 31.0% > "
+                            "bound 0.25")
+
+
 def test_pairs_must_match():
     with pytest.raises(ValueError):
         ab.judge(PARENT, PARENT[:-1])

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from iglab import completeness, metrics
-from iglab.classify import BUDGETS, classify
+from iglab.classify import BUDGETS, classify, deg_ball_boundedness
 from iglab.completeness import (BallScan, PathMetric, _ball_scan,
                                 hopf_rinow_report, lengths_for)
-from iglab.errors import FamilyDefinitionError, NumericalError
+from iglab.errors import FamilyDefinitionError, InputError, NumericalError
 from iglab.gallery import GOLDEN_RUNS, build_family
 from iglab.graphs import LineFamily, RayFamily, WeightedGraph
 from iglab.metrics import EdgeLengths
@@ -274,3 +274,58 @@ def test_classify_reaches_a_verdict_on_overflowing_weights(w_fn):
         assert rep.completeness == "incomplete-evidence"
         assert hopf_rinow_report(overflow_ray(w_fn), n_max=64).windows[-1] \
             == overflow_ray(w_fn).max_window(64)
+
+
+# -- sigma0 and sigma1 lengths that leave float range before the cap --------------
+
+
+@pytest.mark.parametrize("sigma", ["sigma0", "sigma1"])
+def test_the_scan_stops_before_lengths_that_are_not_positive(sigma):
+    # the cap is the float range of the rules and the canonical lengths;
+    # on 9 of the 12 golden rays and lines Deg overflows before it, so
+    # Deg^-1/2 rounds to 0 there: the report keeps the windows before that
+    # one and names it, and every report at n_max 65536 returns
+    stopped = []
+    for label, name, params, _check in GOLDEN_RUNS:
+        fam = build_family(name, params)
+        if not fam.ends():
+            continue
+        rep = hopf_rinow_report(fam, sigma, n_max=65536)
+        cap = fam.max_window(65536)
+        windows = [1 << p for p in range(3, (cap - 1).bit_length())] + [cap]
+        assert rep.windows == windows[:len(rep.windows)], label
+        notes = [n for n in rep.notes if n.startswith("ball scan stopped")]
+        if len(rep.windows) < len(windows):
+            win = windows[len(rep.windows)]
+            assert len(notes) == 1, label
+            assert notes[0].startswith(f"ball scan stopped before window "
+                                       f"{win}: {sigma} edge ("), label
+            assert notes[0].endswith("): length must be positive"), label
+            stopped.append(label)
+        else:
+            assert notes == [], label
+    assert len(stopped) == (9 if sigma == "sigma0" else 0), stopped
+
+
+def test_deg_ball_boundedness_shares_the_stopped_scan():
+    fam = build_family("ex5.6", {"alpha": 2.0, "case": 1})
+    rep = deg_ball_boundedness(fam, "sigma0", n_max=512)
+    assert rep.windows == [8, 16, 32, 64, 128, 256]
+    assert all(len(v) == 6 for v in rep.max_deg.values())
+
+
+def test_a_first_window_or_a_metric_precondition_still_fails():
+    # mu = 2^-1074 makes Deg = w / mu overflow at every vertex, so sigma0
+    # has no positive length in the first window
+    def ones(x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    tiny = RayFamily("tiny", ones, lambda x: np.full_like(
+        np.asarray(x, dtype=float), 5e-324), sigma_fn=ones,
+        mu_tail_fn=lambda k: 0.0)
+    with pytest.raises(InputError, match="length must be positive"):
+        hopf_rinow_report(tiny, "sigma0", n_max=64)
+    # ex5.4 has Deg = 4^x / 4 inside a window: natural:1e4 holds in window
+    # 8 and not in 16, a precondition of the metric and not a float limit
+    with pytest.raises(InputError, match="natural metric needs Deg <="):
+        hopf_rinow_report(build_family("ex5.4"), "natural:1e4", n_max=64)

@@ -91,6 +91,19 @@ def test_complete_report(capsys):
     assert end["length"] == pytest.approx((2 / 3) ** 0.5)
 
 
+def test_complete_report_stops_where_sigma0_underflows(capsys):
+    # Deg overflows at vertex 341 of ex5.6 at alpha 2, case 1, inside the
+    # float range of its rules (window 359): sigma0 is 0 on edge (340,341)
+    code, out, err = run(capsys, "complete", "report", "--family",
+                         "ex5.6:alpha=2,case=1", "--sigma", "sigma0",
+                         "--n-max", "512")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["windows"] == [8, 16, 32, 64, 128, 256]
+    assert "ball scan stopped before window 359: sigma0 edge (340,341): " \
+        "length must be positive" in doc["notes"]
+
+
 def test_forms_check(capsys):
     code, out, _ = run(capsys, "forms", "check", "--family", "ex5.1",
                        "--window", "24", "--trials", "5", "--seed", "3")

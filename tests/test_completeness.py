@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import iglab
-from iglab.classify import BUDGETS
+from iglab.classify import BUDGETS, classify
 from iglab.completeness import (_not_intrinsic, _prefix_lengths,
                                 boundary_end, find_geodesic,
                                 hopf_rinow_report, lengths_for)
 from iglab.errors import InputError
 from iglab.gallery import GOLDEN_RUNS, build_family
-from iglab.graphs import RayFamily, WeightedGraph
+from iglab.graphs import End, LineFamily, RayFamily, WeightedGraph
 from iglab.metrics import (REL_TOL, PathMetric, close, custom_lengths, sigma0,
                            strongly_intrinsic_check)
 
@@ -350,6 +350,24 @@ def test_the_chain_check_names_the_certificates_first_failure():
     first = int(np.argmax(cert.slack < -REL_TOL))
     assert first == 1
     assert _not_intrinsic(fam, 16) == f"vertex {first} of end plus"
+    # a line with w = 1, sigma = 2^-1/2 and mu = 1 but 1/2 at the root: the
+    # load is 1 at every interior vertex and 2 at the root, which holds
+    # both ends' first edges
+    def heavy_root(x):
+        return np.where(np.asarray(x, dtype=float) == 0.0, 0.5, 1.0)
+
+    side = End(lambda x: np.ones(np.shape(x)), heavy_root,
+               lambda x: np.full(np.shape(x), 0.5 ** 0.5),
+               sigma_tail_fn=lambda k: math.inf, mu_tail_fn=lambda k: math.inf)
+    fam = LineFamily("heavy-root", side, side)
+    g = fam.truncate(16)
+    cert = strongly_intrinsic_check(g, fam.canonical_lengths(g))
+    assert int(np.argmax(cert.slack < -REL_TOL)) == g.origin
+    assert _not_intrinsic(fam, 16) == "the root"
+    rep = classify(fam, budget="quick")
+    assert rep.completeness == "inconclusive"
+    assert "canonical lengths not strongly intrinsic at the root: the " \
+        "completeness theorems need an intrinsic metric" in rep.notes
 
 
 def test_the_chain_check_passes_a_load_whose_square_overflows():

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 import warnings
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import iglab.potential as potential
 from iglab.gallery import run_gallery
 import iglab.gallery as gallery
 from iglab.graphs import LineFamily, RayFamily, WeightedGraph
-from iglab.potential import (OUTER_PER_TAIL, W_BLOCK, _end_ladder,
+from iglab.potential import (OUTER_PER_TAIL, _end_ladder,
                              _ramp_upper, _w_sum,
                              boundary_alternative_evidence, boundary_capacity,
                              codim_polarity_test, equilibrium,
@@ -350,52 +349,22 @@ def test_ramp_mass_skip_is_exact():
     assert checked == 12 * 17      # 12 finite-measure ends, N = 4..2^18
 
 
-def one_array_w_sum(end, a, b):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(np.asarray(end.w_fn(np.arange(a, b, dtype=float)),
-                                       dtype=float)))
-
-
 def test_blocked_w_sum_is_exact():
-    # the block sums added pairwise must be numpy's one-array pairwise sum,
-    # bit for bit, for spans below, at and above the block size, on every
-    # golden rule with its declared sum stripped; a declared sum must be
-    # that blocked value at every span of the deep grid
-    checked = declared = 0
+    # a declared w sum must be the value _w_sum takes without it, one array
+    # sum of the rule, at every span of the deep grid
+    declared = 0
     for _label, name, params, _check in GOLDEN_RUNS:
         for end in build_family(name, params).ends():
-            if end.mu_is_infinite():
+            if end.mu_is_infinite() or not end.w_sum_fn:
                 continue
             bare = dataclasses.replace(end, w_sum_fn=None)
-            for p in range(2, 25 if end.w_sum_fn else 23):
+            for p in range(2, 25):
                 a, b = max(1, (1 << p) // 2), 1 << p
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = _w_sum(bare, a, b)
-                if p < 23:
-                    assert got == one_array_w_sum(end, a, b), \
-                        (name, params, end.label, b)
-                    checked += 1
-                if end.w_sum_fn:
-                    assert end.w_sum_fn(a, b) == got, \
-                        (name, params, end.label, b)
-                    declared += 1
-    assert checked == 12 * 21      # 12 finite-measure ends, N = 4..2^22
+                assert end.w_sum_fn(a, b) == got, (name, params, end.label, b)
+                declared += 1
     assert declared == 7 * 23      # ex5.1 twice, ex5.4, ex5.5, ex5.6 case 1
-    assert W_BLOCK < 1 << 21        # the grid reaches the blocked path
-    # the golden w rules round alike in any order; uniform random weights
-    # at many offsets tell the pairwise tree from fsum or a running sum
-    table = np.random.default_rng(3).random(1 << 20)
-    end = types.SimpleNamespace(w_fn=lambda k: table[k.astype(np.int64)],
-                                w_sum_fn=None)
-    for blocks in (4, 8, 16):
-        for a in range(0, table.size - blocks * W_BLOCK + 1, 28693):
-            b = a + blocks * W_BLOCK
-            assert _w_sum(end, a, b) == one_array_w_sum(end, a, b), (a, b)
-    # spans that are not a power-of-two number of blocks: one array
-    (end,) = build_family("ex5.5").ends()
-    end = dataclasses.replace(end, w_sum_fn=None)
-    for a, b in ((7, 7 + 3 * W_BLOCK), (3, 3 + 2 * W_BLOCK + 5)):
-        assert _w_sum(end, a, b) == one_array_w_sum(end, a, b)
 
 
 def exact_sum(values):
@@ -515,17 +484,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KB on Linux")
-def test_ramp_grid_memory_is_cache_sized():
+def test_ramp_grid_holds_one_span_of_w():
     # ex5.4's rules without their declared w sum: the ramp grid runs to
-    # 2^22 (w = 1/8 never stops it) on the blocked path, where one array
-    # of w over [2^21, 2^22) and its index array would take 32 MB
+    # 2^22 (w = 1/8 never stops it), and its largest w sum holds one array
+    # of w over [2^21, 2^22) and its index array, 32 MB, and no more
     src = os.path.dirname(os.path.dirname(iglab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", RAMP_GRID_RSS],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 8 * 1024      # KB
+    assert int(proc.stdout) < 36 * 1024      # KB
 
 
 # -- the ladder sweep, against one solve per window and exact arithmetic ----------

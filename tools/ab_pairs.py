@@ -17,13 +17,16 @@ the median gap exceeds the parent's interquartile range. A gain is claimed
 only when the change wins at least nine tenths of the pairs run and the
 gap exceeds that range. For the end-to-end metrics it also says whether
 the change's median is worse than the parent's by more than the bound
-BENCHMARK.json fixes. Which way is better, and the bounds, come from the
-parent's BENCHMARK.json. Standard library only.
+BENCHMARK.json fixes, and calls the metric unresolved when the parent's
+spread (its IQR over its median) exceeds that bound, unless every run of
+the change is better than every run of the parent. Which way is better,
+and the bounds, come from the parent's BENCHMARK.json. Standard library
+only.
 
 --bench-out PATH also writes what it prints as JSON, under the workload's
 name in PATH's "workloads": per metric the judge() dict (each side's
-(q1, median, q3), wins, losses, gap, parent IQR and verdicts), the
-seeds, the failed and attempted ops, and each side's environment line
+(q1, median, q3), wins, losses, gap, parent IQR, spread and verdicts),
+the seeds, the failed and attempted ops, and each side's environment line
 from its first run.py run. After the pairs it runs each checkout once
 more with ``--trace 1`` (first seed, same seconds) and stores under
 "trace" that run's per-layer means and, for a workload that has one, its
@@ -106,8 +109,14 @@ def judge(parent, change, better="lower", bound=None):
            "gain": wins >= WIN_SHARE * len(parent) and gap > iqr}
     if bound is not None:
         worse = -gap / abs(pq[1]) if pq[1] else 0.0
+        spread = iqr / abs(pq[1]) if pq[1] else 0.0
         out["worse_frac"] = worse
         out["within_bound"] = worse <= bound
+        out["parent_spread"] = spread
+        # the parent's own runs differ by more than the bound, so the
+        # medians cannot tell a change within the bound from one beyond it
+        out["unresolved"] = spread > bound and not \
+            max(sign * c for c in change) < min(sign * p for p in parent)
     return out
 
 
@@ -171,6 +180,9 @@ def main(argv=None):
         verdict = "gain" if v["gain"] else "no gain"
         if bound is not None and not v["within_bound"]:
             verdict += f", worse by {v['worse_frac']:.1%} > bound {bound:g}"
+        if bound is not None and v["unresolved"]:
+            verdict += (f", unresolved: parent spread "
+                        f"{v['parent_spread']:.1%} > bound {bound:g}")
         print(f"{name:40s} {_fmt(v['parent']):>32s} {_fmt(v['change']):>32s}"
               f"  {v['wins']:2d}/{v['pairs']:<2d} {str(v['gap_exceeds_iqr']):>7s}"
               f"  {verdict}")
